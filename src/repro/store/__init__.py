@@ -13,7 +13,9 @@ queryable database instead of one-shot sweep processes.
   semantics change);
 * :mod:`repro.store.store` — :class:`RunStore`, an SQLite (WAL) database
   keyed by ``(scenario_fp, seed, code_fp)`` with batched writes and an
-  in-memory LRU read path, safe to share between sweep processes;
+  in-memory LRU read path, safe to share between sweep processes; every
+  keyed table (runs, verdicts, corpus, poison) is one description from
+  which its schema, statements, buffer and cache are derived;
 * :mod:`repro.store.query` — aggregate stored slices back into
   :class:`~repro.experiments.aggregate.ScenarioSummary` tables, render
   text/markdown reports, and diff a store against another store or a JSON

@@ -34,6 +34,14 @@ function of the property task and the :mod:`repro.core`/:mod:`repro.analysis`
 source, so the same content-addressing argument applies — and because the
 two fingerprints are independent, editing a protocol stack invalidates runs
 but not verdicts, and vice versa.
+
+Every keyed table — ``runs``, ``verdicts``, the fuzzer's ``corpus``, the
+``poison`` quarantine list — is one :class:`_Table` description (key,
+columns, index, row encoder, record decoder, partitioning fingerprint).
+The schema, the insert statement, the pending buffer, the read cache and
+the flush / journal / salvage paths are derived from that list, and the
+public ``get_*``/``put_*``/``iter_*``/``count_*`` methods are thin wrappers
+over one cached get, one buffered put and one filtered select.
 """
 
 from __future__ import annotations
@@ -44,8 +52,8 @@ import pathlib
 import sqlite3
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..experiments.runner import POISON_ERROR_PREFIX, TIMEOUT_ERROR_PREFIX, RunResult
 from ..experiments.scenario import ScenarioSpec
@@ -59,115 +67,11 @@ STORE_FORMAT_VERSION = 1
 # Telemetry instruments (descriptive only — see repro.obs).  They mirror the
 # per-session StoreStats into the process-local registry so a campaign's
 # store behaviour shows up in the same snapshot as dispatch and supervision.
-_OBS_HITS = METRICS.counter("store.hits")
-_OBS_MISSES = METRICS.counter("store.misses")
-_OBS_STORED = METRICS.counter("store.stored")
 _OBS_FLUSH_ATTEMPTS = METRICS.counter("store.flush.attempts")
 _OBS_FLUSH_RETRIES = METRICS.counter("store.flush.retries")
 _OBS_JOURNAL_SPILLED = METRICS.counter("store.journal.spilled")
 _OBS_JOURNAL_REPLAYED = METRICS.counter("store.journal.replayed")
-_OBS_POISON_STORED = METRICS.counter("store.poison.stored")
 _OBS_FLUSH_WALL = METRICS.timer("store.flush.wall")
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS runs (
-    scenario_fp TEXT    NOT NULL,
-    seed        INTEGER NOT NULL,
-    code_fp     TEXT    NOT NULL,
-    scenario    TEXT    NOT NULL,
-    protocol    TEXT    NOT NULL,
-    adversary   TEXT    NOT NULL,
-    delay       TEXT    NOT NULL,
-    n           INTEGER NOT NULL,
-    t           INTEGER NOT NULL,
-    ok          INTEGER NOT NULL,
-    result_json TEXT    NOT NULL,
-    PRIMARY KEY (scenario_fp, seed, code_fp)
-);
-CREATE INDEX IF NOT EXISTS runs_by_name ON runs (scenario, code_fp);
-CREATE TABLE IF NOT EXISTS verdicts (
-    task_fp      TEXT    NOT NULL,
-    code_fp      TEXT    NOT NULL,
-    label        TEXT    NOT NULL,
-    family       TEXT    NOT NULL,
-    n            INTEGER NOT NULL,
-    t            INTEGER NOT NULL,
-    solvable     INTEGER NOT NULL,
-    verdict_json TEXT    NOT NULL,
-    PRIMARY KEY (task_fp, code_fp)
-);
-CREATE INDEX IF NOT EXISTS verdicts_by_label ON verdicts (label, code_fp);
-CREATE TABLE IF NOT EXISTS corpus (
-    entry_fp   TEXT    NOT NULL,
-    code_fp    TEXT    NOT NULL,
-    scenario   TEXT    NOT NULL,
-    seed       INTEGER NOT NULL,
-    novel      INTEGER NOT NULL,
-    violation  INTEGER NOT NULL,
-    score      INTEGER NOT NULL,
-    entry_json TEXT    NOT NULL,
-    PRIMARY KEY (entry_fp, code_fp)
-);
-CREATE INDEX IF NOT EXISTS corpus_by_scenario ON corpus (scenario, code_fp);
-CREATE TABLE IF NOT EXISTS poison (
-    scenario_fp TEXT    NOT NULL,
-    seed        INTEGER NOT NULL,
-    code_fp     TEXT    NOT NULL,
-    scenario    TEXT    NOT NULL,
-    attempts    INTEGER NOT NULL,
-    reason      TEXT    NOT NULL,
-    PRIMARY KEY (scenario_fp, seed, code_fp)
-);
-CREATE TABLE IF NOT EXISTS telemetry (
-    snapshot_id   INTEGER PRIMARY KEY AUTOINCREMENT,
-    label         TEXT NOT NULL,
-    created       REAL NOT NULL,
-    snapshot_json TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS telemetry_by_label ON telemetry (label, snapshot_id);
-"""
-# The telemetry table is *descriptive*: snapshots are observations about an
-# execution (metrics registry state, per-job counter deltas, supervision
-# stats), never inputs to one.  It is deliberately additive — created by
-# IF NOT EXISTS on open, absent from _INSERTS (no batch/journal/salvage
-# path), and outside the format version, so old stores gain it silently and
-# telemetry rows never compete with run records for flush durability.
-
-_INSERTS: Dict[str, Tuple[str, int]] = {
-    "runs": (
-        "INSERT OR REPLACE INTO runs "
-        "(scenario_fp, seed, code_fp, scenario, protocol, adversary, delay, n, t, ok, result_json) "
-        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-        11,
-    ),
-    "verdicts": (
-        "INSERT OR REPLACE INTO verdicts "
-        "(task_fp, code_fp, label, family, n, t, solvable, verdict_json) "
-        "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-        8,
-    ),
-    "corpus": (
-        "INSERT OR REPLACE INTO corpus "
-        "(entry_fp, code_fp, scenario, seed, novel, violation, score, entry_json) "
-        "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-        8,
-    ),
-    "poison": (
-        "INSERT OR REPLACE INTO poison "
-        "(scenario_fp, seed, code_fp, scenario, attempts, reason) "
-        "VALUES (?, ?, ?, ?, ?, ?)",
-        6,
-    ),
-}
-# One insert statement (and column count) per table: shared by the batched
-# flush, the disk-full JSONL journal spill, its replay on reopen, and the
-# best-effort row salvage out of a quarantined corrupt store.
-
-_Key = Tuple[str, int, str]
 
 
 @dataclass(frozen=True)
@@ -286,19 +190,7 @@ class StoreStats:
     flush_retries: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stored": self.stored,
-            "verdict_hits": self.verdict_hits,
-            "verdict_misses": self.verdict_misses,
-            "verdicts_stored": self.verdicts_stored,
-            "corpus_hits": self.corpus_hits,
-            "corpus_misses": self.corpus_misses,
-            "corpus_stored": self.corpus_stored,
-            "poison_stored": self.poison_stored,
-            "flush_retries": self.flush_retries,
-        }
+        return asdict(self)
 
 
 class StoreFormatError(RuntimeError):
@@ -349,6 +241,183 @@ def _spillworthy(exc: BaseException) -> bool:
     return False
 
 
+class _Table:
+    """The description of one keyed table; everything else is derived from it.
+
+    Args:
+        name: The SQL table name.
+        key: The primary-key columns (``"column TYPE, ..."``), which lead
+            every row; the last one is always ``code_fp``, the fingerprint
+            that partitions the table.
+        columns: The remaining columns, in row order — what ``encode``
+            returns.  The last one holds the record's canonical JSON when
+            the table has a ``decode``.
+        encode: ``(record, *context) -> tuple`` of the non-key columns.
+        decode: Rebuilds a record from its parsed JSON column, or ``None``
+            for a table that is never read back by key (no read cache).
+        index: ``(index name, column)`` of the secondary
+            ``(column, code_fp)`` index, if any.
+        fingerprint: The :class:`RunStore` attribute whose value fills
+            ``code_fp`` — which code fingerprint partitions the table.
+        hit, miss, stored: The :class:`StoreStats` fields the generic
+            get/put tally (``hit``/``miss`` only matter with a ``decode``).
+
+    From these the constructor derives the schema DDL, the ``INSERT OR
+    REPLACE`` statement, the point ``SELECT`` and the row arity that salvage
+    and journal replay validate against; :class:`RunStore` sizes its pending
+    buffers and read caches from the same list.  A new keyed table is one
+    more description plus its public wrappers.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        key: str,
+        columns: str,
+        encode: Callable[..., Tuple],
+        decode: Optional[Callable[[Dict[str, Any]], Any]] = None,
+        index: Optional[Tuple[str, str]] = None,
+        fingerprint: str = "code_fp",
+        hit: str = "",
+        miss: str = "",
+        stored: str = "",
+    ):
+        self.name = name
+        self.encode = encode
+        self.decode = decode
+        self.fingerprint = fingerprint
+        self.hit = hit
+        self.miss = miss
+        self.stored = stored
+        keys = [column.split()[0] for column in key.split(", ")]
+        typed = [column.split() for column in f"{key}, {columns}".split(", ")]
+        names = [column for column, _type in typed]
+        self.arity = len(names)
+        self.insert = (
+            f"INSERT OR REPLACE INTO {name} ({', '.join(names)}) "
+            f"VALUES ({', '.join('?' * self.arity)})"
+        )
+        self.select = f"SELECT {names[-1]} FROM {name} WHERE " + " AND ".join(
+            f"{column}=?" for column in keys
+        )
+        width = max(map(len, names))
+        self.ddl = f"CREATE TABLE IF NOT EXISTS {name} (\n" + "".join(
+            f"    {column:<{width}} {sql_type:<7} NOT NULL,\n" for column, sql_type in typed
+        ) + f"    PRIMARY KEY ({', '.join(keys)})\n);\n"
+        if index is not None:
+            self.ddl += f"CREATE INDEX IF NOT EXISTS {index[0]} ON {name} ({index[1]}, code_fp);\n"
+
+
+def _verdict_from_dict(data: Dict[str, Any]) -> Any:
+    from ..analysis.pipeline import AnalysisVerdict  # deferred: sweeps never import analysis
+
+    return AnalysisVerdict.from_dict(data)
+
+
+_RUNS = _Table(
+    "runs",
+    key="scenario_fp TEXT, seed INTEGER, code_fp TEXT",
+    columns="scenario TEXT, protocol TEXT, adversary TEXT, delay TEXT, "
+    "n INTEGER, t INTEGER, ok INTEGER, result_json TEXT",
+    encode=lambda result, spec: (
+        spec.name,
+        spec.protocol,
+        spec.adversary,
+        spec.delay,
+        spec.n,
+        spec.t,
+        1 if result.ok else 0,
+        result.canonical_json(),
+    ),
+    decode=RunResult.from_dict,
+    index=("runs_by_name", "scenario"),
+    hit="hits",
+    miss="misses",
+    stored="stored",
+)
+_VERDICTS = _Table(
+    "verdicts",
+    key="task_fp TEXT, code_fp TEXT",
+    columns="label TEXT, family TEXT, n INTEGER, t INTEGER, solvable INTEGER, verdict_json TEXT",
+    encode=lambda verdict: (
+        verdict.label,
+        verdict.family,
+        verdict.n,
+        verdict.t,
+        1 if verdict.solvable else 0,
+        verdict.canonical_json(),
+    ),
+    decode=_verdict_from_dict,
+    index=("verdicts_by_label", "label"),
+    fingerprint="analysis_code_fp",
+    hit="verdict_hits",
+    miss="verdict_misses",
+    stored="verdicts_stored",
+)
+_CORPUS = _Table(
+    "corpus",
+    key="entry_fp TEXT, code_fp TEXT",
+    columns="scenario TEXT, seed INTEGER, novel INTEGER, violation INTEGER, "
+    "score INTEGER, entry_json TEXT",
+    encode=lambda record: (
+        record.scenario,
+        record.seed,
+        1 if record.novel else 0,
+        1 if record.violation else 0,
+        record.score,
+        record.canonical_json(),
+    ),
+    decode=CorpusRecord.from_dict,
+    index=("corpus_by_scenario", "scenario"),
+    hit="corpus_hits",
+    miss="corpus_misses",
+    stored="corpus_stored",
+)
+_POISON = _Table(
+    "poison",
+    key="scenario_fp TEXT, seed INTEGER, code_fp TEXT",
+    columns="scenario TEXT, attempts INTEGER, reason TEXT",
+    encode=lambda entry: (entry.scenario, entry.attempts, entry.reason),
+    stored="poison_stored",
+)
+_TABLES: Dict[str, _Table] = {table.name: table for table in (_RUNS, _VERDICTS, _CORPUS, _POISON)}
+# Every keyed table is batched, journalled on a disk-full close, replayed
+# on open and salvaged out of a quarantined corrupt file, all by iterating
+# this one mapping.
+
+_SCHEMA = (
+    """
+CREATE TABLE IF NOT EXISTS meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+"""
+    + "".join(table.ddl for table in _TABLES.values())
+    + """CREATE TABLE IF NOT EXISTS telemetry (
+    snapshot_id   INTEGER PRIMARY KEY AUTOINCREMENT,
+    label         TEXT NOT NULL,
+    created       REAL NOT NULL,
+    snapshot_json TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS telemetry_by_label ON telemetry (label, snapshot_id);
+"""
+)
+# The telemetry table is *descriptive*: snapshots are observations about an
+# execution (metrics registry state, per-job counter deltas, supervision
+# stats), never inputs to one.  It is deliberately additive — created by
+# IF NOT EXISTS on open, absent from _TABLES (no batch/journal/salvage
+# path), and outside the format version, so old stores gain it silently and
+# telemetry rows never compete with run records for flush durability.
+
+# StoreStats fields that are mirrored into the process-local registry.
+_OBS_BY_STAT = {
+    "hits": METRICS.counter("store.hits"),
+    "misses": METRICS.counter("store.misses"),
+    "stored": METRICS.counter("store.stored"),
+    "poison_stored": METRICS.counter("store.poison.stored"),
+}
+
+
 class RunStore:
     """Content-addressed persistent cache of :class:`RunResult` records.
 
@@ -357,8 +426,9 @@ class RunStore:
         code_fp: Override the code fingerprint — tests use this to simulate
             a semantics change; normal callers leave it to
             :func:`~repro.store.fingerprint.code_fingerprint`.
-        batch_size: Buffered ``put`` records per write transaction.
-        cache_size: Entries held by the in-memory read LRU.
+        batch_size: Buffered records (of every table together) per write
+            transaction.
+        cache_size: Entries held by each table's in-memory read LRU.
         analysis_code_fp: Override the analysis code fingerprint (same
             testing escape hatch, for the ``verdicts`` table).
         retry_policy: Bounds and paces flush retries (on :meth:`close` and
@@ -418,13 +488,11 @@ class RunStore:
         self.stats = StoreStats()
         self.recovery: Optional[StoreRecovery] = None
         self.journal_replayed = 0
-        self._pending: Dict[_Key, Tuple[ScenarioSpec, RunResult]] = {}
-        self._pending_verdicts: Dict[Tuple[str, str], Tuple[Any, Any]] = {}
-        self._pending_corpus: Dict[Tuple[str, str], CorpusRecord] = {}
-        self._pending_poison: Dict[_Key, Tuple[str, int, int, str]] = {}
-        self._corpus_cache: Dict[Tuple[str, str], CorpusRecord] = {}
-        self._verdict_cache: Dict[Tuple[str, str], Any] = {}
-        self._lru: "OrderedDict[_Key, RunResult]" = OrderedDict()
+        # Per table: key -> (record, *encode context), and the read LRU.
+        self._pending: Dict[str, Dict[Tuple, Tuple]] = {name: {} for name in _TABLES}
+        self._cache: Dict[str, "OrderedDict[Tuple, Any]"] = {
+            name: OrderedDict() for name in _TABLES
+        }
         self._fp_cache: Dict[ScenarioSpec, str] = {}
         self._conn: Optional[sqlite3.Connection] = None
         if fault_plan is not None and fault_plan.corrupt_on_reopen:
@@ -525,14 +593,14 @@ class RunStore:
             return 0
         salvaged = 0
         try:
-            for table, (insert_sql, columns) in _INSERTS.items():
+            for table in _TABLES.values():
                 try:
-                    rows = source.execute(f"SELECT * FROM {table}").fetchall()
+                    rows = source.execute(f"SELECT * FROM {table.name}").fetchall()
                 except sqlite3.Error:
                     continue
-                good = [row for row in rows if len(row) == columns]
+                good = [row for row in rows if len(row) == table.arity]
                 if good:
-                    self._conn.executemany(insert_sql.replace("OR REPLACE", "OR IGNORE"), good)
+                    self._conn.executemany(table.insert.replace("OR REPLACE", "OR IGNORE"), good)
                     salvaged += len(good)
             self._conn.commit()
         except sqlite3.Error:
@@ -545,51 +613,78 @@ class RunStore:
         """Replay (then delete) the JSONL side-journal a degraded close left.
 
         Rows were journalled in their table-row form, so replay is the same
-        idempotent ``INSERT OR REPLACE`` a flush would have issued.
-        Unparseable lines are skipped rather than blocking the open — the
-        journal was written while the disk was failing.
+        idempotent ``INSERT OR REPLACE`` a flush would have issued, one row
+        at a time so that a bad line costs only itself.  Lines that do not
+        parse, name no table, have the wrong arity or are rejected by the
+        schema are skipped rather than blocking the open — the journal was
+        written while the disk was failing.  A row the database could not
+        take for an *environmental* reason (the disk is still full, the
+        file is locked) is a different matter: the journal is then the only
+        copy, so it stays on disk, whole, for the next open to replay again.
         """
         journal = self.journal_path
         try:
-            text = journal.read_text(encoding="utf-8")
-        except FileNotFoundError:
+            lines = journal.read_text(encoding="utf-8").splitlines()
+        except OSError:  # no journal (the normal case), or an unreadable one
             return 0
-        except OSError:
-            return 0
-        replayed = 0
-        by_table: Dict[str, List[Tuple]] = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
+        replayed = unwritten = 0
+        for line in lines:
             try:
                 entry = json.loads(line)
-                table, row = entry["table"], tuple(entry["row"])
-            except (json.JSONDecodeError, KeyError, TypeError):
+                table, row = _TABLES[entry["table"]], tuple(entry["row"])
+            except (ValueError, KeyError, TypeError):
                 continue
-            if table in _INSERTS and len(row) == _INSERTS[table][1]:
-                by_table.setdefault(table, []).append(row)
-        for table, rows in by_table.items():
+            if len(row) != table.arity:
+                continue
             try:
-                self._conn.executemany(_INSERTS[table][0], rows)
-                replayed += len(rows)
-            except sqlite3.Error:
-                continue
-        self._conn.commit()
+                self._conn.execute(table.insert, row)
+                replayed += 1
+            except sqlite3.OperationalError:
+                unwritten += 1
+            except (sqlite3.Error, ValueError, OverflowError):
+                pass  # malformed: the schema or the binding rejects the row
         try:
-            journal.unlink()
-        except OSError:
-            pass
+            self._conn.commit()
+        except sqlite3.Error:
+            self._conn.rollback()
+            return 0
+        if not unwritten:
+            try:
+                journal.unlink()
+            except OSError:
+                pass
         _OBS_JOURNAL_REPLAYED.inc(replayed)
         return replayed
 
     @property
     def pending_count(self) -> int:
-        """Buffered records (runs + verdicts + corpus + poison) not yet committed."""
-        return (
-            len(self._pending)
-            + len(self._pending_verdicts)
-            + len(self._pending_corpus)
-            + len(self._pending_poison)
+        """Buffered records (of every table together) not yet committed."""
+        return sum(map(len, self._pending.values()))
+
+    def _flush_with_retry(self) -> Optional[BaseException]:
+        """Flush under :attr:`retry_policy`'s bounded, seeded backoff.
+
+        The one retry loop: returns ``None`` once a flush commits, else the
+        last attempt's error with the records still pending — what happens
+        then (raise, report, spill) is the caller's half.
+        """
+        policy = self.retry_policy
+        for attempt in range(1, policy.max_attempts + 1):
+            try:
+                self.flush()
+                return None
+            except (sqlite3.Error, OSError) as exc:
+                error = exc
+                if attempt < policy.max_attempts:
+                    self.stats.flush_retries += 1
+                    _OBS_FLUSH_RETRIES.inc()
+                    time.sleep(policy.backoff(attempt, token="flush"))
+        return error
+
+    def _flush_error(self, error: BaseException, detail: str = "") -> StoreFlushError:
+        return StoreFlushError(
+            f"run store {self.path} failed to flush {self.pending_count} pending record(s) "
+            f"after {self.retry_policy.max_attempts} attempt(s): {error}{detail}"
         )
 
     def flush_retrying(self, raise_on_failure: bool = True) -> bool:
@@ -601,25 +696,10 @@ class RunStore:
         error paths use: salvaging completed records is best-effort there,
         and a second failure must not mask the original job error.
         """
-        policy = self.retry_policy
-        last_error: Optional[BaseException] = None
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                self.flush()
-                return True
-            except (sqlite3.Error, OSError) as exc:
-                last_error = exc
-                if attempt == policy.max_attempts:
-                    break
-                self.stats.flush_retries += 1
-                _OBS_FLUSH_RETRIES.inc()
-                time.sleep(policy.backoff(attempt, token="flush"))
-        if raise_on_failure:
-            raise StoreFlushError(
-                f"run store {self.path} failed to flush {self.pending_count} pending "
-                f"record(s) after {policy.max_attempts} attempt(s): {last_error}"
-            ) from last_error
-        return False
+        error = self._flush_with_retry()
+        if error is not None and raise_on_failure:
+            raise self._flush_error(error) from error
+        return error is None
 
     def close(self) -> None:
         """Flush pending writes (with retry) and release the connection.
@@ -633,37 +713,19 @@ class RunStore:
         :class:`StoreFlushError`, keep the connection, and leave the records
         pending for a caller-driven retry.
         """
-        conn = self._conn
-        if conn is None:
+        if self._conn is None:
             return
-        policy = self.retry_policy
-        last_error: Optional[BaseException] = None
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                self._flush_into(conn)
-                last_error = None
-                break
-            except (sqlite3.Error, OSError) as exc:
-                last_error = exc
-                if attempt < policy.max_attempts:
-                    self.stats.flush_retries += 1
-                    _OBS_FLUSH_RETRIES.inc()
-                    time.sleep(policy.backoff(attempt, token="close"))
-        if last_error is not None:
-            if not _spillworthy(last_error):
-                raise StoreFlushError(
-                    f"run store {self.path} failed to flush {self.pending_count} pending "
-                    f"record(s) after {policy.max_attempts} attempt(s): {last_error}"
-                ) from last_error
+        error = self._flush_with_retry()
+        if error is not None:
+            if not _spillworthy(error):
+                raise self._flush_error(error) from error
             try:
                 self._spill_to_journal()
             except OSError as spill_error:
-                raise StoreFlushError(
-                    f"run store {self.path} failed to flush {self.pending_count} pending "
-                    f"record(s) after {policy.max_attempts} attempt(s) ({last_error}); "
-                    f"the journal spill failed too: {spill_error}"
-                ) from last_error
-        self._conn = None
+                raise self._flush_error(
+                    error, f"; the journal spill failed too: {spill_error}"
+                ) from error
+        conn, self._conn = self._conn, None
         conn.close()
 
     def __enter__(self) -> "RunStore":
@@ -684,160 +746,65 @@ class RunStore:
         return self._conn
 
     # ------------------------------------------------------------------
-    # Keys
+    # The keyed-table idiom: one cached get, one buffered put, one flush
     # ------------------------------------------------------------------
-    def fingerprint(self, spec: ScenarioSpec) -> str:
-        """The scenario fingerprint, memoised per spec object value."""
-        cached = self._fp_cache.get(spec)
-        if cached is None:
-            cached = self._fp_cache[spec] = scenario_fingerprint(spec)
-        return cached
+    def _tally(self, stat: str) -> None:
+        vars(self.stats)[stat] += 1
+        counter = _OBS_BY_STAT.get(stat)
+        if counter is not None:
+            counter.inc()
 
-    def key(self, spec: ScenarioSpec, seed: int) -> _Key:
-        return (self.fingerprint(spec), int(seed), self.code_fp)
+    def _remember(self, table: _Table, key: Tuple, record: Any) -> None:
+        cache = self._cache[table.name]
+        cache[key] = record
+        cache.move_to_end(key)
+        while len(cache) > self.cache_size:
+            cache.popitem(last=False)
 
-    # ------------------------------------------------------------------
-    # Read path
-    # ------------------------------------------------------------------
-    def _lru_put(self, key: _Key, result: RunResult) -> None:
-        lru = self._lru
-        lru[key] = result
-        lru.move_to_end(key)
-        while len(lru) > self.cache_size:
-            lru.popitem(last=False)
+    def _get(self, table: _Table, key: Tuple) -> Optional[Any]:
+        """The record under ``key``: from the LRU, the pending buffer, or SQLite."""
+        cache = self._cache[table.name]
+        record = cache.get(key)
+        if record is not None:
+            cache.move_to_end(key)
+        else:
+            pending = self._pending[table.name].get(key)
+            if pending is not None:
+                record = pending[0]
+            else:
+                row = self._connection().execute(table.select, key).fetchone()
+                if row is None:
+                    self._tally(table.miss)
+                    return None
+                record = table.decode(json.loads(row[0]))
+                self._remember(table, key, record)
+        self._tally(table.hit)
+        return record
 
-    def get(self, spec: ScenarioSpec, seed: int) -> Optional[RunResult]:
-        """The stored record for ``(spec, seed)`` under the current code, or None."""
-        key = self.key(spec, seed)
-        cached = self._lru.get(key)
-        if cached is not None:
-            self._lru.move_to_end(key)
-            self.stats.hits += 1
-            _OBS_HITS.inc()
-            return cached
-        pending = self._pending.get(key)
-        if pending is not None:
-            self.stats.hits += 1
-            _OBS_HITS.inc()
-            return pending[1]
-        row = self._connection().execute(
-            "SELECT result_json FROM runs WHERE scenario_fp=? AND seed=? AND code_fp=?", key
-        ).fetchone()
-        if row is None:
-            self.stats.misses += 1
-            _OBS_MISSES.inc()
-            return None
-        result = RunResult.from_dict(json.loads(row[0]))
-        self._lru_put(key, result)
-        self.stats.hits += 1
-        _OBS_HITS.inc()
-        return result
-
-    def __contains__(self, spec_seed: Tuple[ScenarioSpec, int]) -> bool:
-        spec, seed = spec_seed
-        key = self.key(spec, seed)
-        if key in self._lru or key in self._pending:
-            return True
-        row = self._connection().execute(
-            "SELECT 1 FROM runs WHERE scenario_fp=? AND seed=? AND code_fp=?", key
-        ).fetchone()
-        return row is not None
-
-    # ------------------------------------------------------------------
-    # Write path (batched)
-    # ------------------------------------------------------------------
-    def put(self, spec: ScenarioSpec, result: RunResult) -> bool:
-        """Buffer one record for persistence; returns False when skipped.
-
-        Wall-clock timeout records are skipped: they are host conditions,
-        not functions of the content key, and must be recomputed next time.
-        """
-        if result.error is not None and result.error.startswith(
-            (TIMEOUT_ERROR_PREFIX, POISON_ERROR_PREFIX)
-        ):
-            # Timeouts and poison quarantines are host conditions, not
-            # functions of the content key; persisting them would freeze a
-            # transient condition as truth.  (Poison verdicts are recorded
-            # separately, via put_poison.)
-            return False
-        key = self.key(spec, result.seed)
-        self._pending[key] = (spec, result)
-        self._lru_put(key, result)
-        self.stats.stored += 1
-        _OBS_STORED.inc()
-        if len(self._pending) >= self.batch_size:
+    def _put(self, table: _Table, key: Tuple, record: Any, *context: Any) -> None:
+        """Buffer ``record`` (flushed every ``batch_size`` puts, whatever the table)."""
+        self._pending[table.name][key] = (record, *context)
+        if table.decode is not None:
+            self._remember(table, key, record)
+        self._tally(table.stored)
+        if self.pending_count >= self.batch_size:
             self.flush_retrying(raise_on_failure=False)
-        return True
 
-    def put_many(self, pairs: Sequence[Tuple[ScenarioSpec, RunResult]]) -> int:
-        return sum(1 for spec, result in pairs if self.put(spec, result))
+    def _pending_rows(self) -> Dict[str, List[Tuple]]:
+        """The buffered records as table rows (shared by flush and journal spill)."""
+        return {
+            name: [key + _TABLES[name].encode(*value) for key, value in pending.items()]
+            for name, pending in self._pending.items()
+            if pending
+        }
+
+    def _clear_pending(self) -> None:
+        for pending in self._pending.values():
+            pending.clear()
 
     def flush(self) -> None:
         """Write every buffered record in one transaction."""
-        self._flush_into(self._connection())
-
-    def _pending_rows(self) -> Dict[str, List[Tuple]]:
-        """The buffered records as table rows (shared by flush/spill/journal)."""
-        rows: Dict[str, List[Tuple]] = {}
-        if self._pending:
-            rows["runs"] = [
-                (
-                    key[0],
-                    key[1],
-                    key[2],
-                    spec.name,
-                    spec.protocol,
-                    spec.adversary,
-                    spec.delay,
-                    spec.n,
-                    spec.t,
-                    1 if result.ok else 0,
-                    result.canonical_json(),
-                )
-                for key, (spec, result) in self._pending.items()
-            ]
-        if self._pending_verdicts:
-            rows["verdicts"] = [
-                (
-                    key[0],
-                    key[1],
-                    verdict.label,
-                    verdict.family,
-                    verdict.n,
-                    verdict.t,
-                    1 if verdict.solvable else 0,
-                    verdict.canonical_json(),
-                )
-                for key, (_task, verdict) in self._pending_verdicts.items()
-            ]
-        if self._pending_corpus:
-            rows["corpus"] = [
-                (
-                    key[0],
-                    key[1],
-                    record.scenario,
-                    record.seed,
-                    1 if record.novel else 0,
-                    1 if record.violation else 0,
-                    record.score,
-                    record.canonical_json(),
-                )
-                for key, record in self._pending_corpus.items()
-            ]
-        if self._pending_poison:
-            rows["poison"] = [
-                (key[0], key[1], key[2], scenario, attempts, reason)
-                for key, (scenario, _seed, attempts, reason) in self._pending_poison.items()
-            ]
-        return rows
-
-    def _clear_pending(self) -> None:
-        self._pending.clear()
-        self._pending_verdicts.clear()
-        self._pending_corpus.clear()
-        self._pending_poison.clear()
-
-    def _flush_into(self, conn: sqlite3.Connection) -> None:
+        conn = self._connection()
         rows_by_table = self._pending_rows()
         if not rows_by_table:
             return
@@ -846,10 +813,9 @@ class RunStore:
             # Counted per flush *with pending rows*, so a plan's "fail
             # attempt 2" means the second real write, deterministically.
             raise OSError(28, "injected flush failure (REPRO_FAULT_PLAN)")
-        with _OBS_FLUSH_WALL.time():
-            for table, rows in rows_by_table.items():
-                conn.executemany(_INSERTS[table][0], rows)
-            conn.commit()
+        with _OBS_FLUSH_WALL.time(), conn:  # commits, or rolls back a failed attempt
+            for name, rows in rows_by_table.items():
+                conn.executemany(_TABLES[name].insert, rows)
         self._clear_pending()
 
     def _spill_to_journal(self) -> int:
@@ -875,34 +841,196 @@ class RunStore:
         _OBS_JOURNAL_SPILLED.inc(spilled)
         return spilled
 
+    def _select(
+        self,
+        table: _Table,
+        columns: str,
+        tail: str = "",
+        any_code: bool = False,
+        **filters: Optional[Sequence[Any]],
+    ) -> sqlite3.Cursor:
+        """Flush, then query ``table`` — by default only its current partition.
+
+        ``any_code=True`` lifts the fingerprint restriction; each keyword in
+        ``filters`` restricts a column to the given values (``None``/empty:
+        unrestricted); ``tail`` is the ``ORDER BY``/``GROUP BY`` suffix.
+        """
+        self.flush()
+        clauses: List[str] = []
+        params: List[Any] = []
+        if not any_code:
+            clauses.append("code_fp = ?")
+            params.append(getattr(self, table.fingerprint))
+        for column, values in filters.items():
+            if values:
+                clauses.append(f"{column} IN ({', '.join('?' * len(values))})")
+                params.extend(values)
+        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
+        return self._connection().execute(
+            f"SELECT {columns} FROM {table.name}{where}{tail}", params
+        )
+
+    def _count(self, table: _Table, any_code: bool = False) -> int:
+        return self._select(table, "COUNT(*)", any_code=any_code).fetchone()[0]
+
+    # ------------------------------------------------------------------
+    # Run records
+    # ------------------------------------------------------------------
+    def fingerprint(self, spec: ScenarioSpec) -> str:
+        """The scenario fingerprint, memoised per spec object value."""
+        cached = self._fp_cache.get(spec)
+        if cached is None:
+            cached = self._fp_cache[spec] = scenario_fingerprint(spec)
+        return cached
+
+    def _key(self, spec: ScenarioSpec, seed: int) -> Tuple[str, int, str]:
+        return (self.fingerprint(spec), int(seed), self.code_fp)
+
+    def get(self, spec: ScenarioSpec, seed: int) -> Optional[RunResult]:
+        """The stored record for ``(spec, seed)`` under the current code, or None."""
+        return self._get(_RUNS, self._key(spec, seed))
+
+    def put(self, spec: ScenarioSpec, result: RunResult) -> bool:
+        """Buffer one record for persistence; returns False when skipped.
+
+        Wall-clock timeouts and poison quarantines are skipped: they are
+        host conditions, not functions of the content key, and persisting
+        them would freeze a transient condition as truth.  (Poison verdicts
+        are recorded separately, via :meth:`put_poison`.)
+        """
+        if result.error is not None and result.error.startswith(
+            (TIMEOUT_ERROR_PREFIX, POISON_ERROR_PREFIX)
+        ):
+            return False
+        self._put(_RUNS, self._key(spec, result.seed), result, spec)
+        return True
+
+    def iter_records(
+        self,
+        scenarios: Optional[Sequence[str]] = None,
+        protocols: Optional[Sequence[str]] = None,
+        adversaries: Optional[Sequence[str]] = None,
+        delays: Optional[Sequence[str]] = None,
+        any_code: bool = False,
+    ) -> Iterator[RunResult]:
+        """Stored records of a slice, in deterministic (scenario, seed) order.
+
+        By default only records under the *current* code fingerprint are
+        returned — stale entries from before a semantics change stay
+        invisible.  With ``any_code=True`` stale entries are included, but
+        each ``(scenario name, seed)`` still yields exactly **one** record —
+        the current-code one when it exists, else the record under the first
+        ``(scenario_fp, code_fp)`` in lexicographic order — so an aggregate
+        never double-counts a pair or blends code/param versions of the same
+        named scenario.
+        """
+        cursor = self._select(
+            _RUNS,
+            "scenario, seed, code_fp, result_json",
+            " ORDER BY scenario, seed, scenario_fp, code_fp",
+            any_code,
+            scenario=scenarios,
+            protocol=protocols,
+            adversary=adversaries,
+            delay=delays,
+        )
+        if not any_code:  # the primary key already guarantees one row per pair
+            for _scenario, _seed, _code_fp, result_json in cursor:
+                yield RunResult.from_dict(json.loads(result_json))
+            return
+        chosen: "OrderedDict[Tuple[str, int], Tuple[bool, str]]" = OrderedDict()
+        for scenario, seed, code_fp, result_json in cursor:
+            current = code_fp == self.code_fp
+            if (scenario, seed) not in chosen or (current and not chosen[scenario, seed][0]):
+                chosen[scenario, seed] = (current, result_json)
+        for _current, result_json in chosen.values():
+            yield RunResult.from_dict(json.loads(result_json))
+
+    def count(self, any_code: bool = False) -> int:
+        return self._count(_RUNS, any_code)
+
+    def scenario_names(self, any_code: bool = False) -> List[str]:
+        cursor = self._select(_RUNS, "DISTINCT scenario", " ORDER BY scenario", any_code)
+        return [name for (name,) in cursor]
+
+    def code_fingerprints(self) -> List[Tuple[str, int]]:
+        """Every code fingerprint in the store with its record count."""
+        return list(
+            self._select(
+                _RUNS, "code_fp, COUNT(*)", " GROUP BY code_fp ORDER BY code_fp", any_code=True
+            )
+        )
+
+    def vacuum_stale(self) -> int:
+        """Delete records from other code fingerprints; returns rows removed.
+
+        Covers every keyed table, each against its own fingerprint: runs,
+        the fuzz corpus and the poison list against the run-semantics code,
+        verdicts against the analysis code.
+        """
+        self.flush()
+        conn = self._connection()
+        removed = sum(
+            conn.execute(
+                f"DELETE FROM {table.name} WHERE code_fp != ?", (getattr(self, table.fingerprint),)
+            ).rowcount
+            for table in _TABLES.values()
+        )
+        conn.commit()
+        return removed
+
     # ------------------------------------------------------------------
     # Poison quarantine (tasks that kept killing their workers)
     # ------------------------------------------------------------------
     def put_poison(self, spec: ScenarioSpec, seed: int, attempts: int, reason: str) -> None:
         """Record that ``(spec, seed)`` was quarantined as a poison task."""
-        key = self.key(spec, seed)
-        self._pending_poison[key] = (spec.name, int(seed), int(attempts), str(reason))
-        self.stats.poison_stored += 1
-        _OBS_POISON_STORED.inc()
-        if self.pending_count >= self.batch_size:
-            self.flush_retrying(raise_on_failure=False)
+        entry = PoisonEntry(spec.name, int(seed), int(attempts), str(reason))
+        self._put(_POISON, self._key(spec, seed), entry)
 
     def iter_poison(self) -> Iterator[PoisonEntry]:
         """Quarantined tasks under the current code, in (scenario, seed) order."""
-        self.flush()
-        cursor = self._connection().execute(
-            "SELECT scenario, seed, attempts, reason FROM poison WHERE code_fp=? "
-            "ORDER BY scenario, seed",
-            (self.code_fp,),
-        )
-        for scenario, seed, attempts, reason in cursor:
-            yield PoisonEntry(scenario=scenario, seed=seed, attempts=attempts, reason=reason)
+        for row in self._select(
+            _POISON, "scenario, seed, attempts, reason", " ORDER BY scenario, seed"
+        ):
+            yield PoisonEntry(*row)
 
-    def count_poison(self) -> int:
-        self.flush()
-        return self._connection().execute(
-            "SELECT COUNT(*) FROM poison WHERE code_fp=?", (self.code_fp,)
-        ).fetchone()[0]
+    # ------------------------------------------------------------------
+    # Analysis verdicts (the ``analyze`` pipeline's cache)
+    # ------------------------------------------------------------------
+    def get_verdict(self, task: Any) -> Optional[Any]:
+        """The cached verdict for a property task under the current analysis code."""
+        return self._get(_VERDICTS, (task.fingerprint(), self.analysis_code_fp))
+
+    def put_verdict(self, task: Any, verdict: Any) -> None:
+        """Buffer one verdict for persistence (flushed with the run batch)."""
+        self._put(_VERDICTS, (task.fingerprint(), self.analysis_code_fp), verdict)
+
+    def count_verdicts(self, any_code: bool = False) -> int:
+        return self._count(_VERDICTS, any_code)
+
+    # ------------------------------------------------------------------
+    # Fuzzer corpus (the ``fuzz`` campaign's persisted seed pool)
+    # ------------------------------------------------------------------
+    def get_corpus(self, entry_fp: str) -> Optional[CorpusRecord]:
+        """The corpus entry for a content fingerprint under the current code."""
+        return self._get(_CORPUS, (entry_fp, self.code_fp))
+
+    def put_corpus(self, record: CorpusRecord) -> None:
+        """Buffer one corpus entry for persistence (flushed with the run batch)."""
+        self._put(_CORPUS, (record.entry_fp, self.code_fp), record)
+
+    def iter_corpus(self, scenario: Optional[str] = None) -> Iterator[CorpusRecord]:
+        """Stored corpus entries under the current code, in ``entry_fp`` order."""
+        for (entry_json,) in self._select(
+            _CORPUS,
+            "entry_json",
+            " ORDER BY entry_fp",
+            scenario=None if scenario is None else [scenario],
+        ):
+            yield CorpusRecord.from_dict(json.loads(entry_json))
+
+    def count_corpus(self) -> int:
+        return self._count(_CORPUS)
 
     # ------------------------------------------------------------------
     # Telemetry snapshots (descriptive only — never read to decide anything)
@@ -926,290 +1054,35 @@ class RunStore:
         except (sqlite3.Error, OSError, RuntimeError, TypeError, ValueError):
             return None
 
+    def _telemetry(self, where: str, params: Tuple[Any, ...]) -> Iterator[TelemetrySnapshot]:
+        cursor = self._connection().execute(
+            f"SELECT snapshot_id, label, created, snapshot_json FROM telemetry{where}", params
+        )
+        for snapshot_id, label, created, snapshot_json in cursor:
+            try:
+                snapshot = json.loads(snapshot_json)
+            except json.JSONDecodeError:
+                continue
+            yield TelemetrySnapshot(snapshot_id, label, created, snapshot)
+
     def get_telemetry(
         self, snapshot_id: Optional[int] = None, label: Optional[str] = None
     ) -> Optional[TelemetrySnapshot]:
         """The snapshot with ``snapshot_id``, or the latest (matching ``label``)."""
-        query = "SELECT snapshot_id, label, created, snapshot_json FROM telemetry"
-        params: Tuple[Any, ...] = ()
+        where, params = "", ()
         if snapshot_id is not None:
-            query += " WHERE snapshot_id=?"
-            params = (snapshot_id,)
+            where, params = " WHERE snapshot_id=?", (snapshot_id,)
         elif label is not None:
-            query += " WHERE label=?"
-            params = (label,)
-        query += " ORDER BY snapshot_id DESC LIMIT 1"
-        row = self._connection().execute(query, params).fetchone()
-        if row is None:
-            return None
-        try:
-            snapshot = json.loads(row[3])
-        except json.JSONDecodeError:
-            return None
-        return TelemetrySnapshot(snapshot_id=row[0], label=row[1], created=row[2], snapshot=snapshot)
+            where, params = " WHERE label=?", (label,)
+        return next(self._telemetry(where + " ORDER BY snapshot_id DESC LIMIT 1", params), None)
 
     def iter_telemetry(self, label: Optional[str] = None) -> Iterator[TelemetrySnapshot]:
         """Every stored snapshot (optionally for one label), oldest first."""
-        query = "SELECT snapshot_id, label, created, snapshot_json FROM telemetry"
-        params: Tuple[Any, ...] = ()
-        if label is not None:
-            query += " WHERE label=?"
-            params = (label,)
-        query += " ORDER BY snapshot_id"
-        for row in self._connection().execute(query, params):
-            try:
-                snapshot = json.loads(row[3])
-            except json.JSONDecodeError:
-                continue
-            yield TelemetrySnapshot(
-                snapshot_id=row[0], label=row[1], created=row[2], snapshot=snapshot
-            )
+        where, params = (" WHERE label=?", (label,)) if label is not None else ("", ())
+        return self._telemetry(where + " ORDER BY snapshot_id", params)
 
     def count_telemetry(self) -> int:
         return self._connection().execute("SELECT COUNT(*) FROM telemetry").fetchone()[0]
-
-    # ------------------------------------------------------------------
-    # Analysis verdicts (the ``analyze`` pipeline's cache)
-    # ------------------------------------------------------------------
-    def verdict_key(self, task: Any) -> Tuple[str, str]:
-        """The ``(task fingerprint, analysis code fingerprint)`` content key."""
-        return (task.fingerprint(), self.analysis_code_fp)
-
-    def get_verdict(self, task: Any) -> Optional[Any]:
-        """The cached verdict for a property task under the current analysis code."""
-        from ..analysis.pipeline import AnalysisVerdict
-
-        key = self.verdict_key(task)
-        cached = self._verdict_cache.get(key)
-        if cached is not None:
-            self.stats.verdict_hits += 1
-            return cached
-        pending = self._pending_verdicts.get(key)
-        if pending is not None:
-            self.stats.verdict_hits += 1
-            return pending[1]
-        row = self._connection().execute(
-            "SELECT verdict_json FROM verdicts WHERE task_fp=? AND code_fp=?", key
-        ).fetchone()
-        if row is None:
-            self.stats.verdict_misses += 1
-            return None
-        verdict = AnalysisVerdict.from_dict(json.loads(row[0]))
-        self._verdict_cache[key] = verdict
-        self.stats.verdict_hits += 1
-        return verdict
-
-    def put_verdict(self, task: Any, verdict: Any) -> None:
-        """Buffer one verdict for persistence (flushed with the run batch)."""
-        key = self.verdict_key(task)
-        self._pending_verdicts[key] = (task, verdict)
-        self._verdict_cache[key] = verdict
-        self.stats.verdicts_stored += 1
-        if len(self._pending) + len(self._pending_verdicts) >= self.batch_size:
-            self.flush_retrying(raise_on_failure=False)
-
-    def iter_verdicts(self, any_code: bool = False) -> Iterator[Any]:
-        """Stored verdicts in deterministic label order.
-
-        By default only verdicts under the *current* analysis code
-        fingerprint are returned; ``any_code=True`` includes stale ones, one
-        per label (current-code record preferred), mirroring
-        :meth:`iter_records`.
-        """
-        from ..analysis.pipeline import AnalysisVerdict
-
-        self.flush()
-        if not any_code:
-            cursor = self._connection().execute(
-                "SELECT verdict_json FROM verdicts WHERE code_fp=? ORDER BY label, task_fp",
-                (self.analysis_code_fp,),
-            )
-            for (verdict_json,) in cursor:
-                yield AnalysisVerdict.from_dict(json.loads(verdict_json))
-            return
-        cursor = self._connection().execute(
-            "SELECT label, code_fp, verdict_json FROM verdicts ORDER BY label, task_fp, code_fp"
-        )
-        chosen: "OrderedDict[str, str]" = OrderedDict()
-        current_code: Dict[str, bool] = {}
-        for label, code_fp, verdict_json in cursor:
-            if label not in chosen or (code_fp == self.analysis_code_fp and not current_code[label]):
-                chosen[label] = verdict_json
-                current_code[label] = code_fp == self.analysis_code_fp
-        for verdict_json in chosen.values():
-            yield AnalysisVerdict.from_dict(json.loads(verdict_json))
-
-    def count_verdicts(self, any_code: bool = False) -> int:
-        self.flush()
-        if any_code:
-            return self._connection().execute("SELECT COUNT(*) FROM verdicts").fetchone()[0]
-        return self._connection().execute(
-            "SELECT COUNT(*) FROM verdicts WHERE code_fp=?", (self.analysis_code_fp,)
-        ).fetchone()[0]
-
-    # ------------------------------------------------------------------
-    # Fuzzer corpus (the ``fuzz`` campaign's persisted seed pool)
-    # ------------------------------------------------------------------
-    def get_corpus(self, entry_fp: str) -> Optional[CorpusRecord]:
-        """The corpus entry for a content fingerprint under the current code."""
-        key = (entry_fp, self.code_fp)
-        cached = self._corpus_cache.get(key)
-        if cached is not None:
-            self.stats.corpus_hits += 1
-            return cached
-        pending = self._pending_corpus.get(key)
-        if pending is not None:
-            self.stats.corpus_hits += 1
-            return pending
-        row = self._connection().execute(
-            "SELECT entry_json FROM corpus WHERE entry_fp=? AND code_fp=?", key
-        ).fetchone()
-        if row is None:
-            self.stats.corpus_misses += 1
-            return None
-        record = CorpusRecord.from_dict(json.loads(row[0]))
-        self._corpus_cache[key] = record
-        self.stats.corpus_hits += 1
-        return record
-
-    def put_corpus(self, record: CorpusRecord) -> None:
-        """Buffer one corpus entry for persistence (flushed with the run batch)."""
-        key = (record.entry_fp, self.code_fp)
-        self._pending_corpus[key] = record
-        self._corpus_cache[key] = record
-        self.stats.corpus_stored += 1
-        if self.pending_count >= self.batch_size:
-            self.flush_retrying(raise_on_failure=False)
-
-    def iter_corpus(self, scenario: Optional[str] = None) -> Iterator[CorpusRecord]:
-        """Stored corpus entries under the current code, in ``entry_fp`` order."""
-        self.flush()
-        if scenario is None:
-            cursor = self._connection().execute(
-                "SELECT entry_json FROM corpus WHERE code_fp=? ORDER BY entry_fp",
-                (self.code_fp,),
-            )
-        else:
-            cursor = self._connection().execute(
-                "SELECT entry_json FROM corpus WHERE code_fp=? AND scenario=? ORDER BY entry_fp",
-                (self.code_fp, scenario),
-            )
-        for (entry_json,) in cursor:
-            yield CorpusRecord.from_dict(json.loads(entry_json))
-
-    def count_corpus(self) -> int:
-        self.flush()
-        return self._connection().execute(
-            "SELECT COUNT(*) FROM corpus WHERE code_fp=?", (self.code_fp,)
-        ).fetchone()[0]
-
-    # ------------------------------------------------------------------
-    # Bulk reads (report / compare / maintenance)
-    # ------------------------------------------------------------------
-    def _where(
-        self,
-        scenarios: Optional[Sequence[str]],
-        protocols: Optional[Sequence[str]],
-        adversaries: Optional[Sequence[str]],
-        delays: Optional[Sequence[str]],
-        any_code: bool,
-    ) -> Tuple[str, List[Any]]:
-        clauses: List[str] = []
-        params: List[Any] = []
-        if not any_code:
-            clauses.append("code_fp = ?")
-            params.append(self.code_fp)
-        for column, values in (
-            ("scenario", scenarios),
-            ("protocol", protocols),
-            ("adversary", adversaries),
-            ("delay", delays),
-        ):
-            if values:
-                placeholders = ", ".join("?" for _ in values)
-                clauses.append(f"{column} IN ({placeholders})")
-                params.extend(values)
-        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
-        return where, params
-
-    def iter_records(
-        self,
-        scenarios: Optional[Sequence[str]] = None,
-        protocols: Optional[Sequence[str]] = None,
-        adversaries: Optional[Sequence[str]] = None,
-        delays: Optional[Sequence[str]] = None,
-        any_code: bool = False,
-    ) -> Iterator[RunResult]:
-        """Stored records of a slice, in deterministic (scenario, seed) order.
-
-        By default only records under the *current* code fingerprint are
-        returned — stale entries from before a semantics change stay
-        invisible.  With ``any_code=True`` stale entries are included, but
-        each ``(scenario name, seed)`` still yields exactly **one** record —
-        the current-code one when it exists, else the record under the first
-        ``(scenario_fp, code_fp)`` in lexicographic order — so an aggregate
-        never double-counts a pair or blends code/param versions of the same
-        named scenario.
-        """
-        self.flush()
-        where, params = self._where(scenarios, protocols, adversaries, delays, any_code)
-        cursor = self._connection().execute(
-            f"SELECT scenario, seed, code_fp, result_json FROM runs{where} "
-            "ORDER BY scenario, seed, scenario_fp, code_fp",
-            params,
-        )
-        if not any_code:  # the primary key already guarantees one row per pair
-            for _scenario, _seed, _code_fp, result_json in cursor:
-                yield RunResult.from_dict(json.loads(result_json))
-            return
-        chosen: "OrderedDict[Tuple[str, int], str]" = OrderedDict()
-        current_code: Dict[Tuple[str, int], bool] = {}
-        for scenario, seed, code_fp, result_json in cursor:
-            key = (scenario, seed)
-            if key not in chosen or (code_fp == self.code_fp and not current_code[key]):
-                chosen[key] = result_json
-                current_code[key] = code_fp == self.code_fp
-        for result_json in chosen.values():
-            yield RunResult.from_dict(json.loads(result_json))
-
-    def count(self, any_code: bool = False) -> int:
-        self.flush()
-        where, params = self._where(None, None, None, None, any_code)
-        return self._connection().execute(f"SELECT COUNT(*) FROM runs{where}", params).fetchone()[0]
-
-    def scenario_names(self, any_code: bool = False) -> List[str]:
-        self.flush()
-        where, params = self._where(None, None, None, None, any_code)
-        cursor = self._connection().execute(
-            f"SELECT DISTINCT scenario FROM runs{where} ORDER BY scenario", params
-        )
-        return [name for (name,) in cursor]
-
-    def code_fingerprints(self) -> List[Tuple[str, int]]:
-        """Every code fingerprint in the store with its record count."""
-        self.flush()
-        cursor = self._connection().execute(
-            "SELECT code_fp, COUNT(*) FROM runs GROUP BY code_fp ORDER BY code_fp"
-        )
-        return [(code_fp, count) for code_fp, count in cursor]
-
-    def vacuum_stale(self) -> int:
-        """Delete records from other code fingerprints; returns rows removed.
-
-        Covers every table, each against its own fingerprint: runs and the
-        fuzz corpus against the run-semantics code, verdicts against the
-        analysis code.
-        """
-        self.flush()
-        conn = self._connection()
-        removed = conn.execute("DELETE FROM runs WHERE code_fp != ?", (self.code_fp,)).rowcount
-        removed += conn.execute(
-            "DELETE FROM verdicts WHERE code_fp != ?", (self.analysis_code_fp,)
-        ).rowcount
-        removed += conn.execute("DELETE FROM corpus WHERE code_fp != ?", (self.code_fp,)).rowcount
-        removed += conn.execute("DELETE FROM poison WHERE code_fp != ?", (self.code_fp,)).rowcount
-        conn.commit()
-        return removed
 
 
 def is_run_store(path: Union[str, pathlib.Path]) -> bool:

@@ -283,6 +283,60 @@ class TestStoreChaos:
             assert sum(1 for _ in reopened.iter_records()) == 2
         assert not journal.exists()
 
+    def _spilled_journal(self, path, scenarios):
+        """Close a store on a 'full disk' so its records land in the journal."""
+        plan = FaultPlan(flush_errors=tuple(range(1, 10)))
+        store = RunStore(path, retry_policy=FAST_RETRY, fault_plan=plan)
+        self._record(store, scenarios)
+        store.close()
+        return store.journal_path
+
+    def test_journal_replay_skips_only_the_rows_the_schema_rejects(self, tmp_path):
+        # One parseable, right-arity line the schema rejects (NOT NULL) used
+        # to take every row of its table down with it — and the journal, the
+        # only copy, was deleted regardless.
+        path = tmp_path / "runs.db"
+        journal = self._spilled_journal(path, SLICE[:3])
+        valid = journal.read_text()
+        rejected = json.dumps({"table": "runs", "row": [None] * 11})
+        unbindable = json.dumps({"table": "poison", "row": [{}, 1, "fp", "s", 1, "r"]})
+        journal.write_text(f"{rejected}\n{valid}{unbindable}\n")
+        with RunStore(path) as reopened:
+            assert reopened.journal_replayed == 3
+            assert reopened.count() == 3
+            assert {r.scenario for r in reopened.iter_records()} == set(SLICE[:3])
+        assert not journal.exists()  # nothing left that a later open could use
+
+    def test_journal_survives_rows_that_could_not_be_written(self, tmp_path, monkeypatch):
+        # The disk is still full on the next open: every replayed insert
+        # fails for an environmental reason.  The journal is the only copy
+        # of those rows, so it must stay on disk for a later, healthier open.
+        path = tmp_path / "runs.db"
+        journal = self._spilled_journal(path, SLICE[:2])
+        before = journal.read_text()
+
+        class StillFull(sqlite3.Connection):
+            def execute(self, sql, *args):
+                if sql.startswith("INSERT OR REPLACE"):
+                    raise sqlite3.OperationalError("database or disk is full")
+                return super().execute(sql, *args)
+
+            executemany = execute
+
+        real_connect = sqlite3.connect
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                sqlite3, "connect", lambda *a, **kw: real_connect(*a, factory=StillFull, **kw)
+            )
+            with RunStore(path) as reopened:
+                assert reopened.journal_replayed == 0
+                assert reopened.count() == 0
+        assert journal.read_text() == before
+        with RunStore(path) as healthy:
+            assert healthy.journal_replayed == 2
+            assert healthy.count() == 2
+        assert not journal.exists()
+
     def test_corrupt_file_is_quarantined_and_rebuilt(self, tmp_path):
         path = tmp_path / "runs.db"
         with RunStore(path) as store:

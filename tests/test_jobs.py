@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.experiments import DEFAULT_SEED, make_scenario
+from repro.experiments import DEFAULT_SEED, execute_run, make_scenario
 from repro.jobs import (
     AnalyzeJob,
     CompareJob,
@@ -40,7 +40,7 @@ from repro.jobs import (
     specs_to_payloads,
     summary_status,
 )
-from repro.resilience import RetryPolicy
+from repro.resilience import FaultPlan, RetryPolicy
 from repro.store import RunStore
 from repro.store.store import StoreFlushError
 
@@ -302,66 +302,63 @@ class TestTeardown:
         with RunStore(tmp_path / "runs.db") as store:
             assert sum(1 for _ in store.iter_records()) >= 1
 
-    def test_transient_flush_failure_absorbed_by_retry(self, tmp_path, monkeypatch):
+    def test_transient_flush_failure_absorbed_by_retry(self, tmp_path):
         # A flush that fails once and then succeeds is invisible to the
         # caller: close() retries under the store's policy and returns.
-        import sqlite3
-
         session = ExecutionSession(
             store_path=tmp_path / "runs.db",
-            store_options={"retry_policy": RetryPolicy(max_attempts=3, backoff_base=0.0)},
+            store_options={
+                "retry_policy": RetryPolicy(max_attempts=3, backoff_base=0.0),
+                "fault_plan": FaultPlan(flush_errors=(1,)),
+            },
         )
-        session.submit(SweepJob(slice_payloads()))
-        store = session._store
-        original = store._flush_into
-        calls = {"n": 0}
-
-        def failing_flush_into(conn):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise sqlite3.OperationalError("database is locked")
-            return original(conn)
-
-        monkeypatch.setattr(store, "_flush_into", failing_flush_into)
+        store = session.store
+        for spec in select_scenarios(SLICE):  # buffered: close() does the only flush
+            store.put(spec, execute_run(spec, DEFAULT_SEED))
+        assert store.pending_count == len(SLICE)
         session.close()  # no raise: the retry absorbed the transient failure
         assert session._store is None
-        assert calls["n"] == 2
-        assert store.stats.flush_retries >= 1
+        assert store.stats.flush_retries == 1  # attempt 1 failed, attempt 2 committed
+        assert store.pending_count == 0
+        assert not store.journal_path.exists()
         with RunStore(tmp_path / "runs.db") as reopened:
             assert sum(1 for _ in reopened.iter_records()) == len(SLICE)
 
-    def test_flush_failure_keeps_store_for_retry(self, tmp_path, monkeypatch):
+    def test_flush_failure_keeps_store_for_retry(self, tmp_path):
         # A persistent, non-spillworthy failure exhausts the retry budget
         # and surfaces as StoreFlushError naming the attempts spent; the
         # store reference is kept so a later close() can retry.
+        import contextlib
         import sqlite3
 
         session = ExecutionSession(
             store_path=tmp_path / "runs.db",
             store_options={"retry_policy": RetryPolicy(max_attempts=2, backoff_base=0.0)},
         )
-        session.submit(SweepJob(slice_payloads()))
-        store = session._store
-        original = store._flush_into
-        broken = {"on": True}
-
-        def failing_flush_into(conn):
-            if broken["on"]:
-                raise sqlite3.OperationalError("no such table: runs")
-            return original(conn)
-
-        monkeypatch.setattr(store, "_flush_into", failing_flush_into)
-        with pytest.raises(StoreFlushError, match=r"after 2 attempt\(s\)"):
-            session.close()
-        # Pool is gone, session is closed, but the store is kept for retry.
-        assert session.closed
-        assert session._runner is None
-        assert session._store is store
-        # No journal spill for a non-disk failure: the records stay pending.
-        assert not store.journal_path.exists()
-        broken["on"] = False
+        store = session.store
+        for spec in select_scenarios(SLICE):
+            store.put(spec, execute_run(spec, DEFAULT_SEED))
+        # Break the schema through a second connection: every flush attempt
+        # now fails with "no such table: runs", which no journal can absorb.
+        with contextlib.closing(sqlite3.connect(str(tmp_path / "runs.db"))) as saboteur:
+            saboteur.execute("ALTER TABLE runs RENAME TO runs_hidden")
+            saboteur.commit()
+            with pytest.raises(StoreFlushError, match=r"after 2 attempt\(s\)"):
+                session.close()
+            # Pool is gone, session is closed, but the store is kept for retry.
+            assert session.closed
+            assert session._runner is None
+            assert session._store is store
+            assert store.stats.flush_retries == 1
+            # No journal spill for a non-disk failure: the records stay pending.
+            assert not store.journal_path.exists()
+            assert store.pending_count == len(SLICE)
+            saboteur.execute("ALTER TABLE runs_hidden RENAME TO runs")
+            saboteur.commit()
         session.close()  # retry succeeds and releases the store
         assert session._store is None
+        with RunStore(tmp_path / "runs.db") as reopened:
+            assert sum(1 for _ in reopened.iter_records()) == len(SLICE)
 
     def test_open_run_store_is_context_managed(self, tmp_path):
         path = tmp_path / "runs.db"

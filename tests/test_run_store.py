@@ -10,7 +10,9 @@ runner lifecycle fixes that ride along (idempotent ``close``, pool release
 on abandoned generators).
 """
 
+import contextlib
 import json
+import sqlite3
 import time
 
 import pytest
@@ -28,6 +30,7 @@ from repro.experiments import (
 from repro.experiments.runner import _timeout_result
 from repro.experiments.scenario import PROTOCOLS
 from repro.store import (
+    CorpusRecord,
     RunStore,
     StoreFormatError,
     code_fingerprint,
@@ -42,6 +45,13 @@ SWEEP = [
     make_scenario("universal-authenticated", "silent", "synchronous"),
 ]
 SEEDS = (DEFAULT_SEED, DEFAULT_SEED + 1)
+
+
+def _delete_all_rows(path, table):
+    """Delete a table's rows through a second connection (not the store's)."""
+    with contextlib.closing(sqlite3.connect(str(path))) as conn:
+        conn.execute(f"DELETE FROM {table}")
+        conn.commit()
 
 
 def canonical_trace(results):
@@ -133,10 +143,32 @@ class TestRunStore:
         spec = SWEEP[0]
         with RunStore(path, batch_size=2) as store:
             store.put(spec, execute_run(spec, DEFAULT_SEED))
-            assert store._pending  # buffered, not yet written
+            assert store.pending_count == 1  # buffered, not yet written
             store.put(spec.with_(name="other"), execute_run(spec, DEFAULT_SEED + 1))
-            assert not store._pending  # threshold reached -> one transaction
+            assert store.pending_count == 0  # threshold reached -> one transaction
             assert store.count() == 2
+
+    def test_flush_threshold_counts_every_table(self, tmp_path):
+        # One rule for every put_*: flush once the buffered records of all
+        # tables together reach batch_size, whichever table the put was for.
+        spec = SWEEP[0]
+        result = execute_run(spec, DEFAULT_SEED)
+        corpus = CorpusRecord("a" * 64, "fuzz:x", DEFAULT_SEED, True, False, 1, {})
+        puts = {
+            "run": lambda store: store.put(spec, result),
+            "corpus": lambda store: store.put_corpus(corpus),
+            "poison": lambda store: store.put_poison(spec, DEFAULT_SEED, attempts=3, reason="x"),
+        }
+        for first in puts:
+            for second in puts:
+                if first == second:
+                    continue
+                db = tmp_path / f"{first}-{second}.db"
+                with RunStore(db, batch_size=2) as store:
+                    puts[first](store)
+                    assert store.pending_count == 1, (first, second)
+                    puts[second](store)
+                    assert store.pending_count == 0, (first, second)
 
     def test_pending_records_visible_before_flush(self, tmp_path):
         spec = SWEEP[0]
@@ -151,9 +183,26 @@ class TestRunStore:
             for spec in specs:
                 store.put(spec, execute_run(SWEEP[0], DEFAULT_SEED))
             store.flush()
-            assert len(store._lru) <= 2
             for spec in specs:  # evicted entries fall back to SQLite
                 assert store.get(spec, DEFAULT_SEED) is not None
+            # Empty the table behind the store's back: whatever it still
+            # answers comes from its cache, which holds the cache_size most
+            # recently read records and no more.
+            _delete_all_rows(store.path, "runs")
+            served = [spec for spec in specs if store.get(spec, DEFAULT_SEED) is not None]
+            assert served == specs[-2:]
+
+    def test_cache_size_bounds_every_read_cache(self, tmp_path):
+        records = [CorpusRecord(c * 64, "fuzz:x", DEFAULT_SEED, True, False, 1, {}) for c in "abc"]
+        with RunStore(tmp_path / "runs.db", cache_size=1) as store:
+            for record in records:
+                store.put_corpus(record)
+            store.flush()
+            for record in records:
+                assert store.get_corpus(record.entry_fp) == record
+            _delete_all_rows(store.path, "corpus")
+            served = [r for r in records if store.get_corpus(r.entry_fp) is not None]
+            assert served == records[-1:]
 
     def test_timeout_records_are_never_persisted(self, tmp_path):
         spec = SWEEP[0]

@@ -15,25 +15,45 @@ For every ``[text](target)`` link in the given files:
   (lowercase, punctuation stripped, spaces to hyphens, duplicate slugs
   numbered).
 
-Inline code spans and fenced code blocks are ignored, so CLI examples
-containing ``[...]`` never register as links.  Exits non-zero listing
-every broken link; prints a per-file summary otherwise.
+Inline code spans and fenced code blocks are ignored when looking for
+links, so CLI examples containing ``[...]`` never register as links.
+
+Inline code spans are checked for drift instead: a span that is a repo path
+(``src/…``, ``tests/…``, ``tools/…``, ``benchmarks/…``, …, or ``repro/…``
+under ``src/``; globs allowed, a ``::test`` suffix ignored) must exist, and a span that is a dotted name
+starting with ``repro.`` (``repro.store.RunStore``, ``repro.{core,sim}``)
+must resolve to an importable module or attribute, so documentation that
+still names a removed file or symbol fails the ``docs`` CI job.
+
+Exits non-zero listing every broken reference; prints a per-file summary
+otherwise.
 """
 
 from __future__ import annotations
 
+import importlib
+import itertools
 import pathlib
 import re
 import sys
-from typing import Dict, List, Set
+from typing import Dict, Iterator, List, Set
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))  # `repro.*` names resolve without an install
 
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_PATTERN = re.compile(r"^(#{1,6})\s+(.*?)\s*$")
 FENCE_PATTERN = re.compile(r"^(```|~~~)")
 
 
-def strip_code(text: str) -> str:
-    """Remove fenced code blocks and inline code spans."""
+SPAN_PATTERN = re.compile(r"`([^`]*)`")
+PATH_SPAN = re.compile(r"(?:src|tests|tools|benchmarks|bench|docs|examples|repro)/[^\s:]*")
+NAME_SPAN = re.compile(r"repro(?:\.[\w{},]+)+")
+BRACES = re.compile(r"\{([^{}]*)\}")
+
+
+def strip_fences(text: str) -> str:
+    """Remove fenced code blocks."""
     lines: List[str] = []
     in_fence = False
     for line in text.splitlines():
@@ -41,8 +61,50 @@ def strip_code(text: str) -> str:
             in_fence = not in_fence
             continue
         if not in_fence:
-            lines.append(re.sub(r"`[^`]*`", "", line))
+            lines.append(line)
     return "\n".join(lines)
+
+
+def expand_braces(name: str) -> Iterator[str]:
+    """``repro.{core,sim}.x`` -> ``repro.core.x``, ``repro.sim.x``."""
+    parts = BRACES.split(name)  # odd indices are the brace contents
+    choices = [part.split(",") if index % 2 else [part] for index, part in enumerate(parts)]
+    return ("".join(combo) for combo in itertools.product(*choices))
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names an importable module or an attribute of one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        try:
+            for attribute in parts[split:]:
+                target = getattr(target, attribute)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_code_spans(path: pathlib.Path, text: str) -> List[str]:
+    """Backticked repo paths must exist; backticked ``repro.`` names must resolve."""
+    problems: List[str] = []
+    spans = set(SPAN_PATTERN.findall(text))
+    for span in sorted(spans):
+        target = span.split("::")[0]
+        if PATH_SPAN.fullmatch(target):
+            root = REPO_ROOT / "src" if target.startswith("repro/") else REPO_ROOT
+            if not any(root.glob(target.rstrip("/"))):
+                problems.append(f"{path}: `{span}` names a path that does not exist")
+        elif NAME_SPAN.fullmatch(span.removesuffix("()")):
+            for name in expand_braces(span.removesuffix("()")):
+                if not resolves(name):
+                    problems.append(f"{path}: `{span}`: {name} is not importable")
+    print(f"{path}: {len(spans)} distinct code spans checked")
+    return problems
 
 
 def github_slug(heading: str) -> str:
@@ -78,8 +140,9 @@ def anchors_of(path: pathlib.Path, cache: Dict[pathlib.Path, Set[str]]) -> Set[s
 
 
 def check_file(path: pathlib.Path, cache: Dict[pathlib.Path, Set[str]]) -> List[str]:
-    problems: List[str] = []
-    text = strip_code(path.read_text(encoding="utf-8"))
+    unfenced = strip_fences(path.read_text(encoding="utf-8"))
+    problems = check_code_spans(path, unfenced)
+    text = SPAN_PATTERN.sub("", unfenced)
     checked = 0
     for target in LINK_PATTERN.findall(text):
         if target.startswith(("http://", "https://", "mailto:")):
@@ -119,9 +182,9 @@ def main(argv: List[str]) -> int:
     for problem in problems:
         print(f"BROKEN {problem}", file=sys.stderr)
     if problems:
-        print(f"{len(problems)} broken links/anchors", file=sys.stderr)
+        print(f"{len(problems)} broken links/anchors/references", file=sys.stderr)
         return 1
-    print("all links and anchors resolve")
+    print("all links, anchors and code references resolve")
     return 0
 
 
