@@ -1,21 +1,18 @@
 """Erasure/error-correcting coding substrate: GF(256), Reed-Solomon, and ADD.
 
-:mod:`repro.coding.gf256` / :mod:`repro.coding.reed_solomon` are the
-vectorized production implementations; :mod:`repro.coding.np_backend` adds
-optional numpy batch kernels (selected via ``REPRO_CODING_BACKEND``, falling
-back to the table path when numpy is absent); :mod:`repro.coding.reference`
-keeps the original element-at-a-time codec as the differential-testing
-oracle.  All three are byte-identical by construction.
+:mod:`repro.coding.gf256` / :mod:`repro.coding.reed_solomon` are the one
+production codec (table-driven, row-wise ``bytes.translate`` operations,
+stdlib only).  The original element-at-a-time codec is kept outside the
+import path, in ``tests/reference_codec.py``, as the differential-testing
+oracle.
 """
 
-from . import gf256, np_backend, reference
+from . import gf256
 from .add import AsynchronousDataDissemination
 from .reed_solomon import DecodingError, Fragment, ReedSolomonCode
 
 __all__ = [
     "gf256",
-    "np_backend",
-    "reference",
     "ReedSolomonCode",
     "Fragment",
     "DecodingError",

@@ -19,7 +19,7 @@ Two layers of API:
   per-element bounds checks inside inner loops.
 
 The original element-at-a-time implementation is retained verbatim in
-:mod:`repro.coding.reference` and the differential property suite pins this
+``tests/reference_codec.py`` and the differential property suite pins this
 module to it byte for byte.
 """
 

@@ -1,422 +1,5 @@
-"""Numpy-accelerated GF(256) kernels: 2D table gathers over ``MUL_TABLE``.
+"""Read only by the frozen ``bench/measure.py``, which records this constant in
+every result file's ``env``; delete the module when a ``benchmark`` PR drops
+that line."""
 
-The table-driven layer in :mod:`repro.coding.gf256` already runs single-row
-operations at C speed (``bytes.translate`` + big-integer XOR), but the codec
-hot paths are *matrices* of rows: an encode evaluates ``k`` coefficient rows
-at ``n`` points, a corrupted decode solves one small linear system **per
-mismatched chunk**.  This module lifts those loops onto numpy: the full
-256x256 product table becomes one ``uint8`` array, a whole fragment matrix
-is multiplied in a single 2D gather (``MUL_NP[a, b]``), and the
-Berlekamp-Welch solve runs *batched* — one Gaussian elimination sweeping
-every corrupted chunk simultaneously instead of one Python-level solve per
-chunk (the 0.02 MB/s pathology in BENCH_hotpath.json).
-
-Every kernel replicates the table implementation's control flow exactly —
-same pivot selection, same free-variable convention, same error-count
-descent — so its outputs are **byte-identical by construction**, and the
-three-way differential suite (``tests/test_coding_differential.py``) pins
-numpy == table == :mod:`repro.coding.reference` on every path.
-
-Backend selection (import time, via :func:`resolve_backend`):
-
-* ``REPRO_CODING_BACKEND=auto`` (default) — numpy kernels when numpy is
-  importable *and* the workload is large enough to amortize array overhead
-  (:data:`NUMPY_MIN_CHUNKS` chunks), else the table path.  Absent numpy this
-  silently degrades to ``table``: the library stays stdlib-only.
-* ``REPRO_CODING_BACKEND=table`` — force the pure-python table path.
-* ``REPRO_CODING_BACKEND=numpy`` — force numpy for every call regardless of
-  size; raises :class:`BackendUnavailableError` when numpy is missing (an
-  explicit request must fail loudly, not silently degrade).
-
-Because backends are byte-identical, the choice is *not* part of the run
-store's code fingerprint semantics: a record computed under ``table`` is a
-valid cache hit for a ``numpy`` sweep and vice versa.
-"""
-
-from __future__ import annotations
-
-import os
-from typing import List, Optional, Sequence
-
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
-from . import gf256
-
-BACKEND_ENV = "REPRO_CODING_BACKEND"
-"""Environment variable naming the coding backend (``auto``/``table``/``numpy``)."""
-
-BACKEND_AUTO = "auto"
-BACKEND_TABLE = "table"
-BACKEND_NUMPY = "numpy"
-_KNOWN_BACKENDS = (BACKEND_AUTO, BACKEND_TABLE, BACKEND_NUMPY)
-
-NUMPY_MIN_CHUNKS = 16
-"""The ``auto`` crossover: below this many chunks per blob the per-call numpy
-overhead (array allocation, index conversion) outweighs the gather speedup
-and the ``bytes.translate`` path wins — simulation payloads are tiny, bench
-blobs are not.  Forced ``numpy`` ignores the crossover."""
-
-
-class BackendUnavailableError(RuntimeError):
-    """An explicitly requested backend cannot run in this environment."""
-
-
-def numpy_available() -> bool:
-    """Whether the numpy kernels can run at all."""
-    return _np is not None
-
-
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend request to ``auto``/``table``/``numpy``.
-
-    ``None`` reads :data:`BACKEND_ENV` (defaulting to ``auto``).  ``auto``
-    stays ``auto`` when numpy is importable (the per-call crossover decides)
-    and degrades to ``table`` when it is not; an explicit ``numpy`` request
-    without numpy raises :class:`BackendUnavailableError`.
-    """
-    requested = name if name is not None else os.environ.get(BACKEND_ENV) or BACKEND_AUTO
-    requested = str(requested).strip().lower()
-    if requested not in _KNOWN_BACKENDS:
-        raise ValueError(
-            f"unknown coding backend {requested!r}; known: {list(_KNOWN_BACKENDS)}"
-        )
-    if requested == BACKEND_NUMPY and _np is None:
-        raise BackendUnavailableError(
-            f"{BACKEND_ENV}={BACKEND_NUMPY} requested but numpy is not importable; "
-            f"install numpy or use {BACKEND_AUTO}/{BACKEND_TABLE}"
-        )
-    if requested == BACKEND_AUTO and _np is None:
-        return BACKEND_TABLE
-    return requested
-
-
-DEFAULT_BACKEND = resolve_backend()
-"""The import-time backend selection every :class:`ReedSolomonCode` without
-an explicit ``backend`` argument inherits."""
-
-
-def use_numpy(backend: str, chunk_count: int) -> bool:
-    """Whether ``backend`` routes a ``chunk_count``-chunk workload to numpy."""
-    if backend == BACKEND_NUMPY:
-        return True
-    if backend == BACKEND_AUTO:
-        return _np is not None and chunk_count >= NUMPY_MIN_CHUNKS
-    return False
-
-
-# ----------------------------------------------------------------------
-# The gather tables (built once, only when numpy is importable)
-# ----------------------------------------------------------------------
-if _np is not None:
-    MUL_NP = _np.frombuffer(b"".join(gf256.MUL_TABLE), dtype=_np.uint8).reshape(256, 256).copy()
-    """``MUL_NP[a, b] == a * b`` in GF(256); one 2D gather multiplies a whole matrix."""
-
-    INV_NP = _np.frombuffer(gf256._INVERSE, dtype=_np.uint8).copy()
-    """``INV_NP[a]`` is the multiplicative inverse of ``a`` (``INV_NP[0] == 0``)."""
-else:  # pragma: no cover - exercised by the no-numpy CI job
-    MUL_NP = None
-    INV_NP = None
-
-
-def _require_numpy() -> None:
-    if _np is None:  # pragma: no cover - exercised by the no-numpy CI job
-        raise BackendUnavailableError("numpy kernels invoked but numpy is not importable")
-
-
-def rows_matrix(rows: Sequence) -> "_np.ndarray":
-    """Stack bytes-like / array-like rows into a 2D contiguous uint8 matrix.
-
-    Accepts anything a row op accepts — ``bytes``, ``bytearray``,
-    ``memoryview`` (including non-contiguous strided views), numpy arrays —
-    and normalises to one ``[rows, width]`` matrix.
-    """
-    return _np.ascontiguousarray(
-        [_np.frombuffer(bytes(row), dtype=_np.uint8) for row in rows], dtype=_np.uint8
-    )
-
-
-# ----------------------------------------------------------------------
-# Scalar and row operations (the differential-test surface)
-# ----------------------------------------------------------------------
-def multiply(a, b):
-    """Elementwise GF(256) product of broadcastable uint8 arrays (or scalars)."""
-    _require_numpy()
-    return MUL_NP[_np.asarray(a, dtype=_np.uint8), _np.asarray(b, dtype=_np.uint8)]
-
-
-def inverse(a):
-    """Elementwise multiplicative inverse; raises on any zero element."""
-    _require_numpy()
-    values = _np.asarray(a, dtype=_np.uint8)
-    if not values.all():
-        raise ZeroDivisionError("0 has no multiplicative inverse in GF(256)")
-    return INV_NP[values]
-
-
-def scalar_multiply_row(scalar: int, row) -> bytes:
-    """Numpy twin of :func:`repro.coding.gf256.scalar_multiply_row`."""
-    _require_numpy()
-    if not 0 <= scalar < gf256.FIELD_SIZE:
-        raise ValueError(f"GF(256) elements are integers in [0, 255], got {scalar}")
-    return MUL_NP[scalar, _np.frombuffer(bytes(row), dtype=_np.uint8)].tobytes()
-
-
-def xor_rows(a, b) -> bytes:
-    """Numpy twin of :func:`repro.coding.gf256.xor_rows`."""
-    _require_numpy()
-    left = _np.frombuffer(bytes(a), dtype=_np.uint8)
-    right = _np.frombuffer(bytes(b), dtype=_np.uint8)
-    if left.shape != right.shape:
-        raise ValueError(f"row lengths differ: {left.size} != {right.size}")
-    return (left ^ right).tobytes()
-
-
-def poly_eval_rows(coefficient_rows, points: Sequence[int]) -> "_np.ndarray":
-    """Evaluate ``len(points)`` polynomials-of-rows in one batched Horner pass.
-
-    ``coefficient_rows`` is a ``[k, C]`` matrix (or sequence of equal-length
-    bytes rows): row ``r`` holds coefficient ``r`` of every chunk's
-    polynomial.  Returns the ``[len(points), C]`` evaluation matrix —
-    exactly what both encode (``points`` = evaluation points) and decode
-    verification (``points`` = received indices) consume.
-    """
-    _require_numpy()
-    rows = (
-        _np.ascontiguousarray(coefficient_rows, dtype=_np.uint8)
-        if isinstance(coefficient_rows, _np.ndarray)
-        else rows_matrix(coefficient_rows)
-    )
-    k, width = rows.shape
-    pts = _np.asarray(points, dtype=_np.intp).reshape(-1, 1)
-    accumulator = _np.broadcast_to(rows[k - 1], (pts.shape[0], width)).copy()
-    for row in range(k - 2, -1, -1):
-        accumulator = MUL_NP[pts, accumulator]
-        accumulator ^= rows[row]
-    return accumulator
-
-
-def encode_symbol_rows(coefficient_rows: Sequence, points: Sequence[int]) -> List[bytes]:
-    """Batched Horner encode: every evaluation point over every chunk at once."""
-    evaluated = poly_eval_rows(coefficient_rows, points)
-    return [evaluated[index].tobytes() for index in range(evaluated.shape[0])]
-
-
-def apply_basis(basis: Sequence[Sequence[int]], symbol_rows) -> "_np.ndarray":
-    """``coefficients = basis @ symbols`` over GF(256), batched across chunks.
-
-    ``basis`` is the ``[k, k]`` inverse-Vandermonde weight matrix (plain int
-    lists, as cached by the codec); ``symbol_rows`` the ``[k, C]`` received
-    symbol matrix.  Returns the ``[k, C]`` coefficient matrix.
-    """
-    _require_numpy()
-    weights = _np.asarray(basis, dtype=_np.intp)
-    symbols = (
-        _np.ascontiguousarray(symbol_rows, dtype=_np.uint8)
-        if isinstance(symbol_rows, _np.ndarray)
-        else rows_matrix(symbol_rows)
-    )
-    # [k, k, C] product tensor, XOR-reduced over the symbol axis.
-    products = MUL_NP[weights[:, :, None], symbols[None, :, :]]
-    return _np.bitwise_xor.reduce(products, axis=1)
-
-
-def decode_coefficient_rows(
-    points: Sequence[int], data_symbols: int, symbol_matrix, basis_for
-) -> "_np.ndarray":
-    """Decode every chunk's data polynomial from the ``[m, chunks]`` symbol matrix.
-
-    Two stages, both provably byte-identical to the table/reference descent:
-
-    1. **Window scan** — interpolate through each length-``k`` window of
-       received fragments (``basis_for`` supplies the cached inverse
-       Vandermonde) and verify the candidate against *all* received rows in
-       one batched Horner pass.  A candidate fitting a chunk with at most
-       ``max_errors`` mismatches is accepted outright: two degree ``< k``
-       polynomials each disagreeing with the received column on at most
-       ``e`` of ``m >= k + 2e`` points agree on ``>= k`` points and are
-       therefore equal, so the accepted candidate *is* the polynomial the
-       Berlekamp-Welch descent would return.  Whole-fragment corruption —
-       the only kind honest ADD peers ever relay — leaves some window
-       clean, so real decodes finish here in a handful of matrix passes.
-    2. **Faithful fallback** — chunks no window explains (adversarial
-       per-chunk corruption, or garbage beyond capacity) go through
-       :func:`berlekamp_welch_batch`, which replicates the scalar solver's
-       error-count descent and free-variable convention exactly — including
-       raising the identical :class:`~repro.coding.reed_solomon.DecodingError`
-       when a chunk is undecodable.
-    """
-    _require_numpy()
-    received = (
-        _np.ascontiguousarray(symbol_matrix, dtype=_np.uint8)
-        if isinstance(symbol_matrix, _np.ndarray)
-        else rows_matrix(symbol_matrix)
-    )
-    m, chunk_count = received.shape
-    k = data_symbols
-    max_errors = max(0, (m - k) // 2)
-    coefficients = _np.zeros((k, chunk_count), dtype=_np.uint8)
-    unsolved = _np.arange(chunk_count)
-    for start in range(m - k + 1):
-        if not unsolved.size:
-            break
-        basis = basis_for(tuple(points[start : start + k]))
-        columns = received[:, unsolved]
-        candidate = apply_basis(basis, columns[start : start + k])
-        mismatches = (poly_eval_rows(candidate, points) != columns).sum(axis=0)
-        fits = mismatches <= max_errors
-        if fits.any():
-            coefficients[:, unsolved[fits]] = candidate[:, fits]
-            unsolved = unsolved[~fits]
-    if unsolved.size:
-        coefficients[:, unsolved] = berlekamp_welch_batch(points, k, received[:, unsolved])
-    return coefficients
-
-
-# ----------------------------------------------------------------------
-# Batched Berlekamp-Welch (the corrupted-decode exact path)
-# ----------------------------------------------------------------------
-def _solve_augmented_batch(augmented: "_np.ndarray", cols: int):
-    """Batched twin of ``reed_solomon._solve_augmented``: one elimination, all chunks.
-
-    ``augmented`` is ``[chunks, rows, cols + 1]`` (last column = RHS),
-    eliminated in place.  Returns ``(solutions [chunks, cols], ok [chunks])``
-    where ``ok`` is False exactly for the chunks the scalar solver returns
-    ``None`` for (a zero row with non-zero RHS).  Pivot selection (first
-    non-zero at or below the pivot row), the free-variables-to-zero
-    convention and the consistency check replicate the scalar code path for
-    path, so solved values are identical element for element.
-    """
-    chunk_count, rows, _width = augmented.shape
-    chunk_index = _np.arange(chunk_count)
-    row_index = _np.arange(rows)
-    pivot_row = _np.zeros(chunk_count, dtype=_np.intp)
-    # pivot_source[c, column] = the pivot row consumed by ``column`` (else -1).
-    pivot_source = _np.full((chunk_count, cols), -1, dtype=_np.intp)
-    for column in range(cols):
-        column_values = augmented[:, :, column]
-        eligible = (column_values != 0) & (row_index[None, :] >= pivot_row[:, None])
-        has_pivot = eligible.any(axis=1)
-        if not has_pivot.any():
-            continue
-        active = chunk_index[has_pivot]
-        found = eligible[active].argmax(axis=1)  # first eligible row per chunk
-        current = pivot_row[active]
-        # Swap the found pivot row up into the pivot position.
-        needs_swap = active[found != current]
-        if needs_swap.size:
-            up, down = pivot_row[needs_swap], found[found != pivot_row[active]]
-            held = augmented[needs_swap, up, :].copy()
-            augmented[needs_swap, up, :] = augmented[needs_swap, down, :]
-            augmented[needs_swap, down, :] = held
-        # Normalise the pivot row (multiplying by inverse(1) == 1 is a no-op,
-        # so scaling unconditionally matches the scalar path's values).
-        lead = augmented[active, current, column]
-        augmented[active, current, :] = MUL_NP[
-            INV_NP[lead][:, None], augmented[active, current, :]
-        ]
-        # Eliminate the column from every other row in one gather + XOR.
-        pivot_rows = augmented[active, current, :]
-        factors = augmented[active, :, column].copy()
-        factors[_np.arange(active.size), current] = 0  # never eliminate the pivot itself
-        augmented[active] ^= MUL_NP[factors[:, :, None], pivot_rows[:, None, :]]
-        pivot_source[active, column] = current
-        pivot_row[active] = current + 1
-    # Consistency: a row at/below the pivot frontier with zero coefficients
-    # but a non-zero RHS means the chunk has no solution.
-    coefficients_zero = (augmented[:, :, :cols] == 0).all(axis=2)
-    below_frontier = row_index[None, :] >= pivot_row[:, None]
-    inconsistent = (below_frontier & coefficients_zero & (augmented[:, :, cols] != 0)).any(axis=1)
-    # Solutions: RHS of each pivot row; free variables stay zero.
-    has_source = pivot_source >= 0
-    source_rows = _np.where(has_source, pivot_source, 0)
-    values = augmented[chunk_index[:, None], source_rows, cols]
-    solutions = _np.where(has_source, values, 0).astype(_np.uint8)
-    return solutions, ~inconsistent
-
-
-def berlekamp_welch_batch(
-    points: Sequence[int], data_symbols: int, symbol_matrix
-) -> "_np.ndarray":
-    """Recover the data polynomial of every chunk at once, correcting errors.
-
-    ``symbol_matrix`` is the ``[received, chunks]`` symbol matrix (chunk
-    ``c``'s received values down column ``c``).  Returns the ``[data_symbols,
-    chunks]`` coefficient matrix.  Control flow mirrors the scalar
-    ``_berlekamp_welch`` exactly — the same descending error-count attempts,
-    each chunk adopting the first error count whose system solves, divides
-    cleanly and fits with few enough mismatches — except that every chunk
-    still searching shares one batched attempt per error count.
-
-    Raises:
-        DecodingError: when any chunk exhausts every error count (the same
-            exception, message for message, the scalar path raises).
-    """
-    _require_numpy()
-    from .reed_solomon import DecodingError  # local import: avoid a cycle at module load
-
-    symbols = (
-        _np.ascontiguousarray(symbol_matrix, dtype=_np.uint8)
-        if isinstance(symbol_matrix, _np.ndarray)
-        else rows_matrix(symbol_matrix)
-    )
-    received, chunk_count = symbols.shape
-    k = data_symbols
-    max_errors = max(0, (received - k) // 2)
-    pts = _np.asarray(points, dtype=_np.intp)
-    # powers[i, j] = points[i] ** j, shared by every attempt (scalar twin: ``powers``).
-    max_power = max_errors + k
-    powers = _np.empty((received, max_power + 1), dtype=_np.uint8)
-    powers[:, 0] = 1
-    for exponent in range(1, max_power + 1):
-        powers[:, exponent] = MUL_NP[powers[:, exponent - 1], pts]
-    output = _np.zeros((k, chunk_count), dtype=_np.uint8)
-    unsolved = _np.arange(chunk_count)
-    for errors in range(max_errors, -1, -1):
-        if not unsolved.size:
-            break
-        solved = _bw_attempt(powers, pts, k, errors, symbols[:, unsolved], output, unsolved)
-        unsolved = unsolved[~solved]
-    if unsolved.size:
-        raise DecodingError("Berlekamp-Welch decoding failed: too many corrupted fragments")
-    return output
-
-
-def _bw_attempt(powers, pts, k, errors, symbols, output, slots) -> "_np.ndarray":
-    """One error-count attempt over every still-unsolved chunk.
-
-    Writes successful candidates into ``output[:, slots]`` and returns the
-    per-chunk success mask.  ``symbols`` is ``[received, active]``.
-    """
-    received, active = symbols.shape
-    q_terms = errors + k
-    cols = q_terms + errors
-    transposed = symbols.T  # [active, received]
-    augmented = _np.empty((active, received, cols + 1), dtype=_np.uint8)
-    augmented[:, :, :q_terms] = powers[None, :, :q_terms]
-    if errors:
-        augmented[:, :, q_terms:cols] = MUL_NP[transposed[:, :, None], powers[None, :, :errors]]
-    augmented[:, :, cols] = MUL_NP[transposed, powers[None, :, errors]]
-    solutions, solvable = _solve_augmented_batch(augmented, cols)
-    # Monic error locator E = solution[q_terms:] + [1]; divide Q by E.  E is
-    # monic, so the scalar path's lead-inverse scaling is the identity and
-    # the long division below reproduces poly_divmod exactly.
-    locator = _np.concatenate(
-        [solutions[:, q_terms:cols], _np.ones((active, 1), dtype=_np.uint8)], axis=1
-    )
-    remainder = solutions[:, :q_terms].copy()
-    quotient = _np.empty((active, k), dtype=_np.uint8)
-    for shift in range(k - 1, -1, -1):
-        coefficient = remainder[:, shift + errors].copy()
-        quotient[:, shift] = coefficient
-        remainder[:, shift : shift + errors + 1] ^= MUL_NP[coefficient[:, None], locator]
-    divides_cleanly = (remainder == 0).all(axis=1)
-    # mismatches(candidate) <= errors, evaluated over every received point.
-    evaluated = poly_eval_rows(quotient.T, pts)  # [received, active]
-    mismatches = (evaluated != symbols).sum(axis=0)
-    success = solvable & divides_cleanly & (mismatches <= errors)
-    if success.any():
-        output[:, slots[success]] = quotient[success].T
-    return success
+DEFAULT_BACKEND = "table"

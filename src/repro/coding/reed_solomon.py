@@ -25,9 +25,9 @@ symbols row-wise; chunks where every symbol matches are provably identical
 to the Berlekamp-Welch answer (two degree ``< k`` polynomials with ``<= e``
 mismatches over ``m >= k + 2e`` points agree on ``>= k`` points and are
 therefore equal), and only chunks with a detected mismatch fall back to the
-exact per-chunk Berlekamp-Welch solve.  The retained element-at-a-time
-implementation in :mod:`repro.coding.reference` is the differential-test
-oracle for all of this.
+exact per-chunk Berlekamp-Welch solve.  This is the only codec in the
+import path; the original element-at-a-time implementation lives on as
+``tests/reference_codec.py``, the differential-test oracle for all of this.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import gf256, np_backend
+from . import gf256
 
 _MUL = gf256.MUL_TABLE
 _INVERSE = gf256._INVERSE
@@ -55,8 +55,9 @@ def _solve_augmented(augmented: List[bytearray], cols: int) -> Optional[List[int
     Row-vectorized Gaussian elimination: scaling a row is one ``translate``
     over the pivot's inverse row, eliminating is one translate plus one
     big-integer XOR.  Pivot selection, the free-variables-to-zero convention
-    and the consistency check mirror :mod:`repro.coding.reference` exactly,
-    so the returned solution is identical element for element.
+    and the consistency check mirror the test-side oracle
+    (``tests/reference_codec.py``) exactly, so the returned solution is
+    identical element for element.
     """
     rows = len(augmented)
     width = cols + 1
@@ -117,7 +118,7 @@ class Fragment:
 class ReedSolomonCode:
     """A ``(n, k)`` Reed-Solomon code over GF(256)."""
 
-    def __init__(self, total_symbols: int, data_symbols: int, backend: Optional[str] = None):
+    def __init__(self, total_symbols: int, data_symbols: int):
         if not 1 <= data_symbols <= total_symbols:
             raise ValueError("need 1 <= data_symbols <= total_symbols")
         if total_symbols > gf256.FIELD_SIZE - 1:
@@ -126,15 +127,6 @@ class ReedSolomonCode:
         self.data_symbols = data_symbols
         self.evaluation_points = list(range(1, total_symbols + 1))
         self._basis_cache: Dict[Tuple[int, ...], List[List[int]]] = {}
-        # ``None`` inherits the import-time REPRO_CODING_BACKEND resolution;
-        # an explicit name is resolved (and validated) per instance.  Both
-        # backends are byte-identical, so this only affects speed.
-        self.backend = (
-            np_backend.DEFAULT_BACKEND if backend is None else np_backend.resolve_backend(backend)
-        )
-
-    def _use_numpy(self, chunk_count: int) -> bool:
-        return np_backend.use_numpy(self.backend, chunk_count)
 
     # ------------------------------------------------------------------
     def max_correctable_errors(self, received: int) -> int:
@@ -155,13 +147,6 @@ class ReedSolomonCode:
         padded = blob + bytes(chunk_count * k - len(blob))
         rows = [padded[row::k] for row in range(k)]
         blob_length = len(blob)
-        if self._use_numpy(chunk_count):
-            return [
-                Fragment(index=index, symbols=tuple(symbol_row), blob_length=blob_length)
-                for index, symbol_row in enumerate(
-                    np_backend.encode_symbol_rows(rows, self.evaluation_points)
-                )
-            ]
         fragments = []
         for index, point in enumerate(self.evaluation_points):
             point_row = _MUL[point]
@@ -179,31 +164,42 @@ class ReedSolomonCode:
         Raises:
             DecodingError: when the fragments are insufficient or inconsistent.
         """
-        by_index: Dict[int, Fragment] = {}
+        # A Byzantine sender controls every field of its fragment, so one that
+        # is not well-formed is unusable, never fatal: skip it like a stranger.
+        received: Dict[int, Tuple[bytes, int]] = {}
         for fragment in fragments:
             if not isinstance(fragment, Fragment):
                 continue
-            if not 0 <= fragment.index < self.total_symbols:
+            index, blob_length = fragment.index, fragment.blob_length
+            if not isinstance(index, int) or not 0 <= index < self.total_symbols:
                 continue
-            by_index.setdefault(fragment.index, fragment)
-        if len(by_index) < self.data_symbols:
+            if not isinstance(blob_length, int) or blob_length < 0:
+                continue
+            if not isinstance(fragment.symbols, tuple):
+                continue
+            try:
+                symbol_row = bytes(fragment.symbols)
+            except (TypeError, ValueError):
+                continue
+            received.setdefault(index, (symbol_row, blob_length))
+        if len(received) < self.data_symbols:
             raise DecodingError(
-                f"need at least {self.data_symbols} fragments, got {len(by_index)}"
+                f"need at least {self.data_symbols} fragments, got {len(received)}"
             )
         # Byzantine fragments may lie about the blob length; try candidate
         # lengths from the most to the least frequently claimed one.
         length_votes: Dict[int, int] = {}
-        for fragment in by_index.values():
-            length_votes[fragment.blob_length] = length_votes.get(fragment.blob_length, 0) + 1
+        for _, blob_length in received.values():
+            length_votes[blob_length] = length_votes.get(blob_length, 0) + 1
         candidates = sorted(length_votes, key=lambda length: (-length_votes[length], length))
         last_error: Optional[DecodingError] = None
         for blob_length in candidates:
             chunk_count = self._chunk_count(blob_length)
-            usable = {
-                index: fragment
-                for index, fragment in by_index.items()
-                if len(fragment.symbols) == chunk_count
-            }
+            usable = sorted(
+                (index, symbol_row)
+                for index, (symbol_row, _) in received.items()
+                if len(symbol_row) == chunk_count
+            )
             if len(usable) < self.data_symbols:
                 last_error = DecodingError("not enough fragments with a consistent shape")
                 continue
@@ -215,15 +211,12 @@ class ReedSolomonCode:
 
     # ------------------------------------------------------------------
     def _decode_shape(
-        self, usable: Dict[int, Fragment], blob_length: int, chunk_count: int
+        self, usable: List[Tuple[int, bytes]], blob_length: int, chunk_count: int
     ) -> bytes:
-        """Decode one consistent fragment shape (may raise :class:`DecodingError`)."""
+        """Decode index-ordered rows of one consistent shape (may raise :class:`DecodingError`)."""
         k = self.data_symbols
-        ordered = sorted(usable.items())
-        points = [self.evaluation_points[index] for index, _ in ordered]
-        symbol_rows = [bytes(fragment.symbols) for _, fragment in ordered]
-        if self._use_numpy(chunk_count):
-            return self._decode_shape_numpy(points, symbol_rows, blob_length, chunk_count)
+        points = [self.evaluation_points[index] for index, _ in usable]
+        symbol_rows = [symbol_row for _, symbol_row in usable]
 
         # Fast path: interpolate through the first k fragments across every
         # chunk at once, then verify the candidate against every received
@@ -266,20 +259,6 @@ class ReedSolomonCode:
                     )
                     data[chunk_index * k : (chunk_index + 1) * k] = bytes(coefficients)
         return bytes(data[:blob_length])
-
-    def _decode_shape_numpy(
-        self, points: List[int], symbol_rows: List[bytes], blob_length: int, chunk_count: int
-    ) -> bytes:
-        """Numpy twin of the table ``_decode_shape`` body: interpolate-verify
-        windows over the fragment matrix, with the per-chunk Berlekamp-Welch
-        fallback replaced by one batched solve over every unexplained chunk
-        (see :func:`repro.coding.np_backend.decode_coefficient_rows` for the
-        byte-identity argument)."""
-        coefficients = np_backend.decode_coefficient_rows(
-            points, self.data_symbols, symbol_rows, self._interpolation_basis
-        )
-        # Interleave back to chunk-major bytes: data[chunk * k + row].
-        return coefficients.T.tobytes()[:blob_length]
 
     def _interpolation_basis(self, points: Tuple[int, ...]) -> List[List[int]]:
         """The inverse Vandermonde of ``points``: ``coeffs = basis @ symbols``.

@@ -36,7 +36,7 @@ from .aggregate import (
     summaries_to_payload,
     write_baseline,
 )
-from .runner import DEFAULT_SEED, RunResult, Runner, canonical_value, execute_run, run_matrix, sweep_seeds
+from .runner import DEFAULT_SEED, RunResult, Runner, canonical_value, execute_run, sweep_seeds
 from .scenario import (
     ADVERSARIES,
     DELAY_MODELS,
@@ -69,7 +69,6 @@ __all__ = [
     "find_scenarios",
     "Runner",
     "RunResult",
-    "run_matrix",
     "execute_run",
     "canonical_value",
     "DEFAULT_SEED",

@@ -692,10 +692,11 @@ class Runner:
     ) -> Iterator[RunResult]:
         """Yield results in ``scenarios × seeds`` order as they become available.
 
-        Parallel sweeps dispatch with ``imap_unordered`` (no worker ever
-        waits on another chunk's straggler) and reorder through a small
-        buffer, so the yielded sequence is deterministic while early results
-        can be aggregated before the sweep finishes.
+        Parallel sweeps dispatch through the supervisor's windowed
+        ``apply_async`` (no worker ever waits on another batch's straggler)
+        and reorder through a small buffer, so the yielded sequence is
+        deterministic while early results can be aggregated before the sweep
+        finishes.
 
         With a ``store`` (a :class:`repro.store.RunStore`), the sweep is
         **incremental**: requested runs are partitioned into cache hits —
@@ -761,16 +762,3 @@ class Runner:
     ) -> List[RunResult]:
         """Run every scenario with every seed, in ``scenarios × seeds`` order."""
         return list(self.iter_runs(scenarios, seeds, store=store, rerun=rerun))
-
-
-def run_matrix(
-    scenarios: Sequence[ScenarioSpec],
-    seeds: Iterable[int] = (DEFAULT_SEED,),
-    parallel: Optional[int] = None,
-    timeout: Optional[float] = None,
-) -> List[RunResult]:
-    """Convenience wrapper: one call, one sweep, pool released on return."""
-    from ..jobs.session import ExecutionSession
-
-    with ExecutionSession(parallel=parallel, timeout=timeout) as session:
-        return session.runner.run(scenarios, seeds)

@@ -3,11 +3,12 @@
 This module preserves the original, straightforward coding layer exactly as
 it was before the hot-path optimization pass: every field operation is a
 checked scalar call and every codec step walks Python lists one element at a
-time.  It is **not** used by the protocols — :mod:`repro.coding.gf256` and
-:mod:`repro.coding.reed_solomon` are the production implementations — but it
-is kept as the differential-testing oracle: the property suite asserts the
-optimized codec is byte-for-byte equivalent to this one on every path
-(clean, max-erasure, error-correcting, k=1, inconsistent-shape failures).
+time.  It lives beside the tests, outside the ``repro`` import path and the
+store's code fingerprint, because nothing but ``test_coding_differential.py``
+uses it: :mod:`repro.coding.gf256` and :mod:`repro.coding.reed_solomon` are
+the production implementation, and the differential suite asserts they are
+byte-for-byte equivalent to this one on every path (clean, max-erasure,
+error-correcting, k=1, inconsistent-shape failures, malformed fragments).
 
 Being the oracle, this module should stay boring.  Fix bugs in both places;
 do not optimize this one.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .reed_solomon import DecodingError, Fragment
+from repro.coding.reed_solomon import DecodingError, Fragment
 
 _PRIMITIVE_POLYNOMIAL = 0x11D
 FIELD_SIZE = 256
@@ -209,9 +210,7 @@ class ReferenceReedSolomonCode:
     def decode(self, fragments: Sequence[Fragment]) -> bytes:
         by_index = {}
         for fragment in fragments:
-            if not isinstance(fragment, Fragment):
-                continue
-            if not 0 <= fragment.index < self.total_symbols:
+            if not isinstance(fragment, Fragment) or not self._well_formed(fragment):
                 continue
             by_index.setdefault(fragment.index, fragment)
         if len(by_index) < self.data_symbols:
@@ -248,6 +247,18 @@ class ReferenceReedSolomonCode:
         raise last_error if last_error is not None else DecodingError("no decodable fragment shape")
 
     # ------------------------------------------------------------------
+    def _well_formed(self, fragment: Fragment) -> bool:
+        """The production codec's skip rules, spelled out one field at a time."""
+        if not isinstance(fragment.index, int) or not 0 <= fragment.index < self.total_symbols:
+            return False
+        if not isinstance(fragment.blob_length, int) or fragment.blob_length < 0:
+            return False
+        if not isinstance(fragment.symbols, tuple):
+            return False
+        return all(
+            isinstance(symbol, int) and 0 <= symbol < FIELD_SIZE for symbol in fragment.symbols
+        )
+
     def _chunk_count(self, blob_length: int) -> int:
         return max(1, -(-blob_length // self.data_symbols))
 

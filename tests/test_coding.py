@@ -1,6 +1,10 @@
 """Tests for the coding substrate: GF(256), Reed-Solomon with error correction, and ADD."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +138,16 @@ class TestReedSolomon:
             )
         assert code.decode(fragments) == blob
 
+    def test_t_malformed_fragments_among_n_do_not_stop_the_decode(self):
+        code = ReedSolomonCode(total_symbols=7, data_symbols=3)  # n = 7, t = 2
+        blob = b"one bad sender must not abort a correct process"
+        fragments = code.encode(blob)
+        length = len(fragments[0].symbols)
+        malformed = [Fragment(5, (300,) * length, len(blob)), Fragment(6, None, len(blob))]
+        assert code.decode(malformed + fragments[:5]) == blob
+        with pytest.raises(DecodingError):
+            code.decode(malformed + fragments[:2])
+
     def test_word_size_scales_with_fragment_length(self):
         code = ReedSolomonCode(total_symbols=4, data_symbols=2)
         long_blob = bytes(1000)
@@ -142,28 +156,77 @@ class TestReedSolomon:
 
 
 class TestADDInSimulation:
-    def test_all_processes_output_the_blob(self):
-        from repro.core import SystemConfig
+    blob = b"the vector that quad agreed on" * 3
+
+    def add_process_factory(self, holders):
+        """Correct processes running one ADD instance; ``holders`` input the blob."""
         from repro.crypto import digest
         from repro.coding import AsynchronousDataDissemination
-        from repro.sim import Process, Simulation, SynchronousDelayModel, silent_factory
+        from repro.sim import Process
 
-        blob = b"the vector that quad agreed on" * 3
-        expected = digest(blob)
+        blob, expected = self.blob, digest(self.blob)
 
         class AddProcess(Process):
-            def __init__(self, pid, simulation, holds_blob):
-                super().__init__(pid, simulation)
-                self.holds_blob = holds_blob
-
             def on_start(self):
                 self.add = AsynchronousDataDissemination(self, on_output=self.decide)
-                self.add.input(blob if self.holds_blob else None, expected_hash=expected)
+                self.add.input(blob if self.pid in holders else None, expected_hash=expected)
 
-        system = SystemConfig(4, 1)
-        sim = Simulation(system, delay_model=SynchronousDelayModel(seed=5))
+        return AddProcess
+
+    def test_all_processes_output_the_blob(self):
+        from repro.core import SystemConfig
+        from repro.sim import Simulation, SynchronousDelayModel, silent_factory
+
+        sim = Simulation(SystemConfig(4, 1), delay_model=SynchronousDelayModel(seed=5))
         # Only t + 1 = 2 correct processes hold the blob; everyone must output it.
-        sim.populate(lambda pid, s: AddProcess(pid, s, holds_blob=pid in (0, 1)), faulty=[3], faulty_factory=silent_factory)
+        sim.populate(self.add_process_factory(holders=(0, 1)), faulty=[3], faulty_factory=silent_factory)
         sim.run_until_all_correct_decide(until=1_000)
         assert sim.all_correct_decided()
-        assert set(sim.decisions().values()) == {blob}
+        assert set(sim.decisions().values()) == {self.blob}
+
+    @pytest.mark.parametrize("bad_symbol", [300, -1, "x"])
+    def test_malformed_reconstruct_fragments_from_t_senders_are_tolerated(self, bad_symbol):
+        from repro.core import SystemConfig
+        from repro.crypto import digest
+        from repro.sim import Envelope, Process, Simulation, SynchronousDelayModel
+
+        blob, expected = self.blob, digest(self.blob)
+        system = SystemConfig(7, 2)
+        symbols_per_fragment = -(-len(blob) // (system.t + 1))
+
+        class MalformedFragmentSender(Process):
+            """Byzantine: its reconstruct fragment has the right shape and garbage symbols."""
+
+            def on_start(self):
+                fragment = Fragment(self.pid, (bad_symbol,) * symbols_per_fragment, len(blob))
+                for receiver in range(system.n):
+                    self.send_raw(receiver, Envelope(("add",), ("reconstruct", expected, fragment)))
+
+        sim = Simulation(system, delay_model=SynchronousDelayModel(seed=5))
+        sim.populate(
+            self.add_process_factory(holders=(0, 1, 2)),
+            faulty=[5, 6],
+            faulty_factory=MalformedFragmentSender,
+        )
+        sim.run_until_all_correct_decide(until=1_000)
+        assert sim.all_correct_decided()
+        assert set(sim.decisions().values()) == {self.blob}
+
+
+def test_the_cli_import_is_stdlib_only():
+    """A fresh interpreter importing the CLI loads neither numpy nor the test-side oracle."""
+    probe = (
+        "import sys; import repro.experiments.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'numpy' or 'reference' in m.split('.')[-1]))"
+    )
+    source_root = pathlib.Path(gf256.__file__).resolve().parents[2]
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(source_root)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "[]"

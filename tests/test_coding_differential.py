@@ -1,36 +1,26 @@
-"""Differential tests: a three-way oracle over the coding implementations.
+"""Differential tests: the production codec against the element-at-a-time oracle.
 
 The hot-path PR rewrote :mod:`repro.coding.gf256` (table-driven, row-wise
 ``bytes.translate`` operations) and :mod:`repro.coding.reed_solomon`
-(vectorized encode, interpolate-and-verify decode with a Berlekamp-Welch
-fallback); a later PR added :mod:`repro.coding.np_backend` (batched numpy
-gathers over the same tables).  The original element-at-a-time
-implementation is retained in :mod:`repro.coding.reference` as the oracle,
-and this suite pins all three byte-for-byte against each other on every
-path: scalar field ops over the whole field, the row and matrix kernels
-(including non-contiguous views), the polynomial helpers, encode, and
-decode through clean, max-erasure, error-correcting, k=1 and failure
-paths — plus the backend-selection contract itself (environment
-resolution, explicit-request failures, the ``auto`` size crossover).
-
-The numpy legs skip cleanly when numpy is not importable (the ``no-numpy``
-CI job runs exactly that configuration to prove the table fallback is
-complete).
+(vectorized encode, interpolate-and-verify decode with a per-chunk
+Berlekamp-Welch fallback).  The original implementation is retained beside
+this file as ``reference_codec.py``, and this suite pins the production
+codec to it byte for byte on every path: scalar field ops over the whole
+field, the row kernels, the polynomial helpers, encode, and decode through
+clean, max-erasure, error-correcting, scattered-corruption, k=1,
+malformed-fragment and failure paths.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.coding import Fragment, ReedSolomonCode, gf256, np_backend
-from repro.coding import reference
+import reference_codec as reference
+from repro.coding import Fragment, ReedSolomonCode, gf256
 from repro.coding.reed_solomon import DecodingError
 
 SEEDS = [2023, 2024, 2025]
-
-requires_numpy = pytest.mark.skipif(
-    not np_backend.numpy_available(), reason="numpy not importable; table fallback covered elsewhere"
-)
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +117,39 @@ def _corrupt(fragments, indices, shift=101):
     return corrupted
 
 
+def _corrupt_scattered(fragments, rng, flips):
+    """XOR random single symbols: some chunks of a blob are damaged, others are not."""
+    corrupted = [
+        [list(fragment.symbols), fragment.index, fragment.blob_length] for fragment in fragments
+    ]
+    for _ in range(flips):
+        target = rng.randrange(len(corrupted))
+        symbols = corrupted[target][0]
+        if symbols:
+            symbols[rng.randrange(len(symbols))] ^= rng.randrange(1, 256)
+    return [
+        Fragment(index=index, symbols=tuple(symbols), blob_length=blob_length)
+        for symbols, index, blob_length in corrupted
+    ]
+
+
+def _malformed_variants(good):
+    """Every way a Byzantine sender can malform one field of an honest fragment."""
+    width = len(good.symbols)
+    return {
+        "symbol above 255": replace(good, symbols=(300,) * width),
+        "negative symbol": replace(good, symbols=(-1,) * width),
+        "non-int symbol": replace(good, symbols=("x",) * width),
+        "symbols None": replace(good, symbols=None),
+        "symbols an int": replace(good, symbols=width),
+        "index a string": replace(good, index=str(good.index)),
+        "index None": replace(good, index=None),
+        "length a string": replace(good, blob_length="x"),
+        "length unhashable": replace(good, blob_length=[]),
+        "length negative": replace(good, blob_length=-1),
+    }
+
+
 def _outcome(codec, fragments):
     try:
         return ("ok", codec.decode(fragments))
@@ -209,305 +232,63 @@ class TestCodecMatchesReference:
         assert _outcome(optimized, fragments[:1]) == _outcome(oracle, fragments[:1])
         assert _outcome(optimized, []) == _outcome(oracle, [])
 
-
-# ----------------------------------------------------------------------
-# Backend selection contract
-# ----------------------------------------------------------------------
-class TestBackendSelection:
-    def test_unknown_backend_name_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown coding backend"):
-            np_backend.resolve_backend("vectorized")
-        with pytest.raises(ValueError, match="unknown coding backend"):
-            ReedSolomonCode(total_symbols=4, data_symbols=2, backend="cuda")
-
-    def test_environment_variable_is_read_when_no_explicit_name(self, monkeypatch):
-        monkeypatch.setenv(np_backend.BACKEND_ENV, "table")
-        assert np_backend.resolve_backend() == np_backend.BACKEND_TABLE
-        monkeypatch.setenv(np_backend.BACKEND_ENV, " TABLE ")
-        assert np_backend.resolve_backend() == np_backend.BACKEND_TABLE
-        monkeypatch.setenv(np_backend.BACKEND_ENV, "")
-        assert np_backend.resolve_backend() in (np_backend.BACKEND_AUTO, np_backend.BACKEND_TABLE)
-        monkeypatch.delenv(np_backend.BACKEND_ENV, raising=False)
-        # Explicit names win over the environment.
-        monkeypatch.setenv(np_backend.BACKEND_ENV, "bogus")
-        assert np_backend.resolve_backend("table") == np_backend.BACKEND_TABLE
-
-    def test_missing_numpy_degrades_auto_but_fails_explicit_requests(self, monkeypatch):
-        monkeypatch.setattr(np_backend, "_np", None)
-        assert not np_backend.numpy_available()
-        assert np_backend.resolve_backend("auto") == np_backend.BACKEND_TABLE
-        assert np_backend.resolve_backend("table") == np_backend.BACKEND_TABLE
-        with pytest.raises(np_backend.BackendUnavailableError):
-            np_backend.resolve_backend("numpy")
-        assert not np_backend.use_numpy(np_backend.BACKEND_AUTO, 10**6)
-
-    def test_auto_crossover_routes_by_chunk_count(self):
-        assert not np_backend.use_numpy(np_backend.BACKEND_TABLE, 10**6)
-        if np_backend.numpy_available():
-            assert np_backend.use_numpy(np_backend.BACKEND_NUMPY, 1)
-            assert not np_backend.use_numpy(np_backend.BACKEND_AUTO, np_backend.NUMPY_MIN_CHUNKS - 1)
-            assert np_backend.use_numpy(np_backend.BACKEND_AUTO, np_backend.NUMPY_MIN_CHUNKS)
-
-    def test_codec_resolves_backend_at_construction(self):
-        assert ReedSolomonCode(4, 2, backend="table").backend == np_backend.BACKEND_TABLE
-        default = ReedSolomonCode(4, 2)
-        assert default.backend == np_backend.DEFAULT_BACKEND
-
-
-# ----------------------------------------------------------------------
-# Numpy kernels vs the scalar reference (elementwise surface)
-# ----------------------------------------------------------------------
-@requires_numpy
-class TestNumpyKernelsMatchReference:
-    def test_product_and_inverse_tables_match_over_the_whole_field(self):
-        for a in range(256):
-            assert bytes(np_backend.MUL_NP[a]) == gf256.MUL_TABLE[a]
-        assert bytes(np_backend.INV_NP) == gf256._INVERSE
-        assert int(np_backend.multiply(7, 9)) == reference.multiply(7, 9)
-        assert int(np_backend.inverse(7)) == reference.inverse(7)
-        with pytest.raises(ZeroDivisionError):
-            np_backend.inverse([1, 0, 2])
-
-    def test_row_twins_match_table_and_reference(self):
-        rng = random.Random(SEEDS[0])
-        for _ in range(60):
-            scalar = rng.randrange(256)
-            row = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 120)))
-            expected = gf256.scalar_multiply_row(scalar, row)
-            assert np_backend.scalar_multiply_row(scalar, row) == expected
-            assert expected == bytes(reference.multiply(scalar, value) for value in row)
-        left = bytes(rng.randrange(256) for _ in range(48))
-        right = bytes(rng.randrange(256) for _ in range(48))
-        assert np_backend.xor_rows(left, right) == gf256.xor_rows(left, right)
-        with pytest.raises(ValueError, match="row lengths differ"):
-            np_backend.xor_rows(b"\x00", b"\x00\x00")
-        with pytest.raises(ValueError):
-            np_backend.scalar_multiply_row(256, b"\x01")
-
-    def test_row_twins_accept_non_contiguous_views(self):
-        rng = random.Random(SEEDS[1])
-        backing = bytes(rng.randrange(256) for _ in range(200))
-        strided = memoryview(backing)[::3]  # non-contiguous view
-        scalar = rng.randrange(1, 256)
-        assert np_backend.scalar_multiply_row(scalar, strided) == gf256.scalar_multiply_row(
-            scalar, bytes(strided)
-        )
-        other = bytes(rng.randrange(256) for _ in range(len(strided)))
-        assert np_backend.xor_rows(strided, other) == gf256.xor_rows(bytes(strided), other)
-        matrix = np_backend.rows_matrix([strided, other])
-        assert matrix.shape == (2, len(strided))
-        assert matrix.tobytes() == bytes(strided) + other
-
-    def test_poly_eval_rows_matches_reference_pointwise(self):
-        rng = random.Random(SEEDS[2])
-        for _ in range(30):
-            k = rng.randrange(1, 9)
-            width = rng.randrange(1, 40)
-            rows = [bytes(rng.randrange(256) for _ in range(width)) for _ in range(k)]
-            points = [rng.randrange(256) for _ in range(rng.randrange(1, 12))]
-            evaluated = np_backend.poly_eval_rows(rows, points)
-            assert evaluated.shape == (len(points), width)
-            for point_index, x in enumerate(points):
-                for chunk in range(width):
-                    coefficients = [rows[degree][chunk] for degree in range(k)]
-                    assert evaluated[point_index, chunk] == reference.poly_eval(coefficients, x)
-
-    def test_apply_basis_matches_scalar_interpolation(self):
-        rng = random.Random(SEEDS[0])
-        codec = ReedSolomonCode(total_symbols=9, data_symbols=4, backend="table")
-        points = tuple(codec.evaluation_points[:4])
-        basis = codec._interpolation_basis(points)
-        symbol_rows = [bytes(rng.randrange(256) for _ in range(25)) for _ in range(4)]
-        coefficients = np_backend.apply_basis(basis, symbol_rows)
-        for chunk in range(25):
-            expected = [0, 0, 0, 0]
-            for row, weights in enumerate(basis):
-                for col, weight in enumerate(weights):
-                    expected[row] = reference.add(
-                        expected[row], reference.multiply(weight, symbol_rows[col][chunk])
-                    )
-            assert list(coefficients[:, chunk]) == expected
-
-
-# ----------------------------------------------------------------------
-# Three-way codec oracle: numpy == table == reference
-# ----------------------------------------------------------------------
-def _triple(n, k):
-    """Codec instances pinned to each backend plus the scalar oracle."""
-    return (
-        ReedSolomonCode(total_symbols=n, data_symbols=k, backend="numpy"),
-        ReedSolomonCode(total_symbols=n, data_symbols=k, backend="table"),
-        reference.ReferenceReedSolomonCode(total_symbols=n, data_symbols=k),
-    )
-
-
-def _corrupt_scattered(fragments, rng, flips):
-    """XOR random single symbols: per-chunk corruption no window scan can dodge."""
-    corrupted = [
-        [list(fragment.symbols), fragment.index, fragment.blob_length] for fragment in fragments
-    ]
-    for _ in range(flips):
-        target = rng.randrange(len(corrupted))
-        symbols = corrupted[target][0]
-        if symbols:
-            symbols[rng.randrange(len(symbols))] ^= rng.randrange(1, 256)
-    return [
-        Fragment(index=index, symbols=tuple(symbols), blob_length=blob_length)
-        for symbols, index, blob_length in corrupted
-    ]
-
-
-@requires_numpy
-@pytest.mark.parametrize("seed", SEEDS)
-class TestThreeWayCodecOracle:
-    def test_encode_byte_identical_across_backends(self, seed):
+    def test_scattered_corruption_falls_back_on_some_chunks_only(self, seed, monkeypatch):
         rng = random.Random(seed)
-        for _ in range(30):
-            n = rng.randrange(1, 28)
-            k = rng.randrange(1, n + 1)
-            numpy_codec, table_codec, oracle = _triple(n, k)
-            blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 200)))
-            fragments = numpy_codec.encode(blob)
-            assert fragments == table_codec.encode(blob) == oracle.encode(blob)
-
-    def test_decode_parity_under_random_erasure_and_corruption(self, seed):
-        rng = random.Random(seed)
-        for _ in range(40):
-            n = rng.randrange(2, 24)
-            k = rng.randrange(1, n + 1)
-            numpy_codec, table_codec, oracle = _triple(n, k)
-            blob = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 120)))
-            fragments = numpy_codec.encode(blob)
-            received_count = rng.randrange(k, n + 1)
-            received = rng.sample(fragments, received_count)
-            if rng.random() < 0.5:
-                # Whole-fragment corruption (the window scan's home turf).
-                corruption = rng.randrange(0, min(received_count, (received_count - k) // 2 + 2))
-                received = _corrupt(received, range(corruption))
-            else:
-                # Scattered per-chunk corruption (forces the batched BW fallback).
-                received = _corrupt_scattered(received, rng, rng.randrange(0, 2 * n))
-            expected = _outcome(oracle, received)
-            assert _outcome(numpy_codec, received) == expected
-            assert _outcome(table_codec, received) == expected
-
-    def test_edge_blobs_empty_single_byte_and_k1(self, seed):
-        rng = random.Random(seed)
-        for n, k in ((1, 1), (5, 1), (4, 2), (7, 3)):
-            numpy_codec, table_codec, oracle = _triple(n, k)
-            for blob in (b"", b"\x00", bytes([rng.randrange(256)]), b"\xff" * k):
-                fragments = numpy_codec.encode(blob)
-                assert fragments == table_codec.encode(blob) == oracle.encode(blob)
-                assert (
-                    numpy_codec.decode(fragments)
-                    == table_codec.decode(fragments)
-                    == oracle.decode(fragments)
-                    == blob
-                )
-                subset = rng.sample(fragments, k)
-                assert numpy_codec.decode(subset) == table_codec.decode(subset) == blob
-
-    def test_length_lies_and_failure_modes_match(self, seed):
-        rng = random.Random(seed)
-        numpy_codec, table_codec, oracle = _triple(8, 3)
-        blob = bytes(rng.randrange(256) for _ in range(41))
-        fragments = list(numpy_codec.encode(blob))
-        fragments[0] = Fragment(index=0, symbols=fragments[0].symbols, blob_length=7777)
-        fragments[1] = Fragment(index=1, symbols=fragments[1].symbols[:-1], blob_length=41)
-        expected = _outcome(oracle, fragments)
-        assert _outcome(numpy_codec, fragments) == _outcome(table_codec, fragments) == expected
-        # Too few fragments and over-capacity corruption fail identically.
-        assert _outcome(numpy_codec, fragments[:2]) == _outcome(oracle, fragments[:2])
-        hopeless = _corrupt(numpy_codec.encode(blob), range(6))
-        assert _outcome(numpy_codec, hopeless) == _outcome(table_codec, hopeless) == _outcome(
-            oracle, hopeless
-        )
-
-    def test_auto_backend_matches_forced_backends_across_the_crossover(self, seed):
-        rng = random.Random(seed)
-        auto_codec = ReedSolomonCode(total_symbols=9, data_symbols=4, backend="auto")
-        numpy_codec, table_codec, _oracle = _triple(9, 4)
-        crossover_bytes = np_backend.NUMPY_MIN_CHUNKS * 4
-        for size in (crossover_bytes - 5, crossover_bytes, crossover_bytes * 3):
-            blob = bytes(rng.randrange(256) for _ in range(size))
-            fragments = auto_codec.encode(blob)
-            assert fragments == numpy_codec.encode(blob) == table_codec.encode(blob)
-            damaged = _corrupt(rng.sample(fragments, 8), range(2))
-            assert (
-                auto_codec.decode(damaged)
-                == numpy_codec.decode(damaged)
-                == table_codec.decode(damaged)
-                == blob
-            )
-
-
-# ----------------------------------------------------------------------
-# The batched Berlekamp-Welch fallback (chunks the window scan cannot solve)
-# ----------------------------------------------------------------------
-@requires_numpy
-class TestNumpyBerlekampWelchFallback:
-    def test_scattered_errors_reach_the_fallback_and_still_match(self, monkeypatch):
-        # n=12, k=3: corrupting rows {2, 5, 8, 11} of *every* chunk leaves no
-        # clean length-3 window, yet stays within max_errors = (12-3)//2 = 4.
-        numpy_codec, table_codec, oracle = _triple(12, 3)
-        rng = random.Random(99)
-        blob = bytes(rng.randrange(256) for _ in range(60))
-        fragments = numpy_codec.encode(blob)
-        damaged = []
-        for fragment in fragments:
-            if fragment.index in (2, 5, 8, 11):
-                symbols = tuple((symbol ^ 0x5A) for symbol in fragment.symbols)
-                fragment = Fragment(
-                    index=fragment.index, symbols=symbols, blob_length=fragment.blob_length
-                )
-            damaged.append(fragment)
-        calls = []
-        real_batch = np_backend.berlekamp_welch_batch
+        n, k = 12, 4
+        optimized, oracle = _pair(n, k)
+        blob = bytes(rng.randrange(256) for _ in range(k * rng.randrange(16, 40)))
+        chunk_count = len(blob) // k
+        # A handful of single-symbol flips: each damaged chunk stays within
+        # the (12 - 4) // 2 budget, and most chunks are not touched at all.
+        damaged = _corrupt_scattered(optimized.encode(blob), rng, 4)
+        fallbacks = []
+        exact_solve = optimized._berlekamp_welch
         monkeypatch.setattr(
-            np_backend,
-            "berlekamp_welch_batch",
-            lambda *args, **kwargs: calls.append(1) or real_batch(*args, **kwargs),
+            optimized,
+            "_berlekamp_welch",
+            lambda points, symbols: fallbacks.append(1) or exact_solve(points, symbols),
         )
-        assert numpy_codec.decode(damaged) == blob
-        assert calls, "scattered corruption must exercise the batched BW fallback"
-        assert table_codec.decode(damaged) == oracle.decode(damaged) == blob
+        assert optimized.decode(damaged) == oracle.decode(damaged) == blob
+        assert 0 < len(fallbacks) < chunk_count
 
-    def test_fallback_failure_raises_the_identical_error(self):
-        numpy_codec, table_codec, oracle = _triple(6, 4)
-        rng = random.Random(7)
-        blob = bytes(rng.randrange(256) for _ in range(30))
-        ruined = _corrupt_scattered(numpy_codec.encode(blob), rng, 40)
-        expected = _outcome(oracle, ruined)
-        if expected[0] == "ok":  # pragma: no cover - seed chosen to corrupt
-            pytest.skip("seed failed to ruin the codeword")
+    def test_decode_parity_under_scattered_corruption_of_long_blobs(self, seed):
+        rng = random.Random(seed)
+        for _ in range(15):
+            n = rng.randrange(2, 16)
+            k = rng.randrange(1, n + 1)
+            optimized, oracle = _pair(n, k)
+            blob = bytes(rng.randrange(256) for _ in range(k * rng.randrange(16, 30)))
+            received = rng.sample(optimized.encode(blob), rng.randrange(k, n + 1))
+            # Anywhere from untouched to hopeless, chunk by chunk.
+            received = _corrupt_scattered(received, rng, rng.randrange(0, 2 * n))
+            assert _outcome(optimized, received) == _outcome(oracle, received)
+
+    def test_hopeless_corruption_fails_with_the_identical_message(self, seed):
+        rng = random.Random(seed)
+        optimized, oracle = _pair(8, 3)
+        blob = bytes(rng.randrange(256) for _ in range(41))
+        hopeless = _corrupt(optimized.encode(blob), range(6))
+        expected = _outcome(oracle, hopeless)
         assert expected[0] == DecodingError.__name__
-        assert _outcome(numpy_codec, ruined) == _outcome(table_codec, ruined) == expected
+        assert _outcome(optimized, hopeless) == expected
+        # Scattered ruin: nearly every chunk of a (6, 4) codeword is beyond repair.
+        optimized, oracle = _pair(6, 4)
+        ruined = _corrupt_scattered(optimized.encode(blob), rng, 40)
+        expected = _outcome(oracle, ruined)
+        assert expected[0] == DecodingError.__name__
+        assert _outcome(optimized, ruined) == expected
 
-    def test_direct_batch_solver_matches_scalar_berlekamp_welch(self):
-        rng = random.Random(SEEDS[0])
-        codec = ReedSolomonCode(total_symbols=10, data_symbols=4, backend="table")
-        for _ in range(25):
-            blob = bytes(rng.randrange(256) for _ in range(20))
-            fragments = codec.encode(blob)
-            received = rng.sample(fragments, rng.randrange(4, 11))
-            flips = rng.randrange(0, 3 * len(received))
-            received = _corrupt_scattered(received, rng, flips)
-            points = [codec.evaluation_points[f.index] for f in received]
-            chunk_count = len(received[0].symbols)
-            symbol_rows = [bytes(f.symbols) for f in received]
-            scalar_outcome = []
-            for chunk in range(chunk_count):
-                column = [f.symbols[chunk] for f in received]
-                try:
-                    scalar_outcome.append(tuple(codec._berlekamp_welch(points, column)))
-                except DecodingError:
-                    scalar_outcome.append("fail")
-            try:
-                batch = np_backend.berlekamp_welch_batch(points, 4, symbol_rows)
-                batch_outcome = [tuple(int(v) for v in batch[:, c]) for c in range(chunk_count)]
-            except DecodingError:
-                batch_outcome = None
-            if "fail" in scalar_outcome:
-                assert batch_outcome is None
-            else:
-                assert batch_outcome == scalar_outcome
+    @pytest.mark.parametrize("shape", sorted(_malformed_variants(Fragment(0, (0,), 1))))
+    def test_malformed_fragments_are_skipped_identically(self, seed, shape):
+        rng = random.Random(seed)
+        optimized, oracle = _pair(7, 3)
+        blob = bytes(rng.randrange(256) for _ in range(31))
+        fragments = optimized.encode(blob)
+        malformed = _malformed_variants(fragments[6])[shape]
+        received = fragments[:6] + [malformed]
+        assert _outcome(optimized, received) == _outcome(oracle, received) == ("ok", blob)
+        # Below k well-formed fragments it is a DecodingError, on both sides.
+        starved = fragments[:2] + [malformed]
+        expected = _outcome(oracle, starved)
+        assert expected[0] == DecodingError.__name__
+        assert _outcome(optimized, starved) == expected

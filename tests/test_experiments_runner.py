@@ -22,7 +22,6 @@ from repro.experiments import (
     execute_run,
     load_baseline,
     make_scenario,
-    run_matrix,
     summaries_to_json,
     sweep_seeds,
     write_baseline,
@@ -95,7 +94,8 @@ class TestRunner:
         assert [(result.scenario, result.seed) for result in results] == expected
 
     def test_all_runs_ok_on_the_healthy_sweep(self):
-        results = run_matrix(SWEEP, SEEDS, parallel=2)
+        with Runner(parallel=2) as runner:
+            results = runner.run(SWEEP, SEEDS)
         assert all(result.ok for result in results)
         assert all(result.completed and result.agreement and result.validity_ok for result in results)
 
