@@ -372,7 +372,7 @@ def _canonical_value(value: Any) -> str:
     """Render a verdict value as a stable string.
 
     Deliberately owned by this module (not borrowed from
-    ``repro.experiments.runner.canonical_value``) so that everything shaping
+    ``repro.experiments.execute.canonical_value``) so that everything shaping
     verdict bytes is covered by
     :func:`~repro.store.fingerprint.analysis_code_fingerprint` — an edit to
     the runner's decision rendering must never silently stale-serve cached
@@ -659,22 +659,20 @@ def run_analysis(
     ``Runner.iter_runs``'s incremental sweeps: an identical re-analysis
     classifies zero properties.  ``rerun=True`` recomputes everything.
 
-    Without a ``runner``, a short-lived serial
-    :class:`~repro.jobs.session.ExecutionSession` supplies (and tears down)
-    one; callers with a pool pass their own runner, as the job executor
-    does.  ``on_verdict(index, verdict)`` is called in task order as each
-    verdict becomes available — the progress-event hook.
+    Without a ``runner`` the tasks are classified in this process by a
+    serial :class:`~repro.experiments.runner.Runner` (which owns no pool, so
+    there is nothing to tear down); callers with a pool pass their own
+    runner, as the job executor does.  ``on_verdict(index, verdict)`` is
+    called in task order as each verdict becomes available — the
+    progress-event hook.
 
     The verdict sequence is deterministic in task order and byte-identical
     between serial and parallel runners (:func:`classify_task` is pure).
     """
     if runner is None:
-        from ..jobs.session import ExecutionSession
+        from ..experiments.runner import Runner
 
-        with ExecutionSession() as session:
-            return run_analysis(
-                tasks, runner=session.runner, store=store, rerun=rerun, on_verdict=on_verdict
-            )
+        runner = Runner()
 
     task_list = dedupe_tasks(tasks)
     cached: Dict[int, AnalysisVerdict] = {}

@@ -6,10 +6,13 @@ an experiment subsystem:
 * :mod:`repro.experiments.scenario` — :class:`ScenarioSpec` plus registries
   that compose consensus protocols, adversary behaviours and network delay
   models into a named cartesian scenario matrix;
-* :mod:`repro.experiments.runner` — :class:`Runner`, which sweeps
+* :mod:`repro.experiments.execute` — the run semantics: :func:`execute_run`
+  maps one ``(scenario, seed)`` pair to a deterministic :class:`RunResult`
+  record (with ``scenario`` the only ``experiments`` code inside the store's
+  code fingerprint);
+* :mod:`repro.experiments.runner` — the engine: :class:`Runner` sweeps
   ``scenarios × seeds`` serially or with ``multiprocessing`` fan-out and
-  per-run timeouts, producing deterministic :class:`RunResult` records
-  (byte-identical between serial and parallel execution for the same pairs);
+  per-run timeouts, yielding those records byte-identically either way;
 * :mod:`repro.experiments.aggregate` — per-scenario summary statistics and
   JSON regression baselines;
 * :mod:`repro.experiments.cli` — the ``python -m repro.experiments`` entry
@@ -36,7 +39,8 @@ from .aggregate import (
     summaries_to_payload,
     write_baseline,
 )
-from .runner import DEFAULT_SEED, RunResult, Runner, canonical_value, execute_run, sweep_seeds
+from .execute import RunResult, canonical_value, execute_run
+from .runner import DEFAULT_SEED, Runner, sweep_seeds
 from .scenario import (
     ADVERSARIES,
     DELAY_MODELS,

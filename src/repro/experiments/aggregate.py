@@ -1,6 +1,6 @@
 """Sweep aggregation and JSON regression baselines.
 
-The runner produces one :class:`~repro.experiments.runner.RunResult` per
+The runner produces one :class:`~repro.experiments.execute.RunResult` per
 ``(scenario, seed)``; this module folds those records into per-scenario
 :class:`ScenarioSummary` statistics (message/word/latency distributions,
 violation and error counts) and diffs them against a stored JSON baseline so
@@ -16,7 +16,7 @@ import pathlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from .runner import RunResult
+from .execute import RunResult
 
 BASELINE_FORMAT_VERSION = 1
 

@@ -1,11 +1,10 @@
-"""Deterministic sweep execution: serial or ``multiprocessing`` fan-out.
+"""The sweep engine: serial or ``multiprocessing`` fan-out of pure runs.
 
-:func:`execute_run` turns one ``(scenario, seed)`` pair into a
-:class:`RunResult`.  The result is **pure data derived only from the pair**:
-no wall-clock timestamps, no host-dependent fields, and canonically ordered
-containers, so a serial sweep and a parallel sweep over the same pairs
-produce byte-identical :meth:`RunResult.canonical_json` — the guarantee the
-determinism test suite pins down and every regression baseline relies on.
+What a run *computes* lives in :mod:`repro.experiments.execute`
+(:func:`~repro.experiments.execute.execute_run`, fingerprinted); this module
+decides where and when runs execute and is **not** part of
+:func:`repro.store.fingerprint.code_fingerprint` — nothing here can change a
+:class:`~repro.experiments.execute.RunResult` a store would persist.
 
 :class:`Runner` fans a sweep out over a **persistent** ``multiprocessing``
 pool (or runs it in-process): the pool is created once, lazily, and reused
@@ -17,22 +16,20 @@ tasks, amortizing pickle/pool overhead, while faults, retries, quarantine
 and store caching stay per-task and a small reorder buffer still yields
 results in deterministic ``scenarios × seeds`` order.  An
 optional per-run wall-clock timeout is enforced with ``SIGALRM`` inside the
-worker, so a hung run is reported as an ``error`` record instead of stalling
-the sweep.  Close the pool with :meth:`Runner.close`, use the runner as a
-context manager, or let it fall out of scope (garbage collection closes it).
+executing process, so a hung run is reported as an ``error`` record instead
+of stalling the sweep.  Close the pool with :meth:`Runner.close`, use the
+runner as a context manager, or let it fall out of scope (garbage collection
+closes it).
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
-import json
 import logging
 import multiprocessing
 import os
 import signal
 import time
-from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.profiling import profile_directory, profiled_call
@@ -45,8 +42,8 @@ from ..resilience.supervisor import (
     SupervisionStats,
     Supervisor,
 )
-from ..sim.simulation import Simulation, SimulationError
-from .scenario import ADVERSARIES, DELAY_MODELS, PROTOCOLS, ScenarioSpec
+from .execute import POISON_ERROR_PREFIX, TIMEOUT_ERROR_PREFIX, RunResult, execute_run
+from .scenario import ScenarioSpec
 
 _LOG = logging.getLogger("repro.experiments.runner")
 
@@ -71,171 +68,20 @@ def sweep_seeds(count: int, base: int = DEFAULT_SEED) -> Tuple[int, ...]:
     return tuple(base + offset for offset in range(count))
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Outcome of one ``(scenario, seed)`` execution.
-
-    Every field is a deterministic function of the pair; containers are
-    canonically ordered, which makes the record safe to hash, diff and store
-    as a regression baseline.
-
-    ``agreement``, ``validity_ok`` and ``decision_latency`` are ``None`` when
-    the run never finished (e.g. a wall-clock timeout): an unfinished run has
-    no verdict on those properties, and reporting ``True``/``0.0`` would let
-    it masquerade as a clean fast run in the aggregates.
-    """
-
-    scenario: str
-    seed: int
-    completed: bool
-    agreement: Optional[bool]
-    validity_ok: Optional[bool]
-    violations: Tuple[str, ...]
-    decisions: Tuple[Tuple[int, str], ...]
-    message_complexity: int
-    communication_complexity: int
-    total_messages: int
-    total_words: int
-    byzantine_messages: int
-    decision_latency: Optional[float]
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        """True when the run terminated correctly with no violations."""
-        return self.error is None and self.completed and not self.violations
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = asdict(self)
-        data["violations"] = list(self.violations)
-        data["decisions"] = [list(pair) for pair in self.decisions]
-        return data
-
-    def canonical_json(self) -> str:
-        """A canonical serialisation: byte-identical for identical runs."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunResult":
-        """Rebuild a record from its :meth:`to_dict` / JSON form.
-
-        The inverse the persistent run store relies on:
-        ``RunResult.from_dict(json.loads(r.canonical_json())) == r`` exactly,
-        so a cached record is byte-for-byte the run it stands in for.
-        """
-        return cls(
-            scenario=data["scenario"],
-            seed=data["seed"],
-            completed=data["completed"],
-            agreement=data["agreement"],
-            validity_ok=data["validity_ok"],
-            violations=tuple(data["violations"]),
-            decisions=tuple((pid, value) for pid, value in data["decisions"]),
-            message_complexity=data["message_complexity"],
-            communication_complexity=data["communication_complexity"],
-            total_messages=data["total_messages"],
-            total_words=data["total_words"],
-            byzantine_messages=data["byzantine_messages"],
-            decision_latency=data["decision_latency"],
-            error=data.get("error"),
-        )
-
-
-def canonical_value(value: Any) -> str:
-    """Render a decision value as a stable string (repr for exotic types)."""
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return "(" + ", ".join(canonical_value(item) for item in value) + ")"
-    stable_fields = getattr(value, "stable_fields", None)
-    if callable(stable_fields):
-        return canonical_value(stable_fields())
-    pairs = getattr(value, "pairs", None)
-    if pairs is not None:
-        return canonical_value([(pair.process, pair.proposal) for pair in pairs])
-    return repr(value)
-
-
-def execute_run(spec: ScenarioSpec, seed: int) -> RunResult:
-    """Execute one scenario with one seed and return its deterministic record."""
-    system = spec.system()
-    setup = PROTOCOLS[spec.protocol](spec, system, seed)
-    faulty, faulty_factory = ADVERSARIES[spec.adversary](spec, system, setup.factory, seed)
-    delay_model = DELAY_MODELS[spec.delay](spec, seed)
-    simulation = Simulation(system, delay_model=delay_model, seed=seed)
-    simulation.populate(setup.factory, faulty=faulty, faulty_factory=faulty_factory)
-
-    error: Optional[str] = None
-    try:
-        simulation.run_until_all_correct_decide(until=spec.time_limit, max_events=spec.max_events)
-    except SimulationError as exc:
-        error = f"SimulationError: {exc}"
-    except _RunTimeout:
-        raise
-    except Exception as exc:  # a protocol bug is a result, not a sweep abort
-        error = f"{type(exc).__name__}: {exc}"
-
-    violations: Tuple[str, ...] = ()
-    if error is None:
-        try:
-            violations = tuple(setup.check(simulation, setup.proposals))
-        except _RunTimeout:
-            raise
-        except Exception as exc:  # a checker crash on a malformed decision is a result too
-            error = f"checker {type(exc).__name__}: {exc}"
-    try:
-        decisions = tuple(
-            (pid, canonical_value(value)) for pid, value in sorted(simulation.decisions().items())
-        )
-    except _RunTimeout:
-        raise
-    except Exception as exc:
-        decisions = ()
-        error = error or f"decision canonicalisation {type(exc).__name__}: {exc}"
-    metrics = simulation.metrics
-    return RunResult(
-        scenario=spec.name,
-        seed=seed,
-        completed=simulation.all_correct_decided(),
-        agreement=simulation.agreement_holds(),
-        validity_ok=not any("validity" in violation for violation in violations),
-        violations=violations,
-        decisions=decisions,
-        message_complexity=metrics.message_complexity,
-        communication_complexity=metrics.communication_complexity,
-        total_messages=metrics.total_messages,
-        total_words=metrics.total_words,
-        byzantine_messages=metrics.byzantine_messages,
-        decision_latency=metrics.decision_latency(),
-        error=error,
-    )
-
-
 # ----------------------------------------------------------------------
 # Per-run wall-clock timeout (SIGALRM inside the executing process)
 # ----------------------------------------------------------------------
-class _RunTimeout(Exception):
-    pass
-
-
-TIMEOUT_ERROR_PREFIX = "timeout:"
-"""Marks a wall-clock timeout record.  A timeout is a *host* condition, not a
-function of the ``(scenario, seed, code)`` content key, so the run store uses
-this prefix to refuse to persist such records — keep the two in sync through
-this constant, never a literal."""
-
-POISON_ERROR_PREFIX = "poison:"
-"""Marks a quarantined-task record: the task repeatedly killed its worker
-and supervision gave up on it.  Like a timeout, that is a host condition —
-a healthier host might complete the run — so the run store refuses to
-persist such records in the ``runs`` table (they go to the ``poison``
-quarantine table instead, via :meth:`repro.store.RunStore.put_poison`)."""
+class _RunTimeout(BaseException):
+    """Raised by the alarm handler.  A ``BaseException`` so that no ``except
+    Exception`` between the handler and :func:`_execute_bounded` — in
+    :func:`~repro.experiments.execute.execute_run`, a protocol or a checker —
+    can mistake the deadline for a result of the run."""
 
 
 _ALARM_ARMED = False
 # Guards against a late SIGALRM delivered after the run already finished: the
 # handler only raises while a run is armed, so a stray alarm during cleanup
-# can never escape _execute_with_timeout and abort the sweep.
+# can never escape execute_with_timeout and abort the sweep.
 
 
 def _raise_timeout(signum, frame):  # pragma: no cover - signal handler
@@ -243,52 +89,7 @@ def _raise_timeout(signum, frame):  # pragma: no cover - signal handler
         raise _RunTimeout()
 
 
-def _timeout_result(spec: ScenarioSpec, seed: int, timeout: float) -> RunResult:
-    # A timed-out run has no verdict: agreement/validity/latency are unknown,
-    # not clean, so they are None and the aggregates skip them.
-    return RunResult(
-        scenario=spec.name,
-        seed=seed,
-        completed=False,
-        agreement=None,
-        validity_ok=None,
-        violations=(),
-        decisions=(),
-        message_complexity=0,
-        communication_complexity=0,
-        total_messages=0,
-        total_words=0,
-        byzantine_messages=0,
-        decision_latency=None,
-        error=f"{TIMEOUT_ERROR_PREFIX} run exceeded {timeout}s wall clock",
-    )
-
-
-def _poison_result(spec: ScenarioSpec, seed: int, record: PoisonRecord) -> RunResult:
-    # A quarantined run, like a timed-out one, has no verdict: the task
-    # never produced a result, so agreement/validity/latency are unknown.
-    return RunResult(
-        scenario=spec.name,
-        seed=seed,
-        completed=False,
-        agreement=None,
-        validity_ok=None,
-        violations=(),
-        decisions=(),
-        message_complexity=0,
-        communication_complexity=0,
-        total_messages=0,
-        total_words=0,
-        byzantine_messages=0,
-        decision_latency=None,
-        error=(
-            f"{POISON_ERROR_PREFIX} task quarantined after {record.attempts} "
-            f"attempt(s): {record.reason}"
-        ),
-    )
-
-
-def _execute_with_timeout(item: Tuple[ScenarioSpec, int, Optional[float]]) -> RunResult:
+def execute_with_timeout(item: Tuple[ScenarioSpec, int, Optional[float]]) -> RunResult:
     """Execute one run under the per-run timeout, profiling when requested.
 
     This is the worker entry point for sweeps *and* fuzz campaigns, so the
@@ -316,37 +117,39 @@ def _execute_bounded(item: Tuple[ScenarioSpec, int, Optional[float]]) -> RunResu
         if signal.getitimer(signal.ITIMER_REAL)[0] == 0.0:
             # The interval timer has expired, so the deadline passed while
             # execute_run was still working — if it returned anyway, a broad
-            # ``except Exception`` somewhere inside protocol or checker code
-            # swallowed _RunTimeout and fabricated an ordinary record.  The
-            # deadline is authoritative: report the timeout, never the
+            # ``except BaseException`` somewhere inside protocol or checker
+            # code swallowed _RunTimeout and fabricated an ordinary record.
+            # The deadline is authoritative: report the timeout, never the
             # fabricated result (which would otherwise be persisted).
-            return _timeout_result(spec, seed, timeout)
+            raise _RunTimeout()
         return result
     except _RunTimeout:
-        return _timeout_result(spec, seed, timeout)
+        return RunResult.no_verdict(
+            spec.name, seed, f"{TIMEOUT_ERROR_PREFIX} run exceeded {timeout}s wall clock"
+        )
     finally:
         _ALARM_ARMED = False
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 
 
-def _execute_indexed(
-    indexed_item: Tuple[int, Tuple[ScenarioSpec, int, Optional[float]]]
-) -> Tuple[int, RunResult]:
-    """Worker entry for unordered dispatch: tag each result with its slot."""
-    index, item = indexed_item
-    return index, _execute_with_timeout(item)
+def quarantine_run(
+    item: Tuple[ScenarioSpec, int, Optional[float]], record: PoisonRecord, store: Optional[Any]
+) -> RunResult:
+    """Turn a run that kept killing its worker into a typed poison record.
 
-
-def _invoke_indexed(func: Any, indexed_item: Tuple[int, Any]) -> Tuple[int, Any]:
-    """Generic worker entry for :meth:`Runner.iter_tasks`: apply ``func``, keep the slot.
-
-    ``func`` travels inside the dispatched payload (via ``functools.partial``),
-    so any picklable top-level callable can ride the same persistent pool the
-    scenario sweeps use.
+    The record takes the run's slot in the result stream (and, with a
+    ``store``, a row in its quarantine table) instead of aborting the sweep.
     """
-    index, item = indexed_item
-    return index, func(item)
+    spec, seed, _timeout = item
+    if store is not None:
+        store.put_poison(spec, seed, attempts=record.attempts, reason=record.reason)
+    return RunResult.no_verdict(
+        spec.name,
+        seed,
+        f"{POISON_ERROR_PREFIX} task quarantined after {record.attempts} "
+        f"attempt(s): {record.reason}",
+    )
 
 
 def _effective_hash_seed() -> str:
@@ -378,6 +181,19 @@ def _pinned_hash_seed() -> Iterator[None]:
             del os.environ["PYTHONHASHSEED"]
         else:
             os.environ["PYTHONHASHSEED"] = previous
+
+
+def _map_in_process(
+    func: Any, indexed_items: Sequence[Tuple[int, Any]]
+) -> Iterator[Tuple[int, Any]]:
+    """The serial counterpart of :meth:`Supervisor.map_unordered`: run each
+    item here, lazily, yielding ``(index, func(item))`` in item order."""
+    for index, item in indexed_items:
+        started = time.perf_counter()
+        result = func(item)
+        _OBS_TASK_WALL.observe(time.perf_counter() - started)
+        _OBS_TASKS_DISPATCHED.inc()
+        yield index, result
 
 
 class Runner:
@@ -583,7 +399,6 @@ class Runner:
         *,
         cached: Optional[Dict[int, Any]] = None,
         on_result: Optional[Any] = None,
-        indexed_func: Optional[Any] = None,
         on_poison: Optional[Any] = None,
     ) -> Iterator[Any]:
         """Yield ``func(item)`` for every item, in item order, through the pool.
@@ -597,7 +412,8 @@ class Runner:
         lost tasks are re-dispatched under :attr:`retry_policy` — while a
         small reorder buffer still restores deterministic item order, so
         serial and parallel invocations yield byte-identical sequences for
-        pure ``func`` even across worker crashes.
+        pure ``func`` even across worker crashes.  A serial runner, or a
+        sweep with at most one miss, executes in this process instead.
 
         Args:
             func: Picklable top-level callable applied to each item.
@@ -608,9 +424,6 @@ class Runner:
             on_result: Optional ``on_result(index, result)`` callback invoked
                 in the parent for every *executed* (non-cached) result before
                 it is yielded — the persistence hook.
-            indexed_func: Optional picklable ``f((index, item)) -> (index,
-                result)`` override for parallel dispatch; defaults to a
-                generic wrapper around ``func``.
             on_poison: Optional ``on_poison(index, PoisonRecord) -> result``
                 substitution for a task quarantined after exhausting its
                 retry budget; the returned value is yielded (and passed to
@@ -621,45 +434,25 @@ class Runner:
         like :meth:`iter_runs` (dispatched work cannot be un-sent).
         """
         pending: Dict[int, Any] = dict(cached) if cached else {}
-        misses = [index for index in range(len(items)) if index not in pending]
-        if not items:
-            return
-        if not misses:
-            for index in range(len(items)):
-                yield pending[index]
-            return
-        if not self.parallel or self.parallel <= 1 or len(misses) == 1:
-            for index in range(len(items)):
-                result = pending.get(index)
-                if result is None:
-                    started = time.perf_counter()
-                    result = func(items[index])
-                    _OBS_TASK_WALL.observe(time.perf_counter() - started)
-                    _OBS_TASKS_DISPATCHED.inc()
-                    if on_result is not None:
-                        on_result(index, result)
-                else:
-                    _OBS_TASKS_CACHED.inc()
-                yield result
-            return
-        worker = indexed_func if indexed_func is not None else functools.partial(_invoke_indexed, func)
-        indexed = [(index, items[index]) for index in misses]
-        _OBS_TASKS_CACHED.inc(len(pending))  # dispatches are counted by the supervisor
-        supervisor = Supervisor(
-            self,
-            self.retry_policy,
-            self._fault_state,
-            deadline=self.supervision_deadline,
-            stats=self.supervision,
-            on_log=self._log,
-        )
+        misses = [(index, item) for index, item in enumerate(items) if index not in pending]
+        _OBS_TASKS_CACHED.inc(len(pending))
+        if not self.parallel or self.parallel <= 1 or len(misses) <= 1:
+            source = _map_in_process(func, misses)
+        else:
+            source = Supervisor(  # counts its own dispatches
+                self,
+                self.retry_policy,
+                self._fault_state,
+                deadline=self.supervision_deadline,
+                stats=self.supervision,
+                on_log=self._log,
+            ).map_unordered(func, misses, batch_size=self._effective_batch_size(len(misses)))
         next_index = 0
         try:
             while next_index in pending:  # cached results before the first miss: serve now
                 yield pending.pop(next_index)
                 next_index += 1
-            batch_size = self._effective_batch_size(len(misses))
-            for index, result in supervisor.map_unordered(worker, indexed, batch_size=batch_size):
+            for index, result in source:
                 if isinstance(result, PoisonRecord):
                     if on_poison is None:
                         raise TaskQuarantinedError(result.index, result.attempts, result.reason)
@@ -670,9 +463,6 @@ class Runner:
                 while next_index in pending:
                     yield pending.pop(next_index)
                     next_index += 1
-            while next_index in pending:  # cached results after the last miss
-                yield pending.pop(next_index)
-                next_index += 1
         except GeneratorExit:
             # The consumer walked away mid-sweep; release the workers so
             # the undispatched remainder cannot stall a later sweep.
@@ -726,24 +516,13 @@ class Runner:
         def persist(index: int, result: RunResult) -> None:
             store.put(items[index][0], result)
 
-        def quarantine(index: int, record: Any) -> RunResult:
-            # A task that kept killing its worker becomes a typed poison
-            # record in the result stream (and the store's quarantine
-            # table) instead of aborting the sweep.
-            spec, seed, _timeout = items[index]
-            result = _poison_result(spec, seed, record)
-            if store is not None:
-                store.put_poison(spec, seed, attempts=record.attempts, reason=record.reason)
-            return result
-
         try:
             yield from self.iter_tasks(
-                _execute_with_timeout,
+                execute_with_timeout,
                 items,
                 cached=cached,
                 on_result=persist if store is not None else None,
-                indexed_func=_execute_indexed,
-                on_poison=quarantine,
+                on_poison=lambda index, record: quarantine_run(items[index], record, store),
             )
         finally:
             if store is not None:

@@ -8,7 +8,7 @@ is identical serially and in parallel), executed on the persistent
 then scored in candidate order against the campaign-wide
 :class:`~repro.fuzz.coverage.CoverageMap`.  Inputs that reach new coverage
 or violate a property join the mutation pool; every executed candidate is
-persisted — its :class:`~repro.experiments.runner.RunResult` in the ``runs``
+persisted — its :class:`~repro.experiments.execute.RunResult` in the ``runs``
 table, its coverage in the content-addressed ``corpus`` table — so a warm
 re-run of the same campaign serves every candidate from the store and
 executes zero simulations.
@@ -25,13 +25,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..experiments.runner import (
-    DEFAULT_SEED,
-    Runner,
-    RunResult,
-    _execute_with_timeout,
-    _poison_result,
-)
+from ..experiments.execute import RunResult
+from ..experiments.runner import DEFAULT_SEED, Runner, execute_with_timeout, quarantine_run
 from ..experiments.scenario import ScenarioSpec
 from ..obs.registry import METRICS
 from ..sim import instrument
@@ -78,7 +73,7 @@ def fuzz_execute(
     """
     instrument.begin_collection()
     try:
-        result = _execute_with_timeout(item)
+        result = execute_with_timeout(item)
     finally:
         sites = instrument.end_collection()
     return result, instrument.canonical_coverage(sites)
@@ -146,7 +141,6 @@ def run_fuzz(
     *,
     store: Optional[RunStore] = None,
     runner: Optional[Runner] = None,
-    timeout: Optional[float] = None,
     base_seed: int = DEFAULT_SEED,
     shrink: bool = True,
     log: Optional[Callable[[str], None]] = None,
@@ -161,9 +155,8 @@ def run_fuzz(
             walk, not the CPU, is what the budget meters).
         fuzz_seed: Seed of the mutation walk; same seed, same campaign.
         store: Optional :class:`RunStore` for results + corpus persistence.
-        runner: Optional shared :class:`Runner` (a serial one is created
-            otherwise); its ``timeout`` wins over the ``timeout`` argument.
-        timeout: Per-run wall-clock timeout when no runner is given.
+        runner: Optional shared :class:`Runner` (its ``timeout`` bounds
+            every candidate); a serial, unbounded one is used otherwise.
         base_seed: The per-run seed mutations perturb from.
         shrink: Whether to delta-debug violating inputs before reporting.
         log: Optional progress sink (one line per round).
@@ -180,22 +173,7 @@ def run_fuzz(
             raise ValueError(f"base scenario {spec.name!r} is not a valid fuzz base")
 
     if runner is None:
-        # A short-lived serial session owns the fallback runner; callers
-        # with a pool (the job executor, the CLI session) pass their own.
-        from ..jobs.session import ExecutionSession
-
-        with ExecutionSession(timeout=timeout) as session:
-            return run_fuzz(
-                base_specs,
-                budget,
-                fuzz_seed,
-                store=store,
-                runner=session.runner,
-                base_seed=base_seed,
-                shrink=shrink,
-                log=log,
-                fail_fast=fail_fast,
-            )
+        runner = Runner()  # serial: owns no pool, needs no teardown
     effective_timeout = runner.timeout
 
     rng = random.Random(fuzz_seed)
@@ -259,17 +237,16 @@ def run_fuzz(
                     cached[position] = (result, tuple(record.entry["coverage"]))
         items = [(spec, seed, effective_timeout) for _bi, _muts, spec, seed, _fp in batch]
 
-        def quarantine(index: int, record: Any) -> Tuple[RunResult, Tuple[str, ...]]:
-            # A candidate that kept killing its worker yields a typed
-            # poison result with no coverage — it joins neither the pool
-            # nor the store's runs table, but is quarantined by name.
-            spec, seed, _timeout = items[index]
-            if store is not None:
-                store.put_poison(spec, seed, attempts=record.attempts, reason=record.reason)
-            return (_poison_result(spec, seed, record), ())
-
+        # A candidate that kept killing its worker yields a typed poison
+        # result with no coverage — it joins neither the pool nor the
+        # store's runs table, but is quarantined by name.
         outcomes = list(
-            runner.iter_tasks(fuzz_execute, items, cached=cached, on_poison=quarantine)
+            runner.iter_tasks(
+                fuzz_execute,
+                items,
+                cached=cached,
+                on_poison=lambda index, record: (quarantine_run(items[index], record, store), ()),
+            )
         )
         # Score strictly in candidate order: the pool and coverage map
         # evolve identically no matter how execution was scheduled.
@@ -343,7 +320,7 @@ def run_fuzz(
             hit = store.get(spec, seed)
             if hit is not None:
                 return hit
-        result = _execute_with_timeout((spec, seed, effective_timeout))
+        result = execute_with_timeout((spec, seed, effective_timeout))
         report.executed += 1
         if store is not None:
             store.put(spec, result)

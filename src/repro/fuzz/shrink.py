@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence, Tuple
 
-from ..experiments.runner import RunResult
+from ..experiments.execute import RunResult
 from ..experiments.scenario import ScenarioSpec
 from .mutation import Mutation, apply_mutations, spec_is_fuzzable
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..experiments.aggregate import ScenarioSummary, StreamingAggregator
-from ..experiments.runner import RunResult
+from ..experiments.execute import RunResult
 from ..obs.registry import METRICS
 from .events import EVENT_LOG, EVENT_PROGRESS, EVENT_STATUS, JobEvent
 from .spec import (
@@ -222,7 +222,7 @@ def _wire_runner_log(job: Any, session: Any, emit: Callable[[JobEvent], None]) -
 
 
 def _run_sweep(job: SweepJob, session: Any, emit: Callable[[JobEvent], None]) -> SweepOutcome:
-    from ..experiments.runner import POISON_ERROR_PREFIX
+    from ..experiments.execute import POISON_ERROR_PREFIX
 
     with _phase(session, job.kind, "plan"):
         scenarios = payloads_to_specs(job.scenario_payloads)

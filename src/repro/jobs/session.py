@@ -5,7 +5,9 @@ Everything stateful about running jobs lives here.  An
 :class:`~repro.experiments.runner.Runner` (and therefore one worker pool)
 and at most one :class:`~repro.store.store.RunStore` connection, both
 created lazily on first use and torn down exactly once — the session is the
-only place in the library that constructs either.  Jobs are pure data
+only place in the library that constructs either (a kernel called without
+a runner falls back to a serial ``Runner()``, which owns no pool and needs
+no teardown).  Jobs are pure data
 (:mod:`repro.jobs.spec`); kernels are pure functions; the session is the
 process-ownership boundary between them, which is what lets many jobs share
 one warm pool and one store connection::
@@ -63,7 +65,6 @@ class ExecutionSession:
         store_path: Optional persistent run store backing every job; jobs
             see cache hits from (and persist misses into) this one
             connection.  ``None`` runs storeless.
-        start_method: Optional ``multiprocessing`` start method override.
         store_options: Extra :class:`RunStore` keyword arguments
             (``batch_size``, ``code_fp``, ... — the testing escape hatches).
         max_retries: Retries granted to a task whose worker dies (so the
@@ -97,7 +98,6 @@ class ExecutionSession:
         parallel: Optional[int] = None,
         timeout: Optional[float] = None,
         store_path: Optional[Union[str, pathlib.Path]] = None,
-        start_method: Optional[str] = None,
         store_options: Optional[dict] = None,
         max_retries: Optional[int] = None,
         batch_size: Optional[int] = None,
@@ -112,7 +112,6 @@ class ExecutionSession:
         self.parallel = parallel
         self.timeout = timeout
         self.store_path = pathlib.Path(store_path) if store_path is not None else None
-        self.start_method = start_method
         self.max_retries = max_retries
         self.batch_size = batch_size
         self.fail_fast = fail_fast
@@ -151,7 +150,6 @@ class ExecutionSession:
             self._runner = Runner(
                 parallel=self.parallel,
                 timeout=self.timeout,
-                start_method=self.start_method,
                 retry_policy=self._retry_policy(),
                 fault_plan=self.fault_plan,
                 batch_size=self.batch_size,

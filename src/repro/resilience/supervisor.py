@@ -94,25 +94,27 @@ class SupervisionStats:
 
 
 def _supervised_invoke_batch(
-    worker: Any,
+    func: Any,
     faults: Tuple[Optional[str], ...],
     hang_seconds: float,
     indexed_items: Tuple[Tuple[int, Any], ...],
-) -> List[Any]:
-    """Worker entry for a microbatch: run each item, faults applied per item.
+) -> List[Tuple[int, Any]]:
+    """Worker entry for a microbatch: ``(index, func(item))`` per item.
 
-    Items execute in item order with their *own* fault tags, so a crash
-    entry keyed to the third task of a batch kills the worker exactly when
-    that task is reached — the already-computed results die with the
+    This is the one worker-entry contract: any picklable top-level ``func``
+    rides the pool, and the slot tag that lets the parent reorder is added
+    here.  Items execute in item order with their *own* fault tags, so a
+    crash entry keyed to the third task of a batch kills the worker exactly
+    when that task is reached — the already-computed results die with the
     process, the parent loses the whole batch, and recovery splits it back
     into per-task dispatches (see :meth:`Supervisor._recover`).  Faults
     therefore stay attributable per task even though pickle/dispatch
     overhead is paid once per batch.
     """
-    results: List[Any] = []
-    for fault, indexed_item in zip(faults, indexed_items):
+    results: List[Tuple[int, Any]] = []
+    for fault, (index, item) in zip(faults, indexed_items):
         apply_worker_fault(fault, hang_seconds)
-        results.append(worker(indexed_item))
+        results.append((index, func(item)))
     return results
 
 
@@ -296,14 +298,13 @@ class Supervisor:
     # The dispatch loop
     # ------------------------------------------------------------------
     def map_unordered(
-        self, worker: Any, indexed_items: Iterable[Tuple[int, Any]], batch_size: int = 1
+        self, func: Any, indexed_items: Iterable[Tuple[int, Any]], batch_size: int = 1
     ) -> Iterator[Tuple[int, Any]]:
-        """Yield ``worker((index, item))`` results in completion order.
+        """Yield ``(index, func(item))`` for every pair, in completion order.
 
-        ``worker`` must return ``(index, result)`` (the runner's indexed
-        worker contract).  A quarantined task yields
-        ``(index, PoisonRecord)`` instead; the caller decides whether that
-        aborts the sweep or becomes a typed poison result.
+        A quarantined task yields ``(index, PoisonRecord)`` instead; the
+        caller decides whether that aborts the sweep or becomes a typed
+        poison result.
 
         ``batch_size`` microbatches dispatch: consecutive items travel to a
         worker in chunks of that size, amortizing pickle and pool plumbing
@@ -338,7 +339,7 @@ class Supervisor:
                 )
                 async_result = pool.apply_async(
                     _supervised_invoke_batch,
-                    (worker, faults, hang_seconds, tuple(task.items)),
+                    (func, faults, hang_seconds, tuple(task.items)),
                 )
                 self._outstanding[task.index] = (async_result, time.monotonic(), task)
             # Harvest everything that completed.

@@ -1,6 +1,6 @@
 """Persistent run store: content-addressed caching for scenario sweeps.
 
-Every :class:`~repro.experiments.runner.RunResult` is a deterministic pure
+Every :class:`~repro.experiments.execute.RunResult` is a deterministic pure
 function of ``(scenario, seed, code)`` — so it only ever needs to be
 computed once.  This package persists those results the way open-science
 collaborations publish immutable result archives: an accumulating,

@@ -1,6 +1,6 @@
 """Content fingerprints: what makes a stored run result addressable.
 
-A :class:`~repro.experiments.runner.RunResult` is a pure function of three
+A :class:`~repro.experiments.execute.RunResult` is a pure function of three
 inputs, and the store keys every record by exactly those three:
 
 * **scenario fingerprint** — a SHA-256 over the *canonical* form of every
@@ -11,18 +11,22 @@ inputs, and the store keys every record by exactly those three:
 * **seed** — stored as-is (it is already a stable integer).
 * **code fingerprint** — a SHA-256 over the source of the semantic layers a
   run flows through: every module of the packages in
-  :data:`SEMANTIC_PACKAGES`, the scenario/runner modules themselves, and
-  the source of every *currently registered* protocol / adversary /
-  delay-model builder.  When any of that changes, the fingerprint changes
-  and every cached record is automatically invisible (stale entries stay in
-  the database under their old fingerprint; ``--rerun`` or a vacuum can
-  refresh them).  Hashing builder sources separately from the module tree
+  :data:`SEMANTIC_PACKAGES`, the two ``repro.experiments`` modules that
+  define a run (``scenario.py``: what is composed; ``execute.py``: how it is
+  run and recorded), and the source of every *currently registered*
+  protocol / adversary / delay-model builder.  When any of that changes,
+  the fingerprint changes and every cached record is automatically
+  invisible (stale entries stay in the database under their old
+  fingerprint; ``--rerun`` or a vacuum can refresh them).  Hashing builder sources separately from the module tree
   means even a builder monkeypatched at runtime invalidates the cache.
 
 The fingerprints deliberately exclude execution *infrastructure* — worker
-count, timeouts, pool start method — because those do not change what a run
-computes (a timed-out run is never persisted, see
-:meth:`~repro.store.store.RunStore.put`).
+count, timeouts, pool start method, and the engine that implements them
+(``experiments/runner.py``, ``repro.resilience``, ``repro.jobs``) — because
+those do not change what a run computes (a timed-out run is never
+persisted, see :meth:`~repro.store.store.RunStore.put`).  The hashed files
+import nothing from ``repro`` outside themselves (pinned by a test), so an
+engine edit cannot reach a run's result without also editing a hashed file.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import hashlib
 import inspect
 import pathlib
 from functools import lru_cache
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from ..experiments.scenario import ADVERSARIES, DELAY_MODELS, PROTOCOLS, ScenarioSpec
 
@@ -55,7 +59,9 @@ layers (``analysis``, ``experiments.cli``, ``experiments.aggregate``, this
 away a database of results.
 """
 
-_SEMANTIC_MODULES: Tuple[str, ...] = ("experiments/scenario.py", "experiments/runner.py")
+_SEMANTIC_MODULES: Tuple[str, ...] = ("experiments/scenario.py", "experiments/execute.py")
+
+_REPRO_ROOT = pathlib.Path(__file__).resolve().parent.parent  # src/repro
 
 ANALYSIS_PACKAGES: Tuple[str, ...] = ("core", "analysis")
 """``repro`` sub-packages whose source participates in the *analysis* code
@@ -72,7 +78,7 @@ def canonical_form(value: Any) -> Any:
 
     Tuples become lists, mapping keys become strings (JSON sorts them), and
     anything exotic falls back to ``repr`` — the same convention
-    :func:`~repro.experiments.runner.canonical_value` uses for decisions.
+    :func:`~repro.experiments.execute.canonical_value` uses for decisions.
     """
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
@@ -155,17 +161,20 @@ def _builder_source(builder: Any) -> str:
         return f"<no-source {module}.{qualname}>"
 
 
-@lru_cache(maxsize=1)
-def _module_tree_digest() -> str:
-    """Hash of every semantic module file (computed once per process)."""
-    root = pathlib.Path(__file__).resolve().parent.parent  # src/repro
-    digest = hashlib.sha256()
-    paths = sorted(
+def _semantic_paths(root: pathlib.Path) -> List[pathlib.Path]:
+    """The files of the ``src/repro`` tree at ``root`` that the run fingerprint hashes."""
+    return sorted(
         path
         for package in SEMANTIC_PACKAGES
         for path in (root / package).rglob("*.py")
     ) + [root / relative for relative in _SEMANTIC_MODULES]
-    for path in paths:
+
+
+@lru_cache(maxsize=1)
+def _module_tree_digest(root: pathlib.Path = _REPRO_ROOT) -> str:
+    """Hash of every semantic module file (computed once per process)."""
+    digest = hashlib.sha256()
+    for path in _semantic_paths(root):
         digest.update(str(path.relative_to(root)).encode("utf-8"))
         digest.update(b"\x00")
         digest.update(path.read_bytes())
@@ -184,13 +193,12 @@ def analysis_code_fingerprint() -> str:
     that source changes, exactly like run records under
     :func:`code_fingerprint`.
     """
-    root = pathlib.Path(__file__).resolve().parent.parent  # src/repro
     digest = hashlib.sha256()
     digest.update(f"fingerprint_version={FINGERPRINT_VERSION}\n".encode("utf-8"))
     for path in sorted(
-        path for package in ANALYSIS_PACKAGES for path in (root / package).rglob("*.py")
+        path for package in ANALYSIS_PACKAGES for path in (_REPRO_ROOT / package).rglob("*.py")
     ):
-        digest.update(str(path.relative_to(root)).encode("utf-8"))
+        digest.update(str(path.relative_to(_REPRO_ROOT)).encode("utf-8"))
         digest.update(b"\x00")
         digest.update(path.read_bytes())
         digest.update(b"\x00")

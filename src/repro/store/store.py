@@ -1,6 +1,6 @@
 """The SQLite-backed persistent run store.
 
-:class:`RunStore` keeps every :class:`~repro.experiments.runner.RunResult`
+:class:`RunStore` keeps every :class:`~repro.experiments.execute.RunResult`
 ever computed, keyed by ``(scenario fingerprint, seed, code fingerprint)``
 (see :mod:`repro.store.fingerprint`).  Because a run is a pure function of
 that triple, a stored record *is* the run — re-executing it can only
@@ -55,7 +55,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..experiments.runner import POISON_ERROR_PREFIX, TIMEOUT_ERROR_PREFIX, RunResult
+from ..experiments.execute import POISON_ERROR_PREFIX, TIMEOUT_ERROR_PREFIX, RunResult
 from ..experiments.scenario import ScenarioSpec
 from ..obs.registry import METRICS
 from ..resilience.faults import FaultPlan, FaultState
@@ -84,7 +84,7 @@ class CorpusRecord:
     ``entry_fp`` content-addresses the ``(scenario payload, seed)`` pair
     through :func:`~repro.store.fingerprint.payload_fingerprint`, so a warm
     re-fuzz recognises an already-explored input and serves its coverage
-    (and its cached :class:`~repro.experiments.runner.RunResult` from the
+    (and its cached :class:`~repro.experiments.execute.RunResult` from the
     ``runs`` table) without executing anything.
 
     Defined here rather than in :mod:`repro.fuzz` so the store does not

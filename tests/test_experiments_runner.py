@@ -26,6 +26,9 @@ from repro.experiments import (
     sweep_seeds,
     write_baseline,
 )
+from repro.experiments.execute import TIMEOUT_ERROR_PREFIX
+
+TIMED_OUT = f"{TIMEOUT_ERROR_PREFIX} run exceeded 0.1s wall clock"
 
 # A deliberately heterogeneous slice of the matrix: three protocols, three
 # adversaries, both delay models.
@@ -134,14 +137,15 @@ class TestRunner:
         assert not results[0].ok
 
     def test_timeout_is_authoritative_even_if_the_alarm_is_swallowed(self, monkeypatch):
-        # execute_run guards _RunTimeout through its own except clauses, but a
-        # protocol/checker bug could still wrap a broad ``except Exception``
-        # around the alarm and return a fabricated clean record after the
-        # deadline.  The deadline re-check must report the timeout anyway.
+        # _RunTimeout is a BaseException, so no ``except Exception`` can eat
+        # it, but a protocol/checker bug could still wrap a bare ``except`` /
+        # ``except BaseException`` around the alarm and return a fabricated
+        # clean record after the deadline.  The deadline re-check must report
+        # the timeout anyway.
         import time as time_module
 
         from repro.experiments import runner as runner_module
-        from repro.experiments.runner import TIMEOUT_ERROR_PREFIX, _execute_with_timeout
+        from repro.experiments.runner import execute_with_timeout
 
         spec = SWEEP[0]
         fabricated = execute_run(spec, DEFAULT_SEED)
@@ -152,12 +156,12 @@ class TestRunner:
             while time_module.monotonic() < deadline:
                 try:
                     time_module.sleep(0.02)
-                except Exception:
+                except BaseException:  # noqa: BLE001 - the bug under test
                     pass  # the broad except that eats the alarm
             return fabricated
 
         monkeypatch.setattr(runner_module, "execute_run", swallowing_execute)
-        result = _execute_with_timeout((spec, DEFAULT_SEED, 0.05))
+        result = execute_with_timeout((spec, DEFAULT_SEED, 0.05))
         assert result.error is not None and result.error.startswith(TIMEOUT_ERROR_PREFIX)
         assert result.agreement is None and not result.completed
 
@@ -183,10 +187,8 @@ class TestAggregation:
         assert summary.messages.mean == 0.0
 
     def test_timed_out_runs_excluded_from_agreement_validity_latency(self):
-        from repro.experiments.runner import _timeout_result
-
         healthy = execute_run(SWEEP[0], DEFAULT_SEED)
-        timed_out = _timeout_result(SWEEP[0], DEFAULT_SEED + 1, timeout=0.1)
+        timed_out = RunResult.no_verdict(SWEEP[0].name, DEFAULT_SEED + 1, TIMED_OUT)
         summaries = aggregate([healthy, timed_out])
         summary = summaries[SWEEP[0].name]
         assert summary.runs == 2
@@ -224,10 +226,9 @@ class TestStreamingAggregatorEdgeCases:
 
     def test_all_timeout_scenario_every_stat_none(self):
         from repro.experiments import StreamingAggregator
-        from repro.experiments.runner import _timeout_result
 
         spec = SWEEP[0]
-        results = [_timeout_result(spec, seed, timeout=0.1) for seed in SEEDS]
+        results = [RunResult.no_verdict(spec.name, seed, TIMED_OUT) for seed in SEEDS]
         for result in results:  # the premise: a timed-out run has no verdict
             assert result.agreement is None
             assert result.validity_ok is None
@@ -247,10 +248,9 @@ class TestStreamingAggregatorEdgeCases:
 
     def test_interleaved_multi_scenario_streams_match_batch(self):
         from repro.experiments import StreamingAggregator
-        from repro.experiments.runner import _timeout_result
 
         results = Runner().run(SWEEP, SEEDS)
-        results.append(_timeout_result(SWEEP[1], DEFAULT_SEED + 7, timeout=0.1))
+        results.append(RunResult.no_verdict(SWEEP[1].name, DEFAULT_SEED + 7, TIMED_OUT))
         # Interleave across scenarios: s0-seed0, s1-seed0, ..., s0-seed1, ...
         interleaved = sorted(results, key=lambda result: (result.seed, result.scenario))
         assert [r.scenario for r in interleaved] != [r.scenario for r in results]

@@ -15,6 +15,7 @@ import pytest
 
 from repro.experiments.aggregate import results_to_json
 from repro.experiments.cli import main
+from repro.experiments.runner import Runner
 from repro.jobs import (
     EVENT_STATUS,
     ExecutionSession,
@@ -72,6 +73,26 @@ def run_sweep(store_path=None, trace_path=None, parallel=None, on_event=None):
         parallel=parallel, store_path=store_path, trace_path=trace_path
     ) as session:
         return session.submit(job, on_event=on_event)
+
+
+class TestDispatchCounters:
+    @pytest.mark.parametrize(
+        "warm_specs, parallel",
+        [(2, None), (1, None), (1, 2)],
+        ids=["fully-warm", "partly-warm-serial", "partly-warm-parallel"],
+    )
+    def test_cached_counts_exactly_the_store_hits(self, tmp_path, warm_specs, parallel):
+        specs, seeds = select_scenarios(SLICE), (1, 2)
+        with RunStore(tmp_path / "runs.db") as store, Runner() as runner:
+            runner.run(specs[:warm_specs], seeds, store=store)
+        METRICS.reset()
+        with RunStore(tmp_path / "runs.db") as store, Runner(parallel=parallel) as runner:
+            runner.run(specs, seeds, store=store)
+            hits = store.stats.hits
+        assert hits == warm_specs * len(seeds)
+        counters = METRICS.counter_values()
+        assert counters["runner.tasks.cached"] == hits
+        assert counters["runner.tasks.dispatched"] == len(specs) * len(seeds) - hits
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,10 @@ runner lifecycle fixes that ride along (idempotent ``close``, pool release
 on abandoned generators).
 """
 
+import ast
 import contextlib
 import json
+import shutil
 import sqlite3
 import time
 
@@ -27,7 +29,8 @@ from repro.experiments import (
     summaries_to_json,
     sweep_seeds,
 )
-from repro.experiments.runner import _timeout_result
+from repro.experiments.execute import TIMEOUT_ERROR_PREFIX
+from repro.experiments.runner import execute_with_timeout
 from repro.experiments.scenario import PROTOCOLS
 from repro.store import (
     CorpusRecord,
@@ -37,6 +40,7 @@ from repro.store import (
     scenario_fingerprint,
     spec_payload,
 )
+from repro.store.fingerprint import _REPRO_ROOT, _module_tree_digest, _semantic_paths
 
 SWEEP = [
     make_scenario("binary", "silent", "synchronous"),
@@ -104,6 +108,96 @@ class TestFingerprints:
         assert code_fingerprint() != base
         monkeypatch.undo()
         assert code_fingerprint() == base
+
+    def test_hashed_files_are_closed_under_repro_imports(self):
+        # "code" in the content key must be everything that can change a
+        # result: if a hashed file imported an unhashed ``repro`` module, an
+        # edit there could change stored results without moving the key.
+        hashed = set(_semantic_paths(_REPRO_ROOT))
+        assert {_REPRO_ROOT / "experiments" / name for name in ("scenario.py", "execute.py")} < hashed
+        escapes = []
+        for path in sorted(hashed):
+            package = path.relative_to(_REPRO_ROOT).parts[:-1]
+            for node in ast.walk(ast.parse(path.read_text())):
+                for target in _repro_import_targets(node, package):
+                    if _module_file(target) not in hashed:
+                        escapes.append(f"{path.relative_to(_REPRO_ROOT)} imports repro.{'.'.join(target)}")
+        assert escapes == []
+
+    def test_run_semantics_know_nothing_of_the_engines_alarm_or_pool(self):
+        tree = ast.parse((_REPRO_ROOT / "experiments" / "execute.py").read_text())
+        absolute = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                absolute.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                absolute.add(node.module.split(".")[0])
+        assert not absolute & {"multiprocessing", "signal"}
+
+    def test_engine_edits_leave_the_tree_digest_alone(self, tmp_path):
+        # The user-visible promise of the runner/execute split: editing the
+        # engine never cold-starts a store; editing run semantics always does.
+        root = tmp_path / "repro"
+        shutil.copytree(_REPRO_ROOT, root, ignore=shutil.ignore_patterns("__pycache__"))
+        digest = _module_tree_digest.__wrapped__  # the uncached function
+        assert digest(root) == _module_tree_digest()
+        for engine_file in ("experiments/runner.py", "resilience/supervisor.py"):
+            with open(root / engine_file, "a") as handle:
+                handle.write("# an engine edit\n")
+            assert digest(root) == _module_tree_digest(), engine_file
+        with open(root / "experiments/execute.py", "a") as handle:
+            handle.write("# a semantics edit\n")
+        assert digest(root) != _module_tree_digest()
+
+
+def _module_file(dotted):
+    """The file a ``repro``-relative dotted module path names, or ``None``."""
+    base = _REPRO_ROOT.joinpath(*dotted)
+    for candidate in (base.with_suffix(".py"), base / "__init__.py"):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def _repro_import_targets(node, package):
+    """``repro``-relative module paths an import statement in ``package`` names."""
+    if isinstance(node, ast.Import):
+        names = [alias.name.split(".") for alias in node.names]
+        return [name[1:] for name in names if name[0] == "repro"]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    module = node.module.split(".") if node.module else []
+    if node.level:
+        module = list(package[: len(package) - node.level + 1]) + module
+    elif module[:1] == ["repro"]:
+        module = module[1:]
+    else:
+        return []
+    # ``from pkg import name`` may name a submodule or an attribute of pkg.
+    return [
+        module + [alias.name] if _module_file(module + [alias.name]) else module
+        for alias in node.names
+    ]
+
+
+def test_kernels_never_import_the_session_layer_above_them():
+    # repro.jobs owns pools and store connections and calls *down* into the
+    # kernels; a kernel importing it back (the old nested-session fallback in
+    # run_analysis/run_fuzz) is a cycle that hides who closes what.
+    experiments = _REPRO_ROOT / "experiments"
+    kernels = [
+        *(_REPRO_ROOT / "analysis").rglob("*.py"),
+        *(_REPRO_ROOT / "fuzz").rglob("*.py"),
+        *(experiments / name for name in ("execute.py", "runner.py", "scenario.py", "aggregate.py")),
+    ]
+    upward = [
+        str(path.relative_to(_REPRO_ROOT))
+        for path in kernels
+        for node in ast.walk(ast.parse(path.read_text()))
+        for target in _repro_import_targets(node, path.relative_to(_REPRO_ROOT).parts[:-1])
+        if target[:1] == ["jobs"]
+    ]
+    assert upward == []
 
 
 class TestRunResultRoundtrip:
@@ -206,7 +300,9 @@ class TestRunStore:
 
     def test_timeout_records_are_never_persisted(self, tmp_path):
         spec = SWEEP[0]
-        timed_out = _timeout_result(spec, DEFAULT_SEED, timeout=0.1)
+        timed_out = RunResult.no_verdict(
+            spec.name, DEFAULT_SEED, f"{TIMEOUT_ERROR_PREFIX} run exceeded 0.1s wall clock"
+        )
         with RunStore(tmp_path / "runs.db") as store:
             assert not store.put(spec, timed_out)
             assert store.count() == 0
@@ -320,7 +416,7 @@ class TestIncrementalSweeps:
         def _forbidden(item):  # pragma: no cover - would mean a cache miss
             raise AssertionError(f"warm sweep executed {item}")
 
-        monkeypatch.setattr("repro.experiments.runner._execute_with_timeout", _forbidden)
+        monkeypatch.setattr("repro.experiments.runner.execute_with_timeout", _forbidden)
         with RunStore(path) as store, Runner() as runner:
             warm = runner.run(SWEEP, SEEDS, store=store)
             assert store.stats.hits == len(warm) and store.stats.misses == 0
@@ -352,13 +448,13 @@ class TestIncrementalSweeps:
         executions = []
         from repro.experiments import runner as runner_module
 
-        original = runner_module._execute_with_timeout
+        original = runner_module.execute_with_timeout
 
         def _counting(item):
             executions.append(item)
             return original(item)
 
-        monkeypatch.setattr(runner_module, "_execute_with_timeout", _counting)
+        monkeypatch.setattr(runner_module, "execute_with_timeout", _counting)
         with RunStore(path) as store, Runner() as runner:
             rerun = runner.run(SWEEP[:1], SEEDS, store=store, rerun=True)
             assert store.stats.hits == 0 and store.stats.stored == len(rerun)
@@ -387,7 +483,7 @@ class TestIncrementalSweeps:
         path = tmp_path / "runs.db"
         with RunStore(path) as store, Runner() as runner:
             runner.run(SWEEP[:2], (DEFAULT_SEED,), store=store)
-        monkeypatch.setattr(runner_module, "_execute_indexed", _slow_execute_indexed)
+        monkeypatch.setattr(runner_module, "execute_with_timeout", _slow_execute)
         with RunStore(path) as store:
             runner = Runner(parallel=2)
             iterator = runner.iter_runs(SWEEP, (DEFAULT_SEED,), store=store)
@@ -412,14 +508,13 @@ class TestIncrementalSweeps:
         ]
 
 
-def _slow_execute_indexed(indexed_item):
+def _slow_execute(item):
     """Worker stand-in (module-level so the pool can pickle it): a real run,
-    delayed enough that a buffered cache hit would be caught waiting on it."""
-    from repro.experiments.runner import _execute_with_timeout
-
+    delayed enough that a buffered cache hit would be caught waiting on it.
+    Calls the entry this module imported *before* the monkeypatch — a forked
+    worker sees the patched ``runner_module`` attribute, i.e. this function."""
     time.sleep(2.0)
-    index, item = indexed_item
-    return index, _execute_with_timeout(item)
+    return execute_with_timeout(item)
 
 
 # ----------------------------------------------------------------------

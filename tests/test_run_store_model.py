@@ -34,7 +34,7 @@ from hypothesis.stateful import (
 
 from repro.analysis.pipeline import classify_task, named_tasks
 from repro.experiments import DEFAULT_SEED, execute_run, make_scenario
-from repro.experiments.runner import _timeout_result
+from repro.experiments.execute import TIMEOUT_ERROR_PREFIX, RunResult
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.store import CorpusRecord, PoisonEntry, RunStore
 
@@ -167,7 +167,8 @@ class RunStoreModel(RuleBasedStateMachine):
     @is_open
     @rule(spec=st.sampled_from(SPECS), seed=st.sampled_from(SEEDS))
     def put_timeout_is_skipped(self, spec, seed):
-        assert not self.store.put(spec, _timeout_result(spec, seed, timeout=0.1))
+        timed_out = RunResult.no_verdict(spec.name, seed, f"{TIMEOUT_ERROR_PREFIX} test")
+        assert not self.store.put(spec, timed_out)
 
     @is_open
     @rule(index=st.sampled_from(range(len(TASKS))), other=st.booleans())
