@@ -34,16 +34,16 @@ True
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.input_config import Value, enumerate_input_configurations
+from ..core.input_config import Value
 from ..core.properties import standard_properties
 from ..core.solvability import Classification, classify
+from ..core.space import configuration_space
 from ..core.system import SystemConfig
-from ..core.validity import TableValidity
+from ..core.validity import TableValidity, non_empty_subsets
 
 
 @dataclass
@@ -132,15 +132,11 @@ def sample_validity_property_space(
             "subset of V_O to every configuration, so an empty V_O admits no properties"
         )
     rng = random.Random(seed)
-    configurations = list(enumerate_input_configurations(system, input_domain))
-    non_empty_subsets = [
-        frozenset(subset)
-        for size in range(1, len(output_domain) + 1)
-        for subset in itertools.combinations(output_domain, size)
-    ]
+    configurations = configuration_space(system, input_domain).configurations
+    subsets = non_empty_subsets(output_domain)
     counts = ClassificationCounts()
     for index in range(samples):
-        table = {config: rng.choice(non_empty_subsets) for config in configurations}
+        table = {config: rng.choice(subsets) for config in configurations}
         prop = TableValidity(table, output_domain, name=f"sampled-{index}", default_all=False)
         counts.record(prop.name, classify(prop, system, input_domain, output_domain))
     return counts

@@ -78,18 +78,18 @@ True
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.input_config import Value, count_input_configurations, enumerate_input_configurations
+from ..core.input_config import Value, count_input_configurations
 from ..core.ordering import canonical_sorted
 from ..core.properties import standard_properties
-from ..core.solvability import classify, enumerate_validity_properties
+from ..core.solvability import classify, enumerated_property
+from ..core.space import configuration_space
 from ..core.system import SystemConfig
-from ..core.validity import TableValidity, ValidityProperty
+from ..core.validity import TableValidity, ValidityProperty, non_empty_subsets
 from .lower_bound import dolev_reischuk_threshold
 
 ANALYSIS_FORMAT_VERSION = 1
@@ -203,18 +203,13 @@ class PropertyTask:
                     f"unknown named property {self.key!r}; known: {sorted(properties)}"
                 ) from None
         if self.family == "enumerated":
-            prop = next(
-                itertools.islice(
-                    enumerate_validity_properties(system, domain, domain), self.index, None
-                ),
-                None,
-            )
-            if prop is None:
+            try:
+                return enumerated_property(system, domain, domain, self.index)
+            except IndexError:
                 raise AnalysisError(
                     f"enumeration index {self.index} out of range for n={self.n}, t={self.t}, "
                     f"domain {self.domain}"
-                )
-            return prop
+                ) from None
         if self.family == "sampled":
             return _sampled_property(system, domain, seed=self.index)
         raise AnalysisError(f"unknown property family {self.family!r}")
@@ -225,13 +220,11 @@ def _sampled_property(
 ) -> TableValidity:
     """One uniformly sampled table property (same construction as Figure 1 sampling)."""
     rng = random.Random(seed)
-    configurations = list(enumerate_input_configurations(system, domain))
-    non_empty_subsets = [
-        frozenset(subset)
-        for size in range(1, len(domain) + 1)
-        for subset in itertools.combinations(domain, size)
-    ]
-    table = {config: rng.choice(non_empty_subsets) for config in configurations}
+    subsets = non_empty_subsets(domain)
+    table = {
+        config: rng.choice(subsets)
+        for config in configuration_space(system, domain).configurations
+    }
     return TableValidity(table, domain, name=f"sampled-{seed}", default_all=False)
 
 

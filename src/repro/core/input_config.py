@@ -156,7 +156,8 @@ class InputConfiguration:
     # ------------------------------------------------------------------
     def restricted_to(self, processes: Iterable[int]) -> "InputConfiguration":
         """Return the sub-configuration containing only the given processes."""
-        kept = {p: v for p, v in self._assignment.items() if p in set(processes)}
+        wanted = set(processes)
+        kept = {p: v for p, v in self._assignment.items() if p in wanted}
         return InputConfiguration.from_mapping(kept)
 
     def without(self, processes: Iterable[int]) -> "InputConfiguration":

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence
 
-from .input_config import InputConfiguration, Value, enumerate_input_configurations
+from .input_config import InputConfiguration, Value
+from .space import configuration_space
 from .system import SystemConfig
 
 
@@ -56,14 +57,13 @@ def similar_configurations(
 ) -> Iterator[InputConfiguration]:
     """Enumerate ``sim(c)``: every input configuration similar to ``config``.
 
-    The enumeration covers the full space ``I`` over the given finite domain
-    and filters it by :func:`similar`.  For the moderate system sizes used in
-    the decision procedures this is exact and fast enough; protocols never
-    need this enumeration (they use closed-form ``Lambda`` functions).
+    Reads the neighbourhood off the shared
+    :class:`~repro.core.space.ConfigurationSpace` of the system: the members
+    of ``I`` that :func:`similar` relates to ``config``, in enumeration
+    order.  Protocols never need this enumeration (they use closed-form
+    ``Lambda`` functions).
     """
-    for candidate in enumerate_input_configurations(system, input_domain):
-        if similar(config, candidate):
-            yield candidate
+    yield from configuration_space(system, input_domain).similar_to(config)
 
 
 def similarity_classes(

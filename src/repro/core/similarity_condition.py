@@ -9,7 +9,12 @@ sufficient when ``n > 3t``.
 
 Over finite domains the condition is decidable by enumeration; this module
 implements that decision procedure and materialises the resulting ``Lambda``
-as an explicit table, which the Universal protocol can then execute.
+as an explicit table, which the Universal protocol can then execute.  The
+procedure is a reduction over the shared
+:class:`~repro.core.space.ConfigurationSpace`, which holds every similarity
+neighbourhood ``sim(c)`` as a bitmask over ``I``: with ``val`` evaluated once
+per configuration into one mask per output value, a value lies in the
+intersection for ``c`` iff ``sim(c) & ~mask == 0``.
 
 Examples
 --------
@@ -39,15 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Optional, Sequence
 
-from .input_config import (
-    InputConfiguration,
-    Value,
-    enumerate_input_configurations,
-    enumerate_minimal_configurations,
-)
+from .input_config import InputConfiguration, Value
 from .ordering import canonical_sorted
-from .relations import similar
+from .space import AdmissibilityTable, configuration_space, evaluate_property
 from .system import SystemConfig
+from .triviality import always_admissible_values
 from .validity import ValidityProperty
 
 LambdaFunction = Callable[[InputConfiguration], Value]
@@ -111,13 +112,8 @@ def similarity_intersection(
     (and, by canonical similarity, the set of values decidable in a canonical
     execution corresponding to ``config``).
     """
-    remaining = set(output_domain)
-    for candidate in enumerate_input_configurations(system, input_domain):
-        if not remaining:
-            break
-        if similar(config, candidate):
-            remaining &= prop.admissible_values(candidate, output_domain)
-    return frozenset(remaining)
+    neighbourhood = configuration_space(system, input_domain).similar_to(config)
+    return always_admissible_values(prop, neighbourhood, output_domain)
 
 
 def check_similarity_condition(
@@ -125,6 +121,8 @@ def check_similarity_condition(
     system: SystemConfig,
     input_domain: Sequence[Value],
     output_domain: Optional[Sequence[Value]] = None,
+    *,
+    evaluated: Optional[AdmissibilityTable] = None,
 ) -> SimilarityConditionResult:
     """Decide ``C_S`` over finite domains and build an explicit ``Lambda`` table.
 
@@ -134,6 +132,9 @@ def check_similarity_condition(
         input_domain: Finite proposal domain ``V_I``.
         output_domain: Finite decision domain ``V_O``; defaults to the
             property's own domain, or to ``input_domain``.
+        evaluated: The property already evaluated over these very arguments
+            (:func:`~repro.core.space.evaluate_property`), when the caller
+            has it; evaluated here otherwise.
 
     Returns:
         A :class:`SimilarityConditionResult`.  When ``holds`` is ``True`` the
@@ -141,21 +142,19 @@ def check_similarity_condition(
         admissible-for-all-similar value (the canonical minimum of the
         intersection, so that the function is deterministic).
     """
-    domain = output_domain if output_domain is not None else prop.output_domain
-    if domain is None:
-        domain = input_domain
-
-    result = SimilarityConditionResult(holds=True)
-    for config in enumerate_minimal_configurations(system, input_domain):
-        result.minimal_configurations_checked += 1
-        intersection = similarity_intersection(prop, config, system, input_domain, domain)
+    if evaluated is None:
+        evaluated = evaluate_property(prop, system, input_domain, output_domain)
+    space = evaluated.space
+    result = SimilarityConditionResult(
+        holds=True, minimal_configurations_checked=space.minimal_count
+    )
+    for config, neighbourhood in zip(space.minimal_configurations, space.neighbourhoods):
+        intersection = evaluated.admitted_throughout(neighbourhood)
         result.admissible_intersections[config] = intersection
         if not intersection:
             result.holds = False
             result.counterexample = config
-            result.lambda_table = {}
-            continue
-        if result.holds:
+        elif result.holds:
             result.lambda_table[config] = canonical_sorted(intersection)[0]
     if not result.holds:
         result.lambda_table = {}
@@ -190,12 +189,10 @@ def verify_lambda_function(
         ``None`` when the candidate is correct, otherwise the first minimal
         configuration on which it fails.
     """
-    domain = output_domain if output_domain is not None else prop.output_domain
-    if domain is None:
-        domain = input_domain
-    for config in enumerate_minimal_configurations(system, input_domain):
+    space = configuration_space(system, input_domain)
+    for config, neighbourhood in zip(space.minimal_configurations, space.neighbourhoods):
         chosen = lambda_fn(config)
-        for candidate in enumerate_input_configurations(system, input_domain):
-            if similar(config, candidate) and not prop.is_admissible(candidate, chosen):
+        for candidate in space.select(neighbourhood):
+            if not prop.is_admissible(candidate, chosen):
                 return config
     return None

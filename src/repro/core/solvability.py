@@ -32,19 +32,21 @@ enumerable (here ``(2^2 - 1)^8`` for the smallest system over two values):
 6561
 >>> next(enumerate_validity_properties(SystemConfig(2, 1), [0, 1], [0, 1])).name
 'enumerated-1'
+>>> enumerated_property(SystemConfig(2, 1), [0, 1], [0, 1], 6560).name
+'enumerated-6561'
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .input_config import InputConfiguration, Value, enumerate_input_configurations
+from .input_config import Value, count_input_configurations
 from .similarity_condition import SimilarityConditionResult, check_similarity_condition
+from .space import configuration_space, evaluate_property
 from .system import SystemConfig
 from .triviality import TrivialityResult, check_triviality
-from .validity import TableValidity, ValidityProperty
+from .validity import TableValidity, ValidityProperty, non_empty_subsets
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,13 @@ def classify(
     * if ``n > 3t`` the property is solvable iff it satisfies ``C_S``
       (Theorems 3 and 5).
     """
-    triviality = check_triviality(prop, system, input_domain, output_domain)
-    similarity = check_similarity_condition(prop, system, input_domain, output_domain)
+    evaluated = evaluate_property(prop, system, input_domain, output_domain)
+    triviality = check_triviality(
+        prop, system, input_domain, output_domain, evaluated=evaluated
+    )
+    similarity = check_similarity_condition(
+        prop, system, input_domain, output_domain, evaluated=evaluated
+    )
 
     if triviality.trivial:
         solvable = True
@@ -165,26 +172,45 @@ def enumerate_validity_properties(
         output_domain: Finite decision domain.
         max_properties: Optional bound on the number of properties yielded.
     """
-    configurations = list(enumerate_input_configurations(system, input_domain))
-    non_empty_subsets = [
-        frozenset(subset)
-        for size in range(1, len(output_domain) + 1)
-        for subset in itertools.combinations(output_domain, size)
-    ]
-    produced = 0
-    for assignment in itertools.product(non_empty_subsets, repeat=len(configurations)):
-        if max_properties is not None and produced >= max_properties:
-            return
-        table = dict(zip(configurations, assignment))
-        produced += 1
-        yield TableValidity(
-            table, output_domain, name=f"enumerated-{produced}", default_all=False
-        )
+    distinct_inputs = len(configuration_space(system, input_domain).domain)
+    total = count_validity_properties(system, distinct_inputs, len(output_domain))
+    if max_properties is not None:
+        total = min(total, max_properties)
+    for index in range(total):
+        yield enumerated_property(system, input_domain, output_domain, index)
+
+
+def enumerated_property(
+    system: SystemConfig,
+    input_domain: Sequence[Value],
+    output_domain: Sequence[Value],
+    index: int,
+) -> TableValidity:
+    """The property of rank ``index`` (0-based) in :func:`enumerate_validity_properties`.
+
+    The enumeration is the Cartesian product of the non-empty subsets of
+    ``V_O`` over ``I`` with the last configuration varying fastest, so the
+    rank written in base ``2^{|V_O|} - 1`` has one digit per configuration,
+    most significant first; unranking reads the property off directly
+    instead of walking the enumeration up to it.
+
+    Raises:
+        IndexError: if ``index`` is outside the enumeration.
+    """
+    configurations = configuration_space(system, input_domain).configurations
+    subsets = non_empty_subsets(output_domain)
+    if not 0 <= index < len(subsets) ** len(configurations):
+        raise IndexError(f"no validity property of rank {index} over these domains")
+    digits = []
+    rank = index
+    for _ in configurations:
+        rank, digit = divmod(rank, len(subsets))
+        digits.append(subsets[digit])
+    table = dict(zip(configurations, reversed(digits)))
+    return TableValidity(table, output_domain, name=f"enumerated-{index + 1}", default_all=False)
 
 
 def count_validity_properties(system: SystemConfig, input_domain_size: int, output_domain_size: int) -> int:
     """Closed-form count of all validity properties over finite domains."""
-    from .input_config import count_input_configurations
-
     configurations = count_input_configurations(system, input_domain_size)
     return (2**output_domain_size - 1) ** configurations

@@ -1,0 +1,203 @@
+"""The configuration space of one system, as data (Sections 3.3-3.4).
+
+Every decision procedure of the theory layer quantifies over the same three
+objects: the set ``I`` of input configurations of a system over a finite
+proposal domain, its slice ``I_{n-t}`` of minimal configurations, and the
+similarity neighbourhood ``sim(c)`` of each minimal configuration.  None of
+them depends on the validity property being judged, so they are built once
+per ``(n, t, domain)`` and shared: :func:`configuration_space` returns an
+immutable :class:`ConfigurationSpace` holding ``I`` as a tuple and every
+``sim(c)`` as a Python-int bitmask over indices into that tuple.
+
+The neighbourhoods are built structurally rather than by pairwise
+:func:`~repro.core.relations.similar` calls.  With ``B[p][v]`` the mask of
+configurations in which process ``p`` proposes ``v`` and ``P[p]`` the mask of
+configurations containing ``p``,
+
+    ``sim(c) = (OR_p B[p][c[p]]) & ~(OR_p (P[p] & ~B[p][c[p]]))``
+
+over the processes ``p`` of ``c``: some shared process agrees, and no shared
+process disagrees — ``O(n)`` big-integer operations per configuration.
+
+A property enters only through :func:`evaluate_property`, which evaluates
+``val(c)`` once per configuration into an :class:`AdmissibilityTable` (one
+mask per output value).  "``v`` is admissible throughout a region of ``I``"
+is then one AND: triviality asks it of the whole space, the similarity
+condition of each neighbourhood.
+
+>>> from repro.core.system import SystemConfig
+>>> space = configuration_space(SystemConfig(3, 1), [0, 1])
+>>> (len(space.configurations), space.minimal_count)
+(20, 12)
+>>> list(space.similar_to(space.configurations[0]))[:2]
+[InputConfiguration[(P0, 0), (P1, 0)], InputConfiguration[(P0, 0), (P2, 0)]]
+>>> bin(space.neighbourhoods[0])
+'0b11001100110001'
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
+
+from .input_config import InputConfiguration, Value, enumerate_input_configurations
+from .ordering import canonical_key, canonical_sorted
+from .system import SystemConfig
+from .validity import ValidityProperty
+
+
+@dataclass(frozen=True, eq=False)
+class ConfigurationSpace:
+    """``I``, ``I_{n-t}`` and every ``sim(c)`` of one system over one proposal domain.
+
+    Attributes:
+        system: The system parameters (``n``, ``t``).
+        domain: The proposal domain ``V_I`` in canonical order.
+        configurations: ``I`` in the order of
+            :func:`~repro.core.input_config.enumerate_input_configurations`,
+            which puts the minimal configurations first; bit ``i`` of every
+            mask stands for ``configurations[i]``.
+        neighbourhoods: ``sim(c)`` as a mask, for each minimal configuration.
+    """
+
+    system: SystemConfig
+    domain: Tuple[Value, ...]
+    configurations: Tuple[InputConfiguration, ...]
+    neighbourhoods: Tuple[int, ...]
+    _containing: Dict[int, int]
+    _proposing: Dict[Tuple[int, Value], int]
+
+    @property
+    def minimal_count(self) -> int:
+        """``|I_{n-t}|``."""
+        return len(self.neighbourhoods)
+
+    @property
+    def minimal_configurations(self) -> Tuple[InputConfiguration, ...]:
+        """``I_{n-t}`` in enumeration order: the first entries of ``configurations``."""
+        return self.configurations[: self.minimal_count]
+
+    @property
+    def everything(self) -> int:
+        """The mask of all of ``I``."""
+        return (1 << len(self.configurations)) - 1
+
+    def neighbourhood(self, config: InputConfiguration) -> int:
+        """The mask of ``sim(config)`` for any configuration, minimal or not."""
+        return _neighbourhood(config, self._containing, self._proposing)
+
+    def select(self, mask: int) -> Iterator[InputConfiguration]:
+        """The configurations a mask stands for, in enumeration order."""
+        configurations = self.configurations
+        while mask:
+            lowest = mask & -mask
+            yield configurations[lowest.bit_length() - 1]
+            mask ^= lowest
+
+    def similar_to(self, config: InputConfiguration) -> Iterator[InputConfiguration]:
+        """Enumerate ``sim(config)`` in enumeration order."""
+        return self.select(self.neighbourhood(config))
+
+
+def configuration_space(system: SystemConfig, input_domain: Sequence[Value]) -> ConfigurationSpace:
+    """The shared :class:`ConfigurationSpace` of ``system`` over ``input_domain``.
+
+    Built on first use and memoised (bounded) on the content of its two
+    arguments, so it holds no state of any property or caller.
+    """
+    if not input_domain:
+        raise ValueError("input domain must be non-empty")
+    domain = tuple(canonical_sorted(set(input_domain)))
+    # Equal values of different types (1, True, 1.0) hash alike but print
+    # differently; their canonical keys keep such domains in separate entries.
+    return _build_space(system, domain, tuple(canonical_key(value) for value in domain))
+
+
+@functools.lru_cache(maxsize=16)
+def _build_space(
+    system: SystemConfig, domain: Tuple[Value, ...], _identity: Tuple[Tuple[str, str, str], ...]
+) -> ConfigurationSpace:
+    configurations = tuple(enumerate_input_configurations(system, domain))
+    containing: Dict[int, int] = dict.fromkeys(system.processes, 0)
+    proposing: Dict[Tuple[int, Value], int] = {
+        (process, value): 0 for process in system.processes for value in domain
+    }
+    for index, config in enumerate(configurations):
+        bit = 1 << index
+        for pair in config.pairs:
+            containing[pair.process] |= bit
+            proposing[pair.process, pair.proposal] |= bit
+    return ConfigurationSpace(
+        system=system,
+        domain=domain,
+        configurations=configurations,
+        neighbourhoods=tuple(
+            _neighbourhood(config, containing, proposing)
+            for config in configurations
+            if config.size == system.quorum
+        ),
+        _containing=containing,
+        _proposing=proposing,
+    )
+
+
+configuration_space.cache_clear = _build_space.cache_clear  # type: ignore[attr-defined]
+configuration_space.cache_info = _build_space.cache_info  # type: ignore[attr-defined]
+
+
+def _neighbourhood(
+    config: InputConfiguration,
+    containing: Dict[int, int],
+    proposing: Dict[Tuple[int, Value], int],
+) -> int:
+    """``sim(config)`` from the membership masks (the module docstring's formula)."""
+    agreeing = disagreeing = 0
+    for pair in config.pairs:
+        same = proposing.get((pair.process, pair.proposal), 0)
+        agreeing |= same
+        disagreeing |= containing.get(pair.process, 0) & ~same
+    return agreeing & ~disagreeing
+
+
+@dataclass(frozen=True, eq=False)
+class AdmissibilityTable:
+    """One property's ``val`` over a whole space: a mask of configurations per output value.
+
+    Attributes:
+        space: The configuration space the masks index into.
+        masks: For each value of the finite output domain (in the domain's
+            order), the mask of configurations for which it is admissible.
+    """
+
+    space: ConfigurationSpace
+    masks: Dict[Value, int]
+
+    def admitted_throughout(self, region: int) -> FrozenSet[Value]:
+        """The output values admissible for *every* configuration in ``region``."""
+        return frozenset(value for value, mask in self.masks.items() if not region & ~mask)
+
+
+def evaluate_property(
+    prop: ValidityProperty,
+    system: SystemConfig,
+    input_domain: Sequence[Value],
+    output_domain: Optional[Sequence[Value]] = None,
+) -> AdmissibilityTable:
+    """Evaluate ``val(c)`` once for every ``c`` in ``I``.
+
+    ``output_domain`` defaults to the property's own domain, or to
+    ``input_domain`` when it has none.
+    """
+    domain = output_domain if output_domain is not None else prop.output_domain
+    if domain is None:
+        domain = input_domain
+    space = configuration_space(system, input_domain)
+    masks: Dict[Value, int] = dict.fromkeys(domain, 0)
+    for index, config in enumerate(space.configurations):
+        admissible = prop.admissible_values(config, domain)
+        bit = 1 << index
+        for value in masks:
+            if value in admissible:
+                masks[value] |= bit
+    return AdmissibilityTable(space=space, masks=masks)

@@ -8,7 +8,10 @@ property is trivial, and Theorem 2 strengthens this to the existence of a
 finite ``always_admissible`` procedure.
 
 This module provides the exact decision procedure over finite domains and
-the ``always_admissible`` witness extraction.
+the ``always_admissible`` witness extraction.  The procedure is a reduction
+over the property's :class:`~repro.core.space.AdmissibilityTable`: ``val`` is
+evaluated once per configuration of ``I`` into one bitmask per output value,
+and a value is always admissible iff its mask is all ones.
 
 Examples
 --------
@@ -38,8 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence
 
-from .input_config import InputConfiguration, Value, enumerate_input_configurations
+from .input_config import InputConfiguration, Value
 from .ordering import canonical_sorted
+from .space import AdmissibilityTable, evaluate_property
 from .system import SystemConfig
 from .validity import ValidityProperty
 
@@ -101,6 +105,8 @@ def check_triviality(
     system: SystemConfig,
     input_domain: Sequence[Value],
     output_domain: Optional[Sequence[Value]] = None,
+    *,
+    evaluated: Optional[AdmissibilityTable] = None,
 ) -> TrivialityResult:
     """Decide whether a validity property is trivial over finite domains.
 
@@ -111,27 +117,23 @@ def check_triviality(
         input_domain: Finite proposal domain ``V_I``.
         output_domain: Finite decision domain ``V_O``; defaults to the
             property's own domain, or to ``input_domain`` when absent.
+        evaluated: The property already evaluated over these very arguments
+            (:func:`~repro.core.space.evaluate_property`), when the caller
+            has it; evaluated here otherwise.
 
     Returns:
         A :class:`TrivialityResult` with the witness value when trivial.
     """
-    domain = output_domain if output_domain is not None else prop.output_domain
-    if domain is None:
-        domain = input_domain
-    remaining = set(domain)
-    checked = 0
-    for config in enumerate_input_configurations(system, input_domain):
-        checked += 1
-        if not remaining:
-            continue
-        remaining &= prop.admissible_values(config, domain)
-    always = frozenset(remaining)
+    if evaluated is None:
+        evaluated = evaluate_property(prop, system, input_domain, output_domain)
+    space = evaluated.space
+    always = evaluated.admitted_throughout(space.everything)
     witness = canonical_sorted(always)[0] if always else None
     return TrivialityResult(
         trivial=bool(always),
         always_admissible=always,
         witness=witness,
-        configurations_checked=checked,
+        configurations_checked=len(space.configurations),
     )
 
 

@@ -14,8 +14,9 @@ become decidable.
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
 from .input_config import InputConfiguration, Value
 from .ordering import canonical_sorted
@@ -147,6 +148,20 @@ class TableValidity(ValidityProperty):
 
     def __hash__(self) -> int:
         return hash((frozenset(self._table.items()), frozenset(self.output_domain)))
+
+
+def non_empty_subsets(output_domain: Sequence[Value]) -> List[FrozenSet[Value]]:
+    """Every set ``val(c)`` may take over a finite ``V_O``, smallest first.
+
+    The order (by size, then by position in ``output_domain``) is what the
+    property enumeration ranks by and what the samplers draw from, so it is
+    part of every enumerated and sampled property's identity.
+    """
+    return [
+        frozenset(subset)
+        for size in range(1, len(output_domain) + 1)
+        for subset in itertools.combinations(output_domain, size)
+    ]
 
 
 def restrict_to_domain(

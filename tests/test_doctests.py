@@ -17,6 +17,7 @@ import repro.analysis.partitioning
 import repro.analysis.pipeline
 import repro.core.similarity_condition
 import repro.core.solvability
+import repro.core.space
 import repro.core.triviality
 
 DOCUMENTED_MODULES = [
@@ -27,6 +28,7 @@ DOCUMENTED_MODULES = [
     repro.analysis.pipeline,
     repro.core.similarity_condition,
     repro.core.solvability,
+    repro.core.space,
     repro.core.triviality,
 ]
 

@@ -92,6 +92,8 @@ class TestDerivedConfigurations:
         restricted = config.restricted_to([0, 2])
         assert restricted.processes == frozenset({0, 2})
         assert restricted[0] == "a"
+        # A one-shot iterable is consumed once, not once per process.
+        assert config.restricted_to(p for p in (0, 2)) == restricted
 
     def test_without(self):
         config = make_config({0: "a", 1: "b", 2: "c"})
