@@ -78,7 +78,7 @@ class ByzantineReliableBroadcast(ProtocolModule):
 
     def _handle_send(self, origin: int, message: Any) -> None:
         key = (origin, digest(message))
-        if (origin, digest(message)) in self._echoed:
+        if key in self._echoed:
             return
         if any(existing[0] == origin for existing in self._echoed):
             # The origin equivocated; echo only its first message.

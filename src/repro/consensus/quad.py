@@ -90,7 +90,6 @@ class Quad(ConsensusModule):
         self.view = 0
         self.locked: Optional[Tuple[Any, Any, int]] = None  # (value, proof, view)
         self.highest_prepare: Optional[Tuple[PrepareCertificate, Any, Any]] = None  # (cert, value, proof)
-        self._relayed_decision = False
 
         # Leader-side, per-view state.
         self._new_view_messages: Dict[int, Dict[int, Optional[Tuple[PrepareCertificate, Any, Any]]]] = {}
@@ -149,23 +148,27 @@ class Quad(ConsensusModule):
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
+    # kind -> (handler method, exact payload length)
+    _HANDLERS = {
+        _NEW_VIEW: ("_on_new_view", 3),
+        _PROPOSE: ("_on_propose", 5),
+        _PREPARE_VOTE: ("_on_prepare_vote", 4),
+        _PRECOMMIT: ("_on_precommit", 5),
+        _COMMIT_VOTE: ("_on_commit_vote", 4),
+        _DECIDE: ("_on_decide_message", 5),
+    }
+
     def on_message(self, sender: int, payload: Any) -> None:
-        if self.has_decided() and payload and payload[0] != _DECIDE:
+        if self.decided_value is not None:
+            # A process decides only in ``_on_decide_message``, after relaying the
+            # certificate; nothing that arrives later can change what it does.
             return
-        if not isinstance(payload, tuple) or not payload:
+        if not isinstance(payload, tuple) or not payload or not isinstance(payload[0], str):
             return
-        kind = payload[0]
-        handlers = {
-            _NEW_VIEW: self._on_new_view,
-            _PROPOSE: self._on_propose,
-            _PREPARE_VOTE: self._on_prepare_vote,
-            _PRECOMMIT: self._on_precommit,
-            _COMMIT_VOTE: self._on_commit_vote,
-            _DECIDE: self._on_decide_message,
-        }
-        handler = handlers.get(kind)
-        if handler is not None:
-            handler(sender, payload)
+        entry = self._HANDLERS.get(payload[0])
+        # Every kind carries its view second; a Byzantine sender chooses the rest.
+        if entry is not None and len(payload) == entry[1] and isinstance(payload[1], int):
+            getattr(self, entry[0])(sender, payload)
 
     # ----------------------------- leader side -----------------------
     def _on_new_view(self, sender: int, payload: tuple) -> None:
@@ -177,7 +180,7 @@ class Quad(ConsensusModule):
         self._try_lead(view)
 
     def _validated_prepare(self, prepare_payload: Optional[tuple]) -> Optional[tuple]:
-        if prepare_payload is None:
+        if not isinstance(prepare_payload, tuple) or len(prepare_payload) != 3:
             return None
         cert, value, proof = prepare_payload
         if not isinstance(cert, PrepareCertificate):
@@ -344,10 +347,9 @@ class Quad(ConsensusModule):
             return
         if not self.verify(value, proof):
             return
-        if not self._relayed_decision:
-            # One relay per correct process guarantees that everyone decides even
-            # if the leader crashes right after producing the certificate, at a
-            # one-off cost of O(n^2) messages overall.
-            self._relayed_decision = True
-            self.broadcast((_DECIDE, view, value, proof, commit_certificate))
+        # One relay per correct process guarantees that everyone decides even
+        # if the leader crashes right after producing the certificate, at a
+        # one-off cost of O(n^2) messages overall.  ``on_message`` stops
+        # dispatching once the decision is recorded, so this runs once.
+        self.broadcast((_DECIDE, view, value, proof, commit_certificate))
         self._decide((value, proof))

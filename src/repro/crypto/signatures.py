@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Dict, Tuple
 
 from .hashing import stable_encode
 
@@ -56,19 +56,34 @@ class KeyAuthority:
         if n < 1:
             raise ValueError("a key authority needs at least one process")
         self._n = n
-        self._secrets = [
-            hashlib.sha256(f"repro-secret-{seed}-{pid}".encode()).digest() for pid in range(n)
+        # One keyed HMAC state per signer; a tag is a copy of it updated with the message.
+        self._keys = [
+            hmac.new(
+                hashlib.sha256(f"repro-secret-{seed}-{pid}".encode()).digest(),
+                digestmod=hashlib.sha256,
+            )
+            for pid in range(n)
         ]
+        # (signer, stable_encode(message)) -> tag, for every message ``sign`` has
+        # signed.  Keyed on the encoded bytes, never on ``==`` (which aliases 1,
+        # True and 1.0); ``verify`` reads it and never adds to it.
+        self._tags: Dict[Tuple[int, bytes], str] = {}
 
     @property
     def n(self) -> int:
         return self._n
 
+    def _tag(self, signer: int, encoded: bytes) -> str:
+        mac = self._keys[signer].copy()
+        mac.update(encoded)
+        return mac.hexdigest()
+
     def sign(self, signer: int, message: Any) -> Signature:
         """Sign ``message`` with ``signer``'s key."""
         if not 0 <= signer < self._n:
             raise ValueError(f"unknown signer {signer}")
-        tag = hmac.new(self._secrets[signer], stable_encode(message), hashlib.sha256).hexdigest()
+        key = (signer, stable_encode(message))
+        tag = self._tags[key] = self._tag(*key)
         return Signature(signer=signer, tag=tag)
 
     def verify(self, signature: Signature, message: Any, expected_signer: int | None = None) -> bool:
@@ -86,9 +101,10 @@ class KeyAuthority:
             return False
         if expected_signer is not None and signature.signer != expected_signer:
             return False
-        expected = hmac.new(
-            self._secrets[signature.signer], stable_encode(message), hashlib.sha256
-        ).hexdigest()
+        key = (signature.signer, stable_encode(message))
+        # A message its signer never signed has a tag too; computing it keeps a
+        # forgery failing in ``compare_digest`` without growing the table.
+        expected = self._tags.get(key) or self._tag(*key)
         return hmac.compare_digest(expected, signature.tag)
 
     def forge(self, claimed_signer: int, message: Any) -> Signature:

@@ -102,6 +102,7 @@ class ThresholdScheme:
             return False
         if signature.threshold != self.threshold or len(signature.signers) < self.threshold:
             return False
-        if any(not 0 <= signer < self.n for signer in signature.signers):
+        n = self.n
+        if any(not 0 <= signer < n for signer in signature.signers):
             return False
         return signature.message_digest == digest(("tsig", message))

@@ -11,6 +11,7 @@ from repro.consensus import (
 )
 from repro.sim import (
     DelayModel,
+    Envelope,
     Process,
     Simulation,
     SynchronousDelayModel,
@@ -159,6 +160,103 @@ class TestQuad:
         sim = run_quad({0: "a", 1: "b", 2: "c", 3: "d"}, gst=15.0, seed=3)
         assert sim.all_correct_decided()
         assert sim.agreement_holds()
+
+
+# What a Byzantine sender may put on Quad's path: not a tuple, empty, an
+# unknown or unhashable kind, a known kind at the wrong arity, a view that is
+# not a number, and the right shape around junk fields.
+MALFORMED_QUAD_PAYLOADS = [
+    7,
+    {1: 2},
+    None,
+    "decide",
+    b"decide",
+    [],
+    ["decide", 1, "v", ("ok", "v"), None],
+    (),
+    (None,),
+    (["decide"], 1, "v", ("ok", "v"), None),
+    ("gossip", 1, 2),
+    ("new_view",),
+    ("new_view", 1),
+    ("propose", 1),
+    ("prepare_vote", 1, "digest"),
+    ("precommit", 1, "v", ("ok", "v"), None, None),
+    ("commit_vote", 1),
+    ("decide", 1, 2),
+    ("new_view", "x", None),
+    ("propose", None, "v", ("ok", "v"), None),
+    ("decide", (1,), "v", ("ok", "v"), None),
+    ("new_view", 1, 7),
+    ("new_view", 1, (1, 2)),
+    ("new_view", 1, ("cert", "v", ("ok", "v"))),
+    ("propose", 1, "v", "bad proof", 7),
+    ("prepare_vote", 1, "digest", "share"),
+    ("precommit", 1, "v", ("ok", "v"), "cert"),
+    ("commit_vote", 1, "digest", None),
+    ("decide", 1, "v", ("ok", "v"), "cert"),
+]
+
+
+class MalformedQuadSender(Process):
+    """Byzantine: floods every process with every malformed payload, at start and again later."""
+
+    def on_start(self):
+        self.on_timer("again")
+        self.set_timer_raw(1.5, (), "later")
+
+    def on_timer(self, tag):
+        for payload in MALFORMED_QUAD_PAYLOADS:
+            for receiver in range(self.system.n):
+                self.send_raw(receiver, Envelope(("quad",), payload))
+
+
+class TestQuadMalformedPayloads:
+    @pytest.mark.parametrize("payload", MALFORMED_QUAD_PAYLOADS, ids=repr)
+    def test_undecided_and_decided_processes_ignore_it(self, payload):
+        sim = Simulation(SystemConfig(4, 1))
+        sim.populate(lambda pid, s: QuadProcess(pid, s, "abcd"[pid]))
+        undecided = sim.processes[0]  # leads view 1, so the leader-side handlers run too
+        undecided.on_start()
+        for sender in range(4):
+            undecided.quad.on_message(sender, payload)
+        assert not undecided.quad.has_decided() and undecided.quad.locked is None
+
+        sim = run_quad({0: "a", 1: "b", 2: "c", 3: "d"})
+        decisions = dict(sim.decisions())
+        sent = sim.metrics.message_complexity
+        for process in sim.processes.values():
+            for sender in range(4):
+                process.quad.on_message(sender, payload)
+        assert sim.decisions() == decisions
+        assert sim.metrics.message_complexity == sent  # a decided process sends nothing more
+
+    @pytest.mark.parametrize("faulty", [[3], [0]], ids=["replica", "first-leader"])
+    def test_agreement_and_termination_under_a_flood_of_them(self, faulty):
+        values = {0: "a", 1: "b", 2: "c", 3: "d"}
+        sim = Simulation(SystemConfig(4, 1), delay_model=SynchronousDelayModel(seed=1))
+        sim.populate(
+            lambda pid, s: QuadProcess(pid, s, values[pid]),
+            faulty=faulty,
+            faulty_factory=MalformedQuadSender,
+        )
+        sim.run_until_all_correct_decide(until=5_000)
+        assert sim.all_correct_decided()
+        assert sim.agreement_holds()
+        value, proof = next(iter(sim.decisions().values()))
+        assert proof == ("ok", value)
+        sim.run(until=sim.time + 50)  # deliver the later flood to processes that have decided
+        assert sim.agreement_holds()
+
+    def test_a_decided_process_skips_every_later_message(self):
+        calls = []
+        sim = run_quad({0: "a", 1: "b", 2: "c", 3: "d"})
+        quad = sim.processes[2].quad
+        quad.verify = lambda value, proof: calls.append(value) or True
+        decided = quad.decided_value
+        quad.on_message(0, ("decide", 9, "other", ("ok", "other"), None))
+        quad.on_message(0, ("propose", quad.view, "other", ("ok", "other"), None))
+        assert not calls and quad.decided_value == decided
 
 
 # ----------------------------------------------------------------------

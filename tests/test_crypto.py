@@ -140,3 +140,94 @@ class TestThresholdSignatures:
             ThresholdScheme(authority, threshold=0)
         with pytest.raises(ValueError):
             ThresholdScheme(authority, threshold=5)
+
+
+class TestTagMemoSoundness:
+    """``KeyAuthority.verify`` reuses the tag ``sign`` computed; nothing else changes."""
+
+    def test_a_forged_tag_fails_after_a_valid_verify_and_vice_versa(self):
+        authority = KeyAuthority(4)
+        valid = authority.sign(1, "m")
+        forged = authority.forge(claimed_signer=1, message="m")
+        assert authority.verify(valid, "m")
+        assert not authority.verify(forged, "m")
+        assert not authority.verify(Signature(signer=1, tag=valid.tag[:-1] + "x"), "m")
+        assert authority.verify(valid, "m")
+
+        fresh = KeyAuthority(4)  # nothing signed here yet: every expected tag is computed
+        assert not fresh.verify(forged, "m")
+        assert fresh.verify(valid, "m")
+        assert not fresh.verify(forged, "m")
+        assert fresh.sign(1, "m") == valid
+
+    @pytest.mark.parametrize("signed, others", [(1, (True, 1.0)), (True, (1, 1.0)), (1.0, (1, True))])
+    def test_equal_but_distinct_messages_do_not_share_a_tag(self, signed, others):
+        authority = KeyAuthority(4)
+        signature = authority.sign(0, ("proposal", signed))
+        for other in others:
+            assert ("proposal", other) == ("proposal", signed)  # what an ``==`` key would alias
+            assert not authority.verify(signature, ("proposal", other))
+            assert authority.sign(0, ("proposal", other)) != signature
+        assert authority.verify(signature, ("proposal", signed))
+
+    def test_a_valid_tag_under_another_signer_fails(self):
+        authority = KeyAuthority(4)
+        signature = authority.sign(2, "m")
+        assert authority.verify(signature, "m", expected_signer=2)
+        assert not authority.verify(signature, "m", expected_signer=1)
+        assert not authority.verify(Signature(signer=1, tag=signature.tag), "m")
+        assert not authority.verify(Signature(signer=1, tag=signature.tag), "m", expected_signer=1)
+        assert authority.verify(signature, "m")  # the rejected presentations poisoned nothing
+        assert authority.sign(1, "m").tag != signature.tag
+
+    def test_authorities_never_share_entries(self):
+        first, twin, other = KeyAuthority(4, seed=1), KeyAuthority(4, seed=1), KeyAuthority(4, seed=2)
+        signature = first.sign(0, "m")
+        assert first.verify(signature, "m")
+        assert first._tags and not twin._tags and not other._tags
+        assert twin.verify(signature, "m")  # same seed: same keys, its own computation
+        assert not other.verify(signature, "m")
+        assert other.sign(0, "m") != signature
+        assert first.verify(signature, "m")
+
+    def test_verify_reuses_signed_tags_and_stores_none_of_its_own(self, monkeypatch):
+        import hmac
+
+        evaluations = []
+        real = hmac.HMAC.hexdigest
+        monkeypatch.setattr(
+            hmac.HMAC, "hexdigest", lambda self: evaluations.append(1) or real(self)
+        )
+        authority = KeyAuthority(4)
+        signature = authority.sign(0, ("proposal", "v"))
+        for _ in range(5):
+            assert authority.verify(signature, ("proposal", "v"))
+        assert authority.verify(signature, ["proposal", "v"])  # lists and tuples encode alike
+        assert len(evaluations) == 1  # the sign; every verify read its tag
+        stored = dict(authority._tags)
+        for index in range(5):  # never signed: each tag is computed, compared and dropped
+            assert not authority.verify(signature, ("proposal", "w"))
+            assert not authority.verify(signature, ("junk", index))
+        assert len(evaluations) == 11
+        assert authority._tags == stored and len(stored) == 1
+
+    def test_threshold_results_are_the_same_cold_and_warm(self):
+        def outcomes(scheme):
+            shares = [scheme.partial_sign(pid, "msg") for pid in range(3)]
+            bad = PartialSignature(signer=3, signature=Signature(signer=3, tag="junk"))
+            combined = scheme.combine(shares + [bad], "msg")
+            with pytest.raises(ValueError):
+                scheme.combine(shares[:2] + [bad], "msg")
+            return (
+                shares,
+                combined,
+                [scheme.verify_partial(share, "msg") for share in shares + [bad]],
+                [scheme.verify_partial(share, "other") for share in shares],
+                scheme.verify(combined, "msg"),
+                scheme.verify(combined, "other"),
+            )
+
+        warm = ThresholdScheme(KeyAuthority(4), threshold=3)
+        first = outcomes(warm)
+        assert outcomes(warm) == first  # second pass: every tag comes from the memo
+        assert outcomes(ThresholdScheme(KeyAuthority(4), threshold=3)) == first  # a cold authority
