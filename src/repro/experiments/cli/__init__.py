@@ -52,12 +52,13 @@ directly as a CI gate.  Exit codes: 0 success, 1 failures/regressions,
 matching records), 130 interrupted (Ctrl-C; the pool is torn down and
 completed records are flushed before exiting).
 
-Each subcommand lives in its own module (``run``, ``report``, ``analyze``,
-``fuzz``, ``compare``) and does exactly three things: parse arguments,
-build a job spec (:mod:`repro.jobs.spec`), and render the outcome of
-submitting it through an :class:`~repro.jobs.session.ExecutionSession`.
-Resource ownership — worker pools, store connections — lives entirely in
-the session layer.
+Each subcommand lives in its own module.  ``run``, ``analyze`` and
+``fuzz`` do exactly three things: parse arguments, build a job spec
+(:mod:`repro.jobs.spec`), and render the outcome of submitting it through
+an :class:`~repro.jobs.session.ExecutionSession`, which owns the worker
+pool and the store connection.  ``report``, ``compare`` and ``stats`` are
+read-only store queries: they open a :class:`~repro.store.store.RunStore`
+themselves and persist nothing.
 """
 
 from __future__ import annotations

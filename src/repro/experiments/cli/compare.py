@@ -1,4 +1,8 @@
-"""The ``compare`` command: diff a store against a reference as a job."""
+"""The ``compare`` command: diff a store against a reference.
+
+A read-only store query: it opens the store itself, never a session, so it
+persists nothing.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +10,9 @@ import argparse
 import pathlib
 import sys
 
-from ...jobs import CompareJob, ExecutionSession
-from ...jobs.status import EXIT_FAILURE, EXIT_OK, STATUS_NO_SOLUTION
-from ...store.store import StoreFormatError
+from ...jobs.status import EXIT_FAILURE, EXIT_OK
+from ...store.query import EmptySliceError, compare_with_reference
+from ...store.store import RunStore, StoreFormatError
 from .common import fail, fail_empty
 
 
@@ -35,23 +39,23 @@ def command_compare(args: argparse.Namespace) -> int:
         return fail(f"store {args.store} does not exist")
     if not args.against.exists():
         return fail(f"reference {args.against} does not exist")
-    job = CompareJob(
-        reference=str(args.against),
-        scenarios=tuple(args.scenario) if args.scenario else (),
-        tolerance=args.tolerance,
-        any_code=args.any_code,
-    )
     try:
-        with ExecutionSession(store_path=args.store) as session:
-            outcome = session.submit(job)
+        with RunStore(args.store) as store:
+            regressions = compare_with_reference(
+                store,
+                args.against,
+                relative_tolerance=args.tolerance,
+                scenarios=args.scenario,
+                any_code=args.any_code,
+            )
+    except EmptySliceError as exc:
+        return fail_empty(str(exc))
     except (ValueError, StoreFormatError) as exc:
         return fail(str(exc))
-    if outcome.status == STATUS_NO_SOLUTION:
-        return fail_empty(outcome.message)
-    for regression in outcome.regressions:
+    for regression in regressions:
         print(f"  REGRESSION {regression}", file=sys.stderr)
-    if outcome.regressions:
-        print(f"{len(outcome.regressions)} regressions against {args.against}", file=sys.stderr)
+    if regressions:
+        print(f"{len(regressions)} regressions against {args.against}", file=sys.stderr)
         return EXIT_FAILURE
     print(f"{args.store} vs {args.against}: no regressions")
     return EXIT_OK

@@ -1,13 +1,17 @@
-"""The ``report`` command: aggregate a stored slice into summary tables."""
+"""The ``report`` command: aggregate a stored slice into summary tables.
+
+A read-only store query: it opens the store itself, never a session, so it
+persists nothing (no telemetry snapshot shadows the last sweep's).
+"""
 
 from __future__ import annotations
 
 import argparse
 import pathlib
 
-from ...jobs import ExecutionSession, ReportJob
-from ...jobs.status import EXIT_OK, STATUS_NO_SOLUTION
-from ...store.store import StoreFormatError
+from ...jobs import SweepJob
+from ...jobs.status import EXIT_OK
+from ...store.store import RunStore, StoreFormatError
 from .common import add_slice_arguments, fail, fail_empty
 
 
@@ -28,39 +32,54 @@ def add_parser(subparsers) -> None:
 def command_report(args: argparse.Namespace) -> int:
     import json
 
-    from ...store import render_markdown, render_table
+    from ...store import render_markdown, render_table, summarize_store
     from ..aggregate import summaries_to_payload
 
     if not args.store.exists():
         return fail(f"store {args.store} does not exist")
-    job = ReportJob(
-        scenarios=tuple(args.scenario) if args.scenario else (),
-        protocols=tuple(args.protocol) if args.protocol else (),
-        adversaries=tuple(args.adversary) if args.adversary else (),
-        delays=tuple(args.delay) if args.delay else (),
-        any_code=args.any_code,
-    )
     try:
-        with ExecutionSession(store_path=args.store) as session:
-            outcome = session.submit(job)
+        with RunStore(args.store) as store:
+            summaries = summarize_store(
+                store,
+                scenarios=args.scenario,
+                protocols=args.protocol,
+                adversaries=args.adversary,
+                delays=args.delay,
+                any_code=args.any_code,
+            )
+            stale = sum(
+                count for code_fp, count in store.code_fingerprints() if code_fp != store.code_fp
+            )
+            # Surface what the slice did NOT compute: the quarantined (poison)
+            # tasks under the current code, and the supervision counters of
+            # the store's most recent sweep snapshot when one was persisted.
+            poison = list(store.iter_poison())
+            telemetry = store.get_telemetry(label=SweepJob.kind)
     except StoreFormatError as exc:
         return fail(str(exc))
-    if outcome.status == STATUS_NO_SOLUTION:
-        return fail_empty(outcome.message)
-    summaries = outcome.summaries
+    supervision = telemetry.snapshot.get("supervision") if telemetry is not None else None
+    if not isinstance(supervision, dict):
+        supervision = None
+    if not summaries:
+        hint = (
+            " (records exist under other code fingerprints; pass --any-code or --rerun the sweep)"
+            if stale and not args.any_code
+            else ""
+        )
+        return fail_empty(f"no stored records match the requested slice{hint}")
     if not args.quiet:
         print(render_table(summaries))
-        if outcome.stale and not args.any_code:
-            print(f"(+{outcome.stale} records under older code fingerprints; --any-code includes them)")
-        if outcome.poison:
-            print(f"poison: {len(outcome.poison)} quarantined task(s) recorded in this store")
-            for entry in outcome.poison:
+        if stale and not args.any_code:
+            print(f"(+{stale} records under older code fingerprints; --any-code includes them)")
+        if poison:
+            print(f"poison: {len(poison)} quarantined task(s) recorded in this store")
+            for entry in poison:
                 print(
                     f"  {entry.scenario} seed={entry.seed}: "
                     f"{entry.reason} ({entry.attempts} attempts)"
                 )
-        if outcome.supervision:
-            pairs = ", ".join(f"{key}={value}" for key, value in sorted(outcome.supervision.items()))
+        if supervision:
+            pairs = ", ".join(f"{key}={value}" for key, value in sorted(supervision.items()))
             print(f"supervision (last sweep): {pairs}")
     if args.markdown is not None:
         args.markdown.write_text(render_markdown(summaries) + "\n")
@@ -74,9 +93,9 @@ def command_report(args: argparse.Namespace) -> int:
                 "attempts": entry.attempts,
                 "reason": entry.reason,
             }
-            for entry in outcome.poison
+            for entry in poison
         ]
-        payload["supervision"] = outcome.supervision
+        payload["supervision"] = supervision
         args.json_output.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
         print(f"wrote JSON summaries for {len(summaries)} scenarios to {args.json_output}")
     return EXIT_OK

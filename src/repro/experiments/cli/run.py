@@ -54,14 +54,6 @@ def add_parser(subparsers) -> None:
     add_resilience_arguments(run)
     add_observability_arguments(run)
     run.add_argument(
-        "--profile",
-        type=pathlib.Path,
-        default=None,
-        metavar="DIR",
-        help="cProfile every run in DIR (one .pstats file per worker process), "
-        "then merge them into DIR/merged.pstats and print the hottest functions",
-    )
-    run.add_argument(
         "--store",
         type=pathlib.Path,
         default=None,
@@ -124,30 +116,6 @@ def load_spec_file(
     return [spec], seeds
 
 
-def _maybe_profiled(profile_dir: Optional[pathlib.Path]):
-    """``worker_profiling`` around the session when ``--profile`` is given."""
-    import contextlib
-
-    from ...obs.profiling import worker_profiling
-
-    if profile_dir is None:
-        return contextlib.nullcontext()
-    return worker_profiling(profile_dir)
-
-
-def _render_profile(profile_dir: pathlib.Path) -> None:
-    """Merge the per-worker ``.pstats`` dumps and print the hottest functions."""
-    from ...obs.profiling import merge_profiles, top_functions
-
-    stats = merge_profiles(profile_dir, output=profile_dir / "merged.pstats")
-    if stats is None:
-        print(f"profile {profile_dir}: no worker profiles recorded (all runs cached?)")
-        return
-    print(f"profile {profile_dir}: merged worker profiles -> {profile_dir / 'merged.pstats'}")
-    for line in top_functions(stats, limit=10):
-        print(f"  {line}")
-
-
 def command_run(args: argparse.Namespace) -> int:
     try:
         if args.spec is not None:
@@ -173,21 +141,18 @@ def command_run(args: argparse.Namespace) -> int:
         collect_records=args.output is not None,
     )
     try:
-        with _maybe_profiled(args.profile):
-            with ExecutionSession(
-                parallel=args.parallel,
-                batch_size=args.batch_size,
-                timeout=args.timeout,
-                store_path=args.store,
-                max_retries=args.max_retries,
-                fail_fast=args.fail_fast,
-                trace_path=args.trace,
-            ) as session:
-                outcome = session.submit(job)
+        with ExecutionSession(
+            parallel=args.parallel,
+            batch_size=args.batch_size,
+            timeout=args.timeout,
+            store_path=args.store,
+            max_retries=args.max_retries,
+            fail_fast=args.fail_fast,
+            trace_path=args.trace,
+        ) as session:
+            outcome = session.submit(job)
     except StoreFormatError as exc:
         return fail(str(exc))
-    if args.profile is not None:
-        _render_profile(args.profile)
 
     summaries = outcome.summaries
     if not args.quiet:

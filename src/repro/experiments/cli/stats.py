@@ -4,9 +4,9 @@ Two sources, one renderer.  Without ``--store`` the command renders the
 *live* process-local registry (:data:`repro.obs.registry.METRICS`) — useful
 when embedding the CLI in a larger process or driving it from tests.  With
 ``--store DB`` it loads a persisted ``telemetry`` snapshot (the executor
-writes one per successful job) and renders the registry state captured at
-the end of that job, plus the job-attributable counter deltas and the
-supervision stats that rode along.
+writes one per successful ``run``/``analyze``/``fuzz`` job) and renders the
+registry state captured at the end of that job, plus the job-attributable
+counter deltas and the supervision stats that rode along.
 
 Output modes mirror the rest of the CLI: human text (default),
 ``--markdown`` table, ``--json`` for machine consumers (`jq`-friendly: the
@@ -23,7 +23,7 @@ import pathlib
 
 from ...jobs.status import EXIT_OK
 from ...obs.registry import METRICS, render_markdown, render_prometheus, render_text
-from ...store.store import StoreFormatError
+from ...store.store import RunStore, StoreFormatError
 from .common import fail, fail_empty
 
 
@@ -69,12 +69,10 @@ def add_parser(subparsers) -> None:
 
 def _load_persisted(args: argparse.Namespace):
     """Load the requested :class:`TelemetrySnapshot`, or an exit code on failure."""
-    from ...jobs import open_run_store
-
     if not args.store.exists():
         return fail(f"store {args.store} does not exist")
     try:
-        with open_run_store(args.store) as store:
+        with RunStore(args.store) as store:
             record = store.get_telemetry(snapshot_id=args.snapshot, label=args.label)
     except StoreFormatError as exc:
         return fail(str(exc))

@@ -32,7 +32,6 @@ import signal
 import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..obs.profiling import profile_directory, profiled_call
 from ..obs.registry import METRICS
 from ..resilience.faults import FaultPlan, FaultState
 from ..resilience.retry import RetryPolicy, TaskQuarantinedError
@@ -73,7 +72,7 @@ def sweep_seeds(count: int, base: int = DEFAULT_SEED) -> Tuple[int, ...]:
 # ----------------------------------------------------------------------
 class _RunTimeout(BaseException):
     """Raised by the alarm handler.  A ``BaseException`` so that no ``except
-    Exception`` between the handler and :func:`_execute_bounded` — in
+    Exception`` between the handler and :func:`execute_with_timeout` — in
     :func:`~repro.experiments.execute.execute_run`, a protocol or a checker —
     can mistake the deadline for a result of the run."""
 
@@ -90,20 +89,12 @@ def _raise_timeout(signum, frame):  # pragma: no cover - signal handler
 
 
 def execute_with_timeout(item: Tuple[ScenarioSpec, int, Optional[float]]) -> RunResult:
-    """Execute one run under the per-run timeout, profiling when requested.
+    """Execute one run under the per-run timeout (the one worker entry point).
 
-    This is the worker entry point for sweeps *and* fuzz campaigns, so the
-    opt-in cProfile hook lives here: when ``REPRO_PROFILE_DIR`` names a
-    directory (exported before the pool was created, hence inherited by
-    every worker), the run executes under this process's accumulating
-    profiler.  Profiled and unprofiled runs return identical records.
+    Sweeps and fuzz campaigns, pooled or in-process, all run through here.
+    ``execute_run`` is looked up in this module's globals on every call, so
+    patching ``runner.execute_run`` reaches every path.
     """
-    if profile_directory() is not None:
-        return profiled_call(_execute_bounded, item)
-    return _execute_bounded(item)
-
-
-def _execute_bounded(item: Tuple[ScenarioSpec, int, Optional[float]]) -> RunResult:
     global _ALARM_ARMED
     spec, seed, timeout = item
     if timeout is None or not hasattr(signal, "SIGALRM"):

@@ -1,50 +1,44 @@
 """Job/session layer: declarative work specs over owned execution resources.
 
-This package separates the three concerns the CLI used to interleave:
+This package separates the three concerns of a sweep, an analysis or a
+fuzz campaign:
 
 * **what to run** — :mod:`repro.jobs.spec`: ``SweepJob`` / ``AnalyzeJob`` /
-  ``FuzzJob`` / ``ReportJob`` / ``CompareJob``, pure picklable dataclasses
-  with canonical payloads and content fingerprints (the exact payloads a
-  future HTTP sweep service will accept over the wire);
+  ``FuzzJob``, pure picklable dataclasses;
 * **who owns the resources** — :mod:`repro.jobs.session`:
   :class:`ExecutionSession`, the *single* place the persistent
-  :class:`~repro.experiments.runner.Runner` pool and the
+  :class:`~repro.experiments.runner.Runner` pool and the session's
   :class:`~repro.store.store.RunStore` connection are constructed, with
   guaranteed teardown (pool terminated first, store flushed or
   :class:`~repro.store.store.StoreFlushError`);
 * **how a job maps to kernels** — :mod:`repro.jobs.executor`:
   :func:`execute_job` dispatches each spec onto the existing pure kernels
   (``Runner.iter_runs``, ``analysis.pipeline.run_analysis``,
-  ``fuzz.engine.run_fuzz``, ``store.query`` aggregation), walking the
-  explicit :mod:`repro.jobs.status` lifecycle
-  (``Initialized → Running → Complete/Error/No Solution``) and streaming
-  :mod:`repro.jobs.events` records to the caller.
+  ``fuzz.engine.run_fuzz``), walking the explicit :mod:`repro.jobs.status`
+  lifecycle (``Initialized → Running → Complete/Error/No Solution``) and
+  streaming :mod:`repro.jobs.events` records to the caller.
 
-The CLI (:mod:`repro.experiments.cli`) is now a thin rendering shell over
-this layer: each subcommand parses arguments, builds a job spec, submits it
-through a session, and prints the outcome.
+The ``run``, ``analyze`` and ``fuzz`` commands of the CLI
+(:mod:`repro.experiments.cli`) are thin rendering shells over this layer:
+each parses arguments, builds a job spec, submits it through a session,
+and prints the outcome.  ``report`` and ``compare`` are read-only store
+queries and open a :class:`~repro.store.store.RunStore` themselves.
 """
 
 from .events import EVENT_LOG, EVENT_PROGRESS, EVENT_STATUS, JobEvent
 from .executor import (
     AnalyzeOutcome,
-    CompareOutcome,
     FuzzOutcome,
-    ReportOutcome,
     SweepOutcome,
     execute_job,
 )
-from .session import ExecutionSession, SessionClosedError, open_run_store
+from .session import ExecutionSession, SessionClosedError
 from .spec import (
     DEFAULT_FUZZ_BASES,
-    JOB_TYPES,
     AnalyzeJob,
-    CompareJob,
     FuzzJob,
     JobSpecError,
-    ReportJob,
     SweepJob,
-    job_from_payload,
     payloads_to_specs,
     resolve_fuzz_bases,
     select_scenarios,
@@ -73,8 +67,6 @@ from .status import (
 __all__ = [
     "AnalyzeJob",
     "AnalyzeOutcome",
-    "CompareJob",
-    "CompareOutcome",
     "DEFAULT_FUZZ_BASES",
     "EVENT_LOG",
     "EVENT_PROGRESS",
@@ -87,13 +79,10 @@ __all__ = [
     "ExecutionSession",
     "FuzzJob",
     "FuzzOutcome",
-    "JOB_TYPES",
     "JobEvent",
     "JobLifecycle",
     "JobSpecError",
     "JobStatusError",
-    "ReportJob",
-    "ReportOutcome",
     "STATUS_COMPLETE",
     "STATUS_ERROR",
     "STATUS_INITIALIZED",
@@ -107,8 +96,6 @@ __all__ = [
     "TERMINAL_STATUSES",
     "execute_job",
     "exit_code_for",
-    "job_from_payload",
-    "open_run_store",
     "payloads_to_specs",
     "resolve_fuzz_bases",
     "select_scenarios",

@@ -13,8 +13,6 @@ job            kernel(s)                                              outcome
 ``sweep``      ``Runner.iter_runs`` + ``StreamingAggregator``         :class:`SweepOutcome`
 ``analyze``    ``analysis.pipeline.run_analysis`` / cross-check       :class:`AnalyzeOutcome`
 ``fuzz``       ``fuzz.engine.run_fuzz`` campaign loop                 :class:`FuzzOutcome`
-``report``     ``store.query.summarize_store``                        :class:`ReportOutcome`
-``compare``    ``store.query.compare_with_reference``                 :class:`CompareOutcome`
 =============  =====================================================  ==================
 
 The executor owns *policy*, not resources: pools and store connections come
@@ -28,9 +26,8 @@ Semantics of the terminal status: ``Complete`` means the job did what was
 asked (a fuzz campaign that *found* violations still completed); ``Error``
 means the job's own outcome is a failure — failing runs in a sweep,
 theory/simulation divergences or an unreadable cross-check reference in an
-analyze, regressions in a compare; ``No Solution`` means the job had
-nothing to operate on (an empty or all-stale store slice).  Exceptions from
-kernels propagate to the caller after an ``Error`` status event.
+analyze.  Exceptions from kernels propagate to the caller after an
+``Error`` status event.
 """
 
 from __future__ import annotations
@@ -44,22 +41,8 @@ from ..experiments.aggregate import ScenarioSummary, StreamingAggregator
 from ..experiments.execute import RunResult
 from ..obs.registry import METRICS
 from .events import EVENT_LOG, EVENT_PROGRESS, EVENT_STATUS, JobEvent
-from .spec import (
-    AnalyzeJob,
-    CompareJob,
-    FuzzJob,
-    JobSpecError,
-    ReportJob,
-    SweepJob,
-    payloads_to_specs,
-)
-from .status import (
-    STATUS_COMPLETE,
-    STATUS_ERROR,
-    STATUS_NO_SOLUTION,
-    STATUS_RUNNING,
-    JobLifecycle,
-)
+from .spec import AnalyzeJob, FuzzJob, JobSpecError, SweepJob, payloads_to_specs
+from .status import STATUS_COMPLETE, STATUS_ERROR, STATUS_RUNNING, JobLifecycle
 
 _EventSink = Optional[Callable[[JobEvent], None]]
 
@@ -114,34 +97,6 @@ class FuzzOutcome:
     store_stats: Optional[Dict[str, int]] = None
 
 
-@dataclass
-class ReportOutcome:
-    """Result of a :class:`ReportJob`: summaries of the stored slice.
-
-    ``poison`` lists the store's quarantined tasks under the current code
-    (runs supervision gave up on — see :meth:`repro.store.RunStore.iter_poison`)
-    and ``supervision`` the supervision counters from the store's latest
-    sweep telemetry snapshot, so a report of a resumed campaign shows what
-    was *not* computed and why, not just what was.
-    """
-
-    status: str
-    summaries: Dict[str, ScenarioSummary] = field(default_factory=dict)
-    stale: int = 0
-    message: Optional[str] = None
-    poison: List[Any] = field(default_factory=list)
-    supervision: Optional[Dict[str, int]] = None
-
-
-@dataclass
-class CompareOutcome:
-    """Result of a :class:`CompareJob`: the regression list."""
-
-    status: str
-    regressions: List[str] = field(default_factory=list)
-    message: Optional[str] = None
-
-
 # ----------------------------------------------------------------------
 # Store-stat deltas: per-job counters on a shared session store
 # ----------------------------------------------------------------------
@@ -154,13 +109,6 @@ def _stats_delta(store: Any, before: Optional[Dict[str, int]]) -> Optional[Dict[
         return None
     after = store.stats.as_dict()
     return {key: after[key] - before[key] for key in after}
-
-
-def _require_store(session: Any, kind: str) -> Any:
-    store = session.store
-    if store is None:
-        raise JobSpecError(f"a {kind} job needs a session with a store (pass store_path)")
-    return store
 
 
 # ----------------------------------------------------------------------
@@ -386,80 +334,10 @@ def _run_fuzz(job: FuzzJob, session: Any, emit: Callable[[JobEvent], None]) -> F
     )
 
 
-def _run_report(job: ReportJob, session: Any, emit: Callable[[JobEvent], None]) -> ReportOutcome:
-    # Lazy: repro.store's own __init__ imports the query layer, which uses
-    # the jobs status constants — a top-level import here would be circular.
-    from ..store.query import summarize_store
-
-    store = _require_store(session, job.kind)
-    with _phase(session, job.kind, "summarize"):
-        summaries = summarize_store(
-            store,
-            scenarios=job.scenarios or None,
-            protocols=job.protocols or None,
-            adversaries=job.adversaries or None,
-            delays=job.delays or None,
-            any_code=job.any_code,
-        )
-    stale = sum(count for code_fp, count in store.code_fingerprints() if code_fp != store.code_fp)
-    # Surface what the slice did NOT compute: the quarantined (poison)
-    # tasks under the current code, and the supervision counters of the
-    # store's most recent sweep snapshot when one was persisted.
-    poison = list(store.iter_poison())
-    supervision: Optional[Dict[str, int]] = None
-    telemetry = store.get_telemetry(label=SweepJob.kind)
-    if telemetry is not None:
-        recorded = telemetry.snapshot.get("supervision")
-        if isinstance(recorded, dict):
-            supervision = recorded
-    if not summaries:
-        hint = (
-            " (records exist under other code fingerprints; pass --any-code or --rerun the sweep)"
-            if stale and not job.any_code
-            else ""
-        )
-        return ReportOutcome(
-            status=STATUS_NO_SOLUTION,
-            stale=stale,
-            message=f"no stored records match the requested slice{hint}",
-            poison=poison,
-            supervision=supervision,
-        )
-    return ReportOutcome(
-        status=STATUS_COMPLETE,
-        summaries=summaries,
-        stale=stale,
-        poison=poison,
-        supervision=supervision,
-    )
-
-
-def _run_compare(job: CompareJob, session: Any, emit: Callable[[JobEvent], None]) -> CompareOutcome:
-    from ..store.query import EmptySliceError, compare_with_reference
-
-    store = _require_store(session, job.kind)
-    try:
-        regressions = compare_with_reference(
-            store,
-            job.reference,
-            relative_tolerance=job.tolerance,
-            scenarios=list(job.scenarios) if job.scenarios else None,
-            any_code=job.any_code,
-        )
-    except EmptySliceError as exc:
-        return CompareOutcome(status=STATUS_NO_SOLUTION, message=str(exc))
-    return CompareOutcome(
-        status=STATUS_ERROR if regressions else STATUS_COMPLETE,
-        regressions=regressions,
-    )
-
-
 _HANDLERS: Dict[str, Callable[..., Any]] = {
     SweepJob.kind: _run_sweep,
     AnalyzeJob.kind: _run_analyze,
     FuzzJob.kind: _run_fuzz,
-    ReportJob.kind: _run_report,
-    CompareJob.kind: _run_compare,
 }
 
 
@@ -518,11 +396,7 @@ def execute_job(job: Any, session: Any, on_event: _EventSink = None) -> Any:
         )
     lifecycle.transition(STATUS_RUNNING)
     emit_status()
-    job_span = (
-        trace.span(f"job.{kind}", fingerprint=getattr(job, "fingerprint", lambda: None)())
-        if trace is not None
-        else contextlib.nullcontext()
-    )
+    job_span = trace.span(f"job.{kind}") if trace is not None else contextlib.nullcontext()
     try:
         with job_span, METRICS.timer(f"job.{kind}.wall").time():
             outcome = handler(job, session, emit)

@@ -5,9 +5,9 @@ Everything stateful about running jobs lives here.  An
 :class:`~repro.experiments.runner.Runner` (and therefore one worker pool)
 and at most one :class:`~repro.store.store.RunStore` connection, both
 created lazily on first use and torn down exactly once — the session is the
-only place in the library that constructs either (a kernel called without
-a runner falls back to a serial ``Runner()``, which owns no pool and needs
-no teardown).  Jobs are pure data
+only place in the library that builds a pool (a kernel called without a
+runner falls back to a serial ``Runner()``, which owns no pool and needs no
+teardown).  Jobs are pure data
 (:mod:`repro.jobs.spec`); kernels are pure functions; the session is the
 process-ownership boundary between them, which is what lets many jobs share
 one warm pool and one store connection::
@@ -39,17 +39,6 @@ from ..obs.trace import TraceSink
 from ..resilience.faults import FaultPlan
 from ..resilience.retry import RetryPolicy
 from ..store.store import RunStore
-
-
-def open_run_store(path: Union[str, pathlib.Path], **options: Any) -> RunStore:
-    """Open a standalone :class:`RunStore` (a context manager; close it).
-
-    The construction funnel for store connections that are *not* the
-    session's own — the reference side of a compare, a cross-check source.
-    Sessions and this helper are the only places a store is constructed, so
-    "who owns this connection" is always answerable.
-    """
-    return RunStore(path, **options)
 
 
 class SessionClosedError(RuntimeError):
@@ -87,8 +76,8 @@ class ExecutionSession:
             descriptive only — traced and untraced sessions produce
             byte-identical records and outcomes.
 
-    Both resources are lazy: a session that only runs :class:`ReportJob`\\ s
-    never spawns a pool, and a storeless sweep never touches SQLite.  A
+    Both resources are lazy: a serial session never spawns a pool, and a
+    storeless sweep never touches SQLite.  A
     failed store open (:class:`~repro.store.store.StoreFormatError`)
     propagates to the caller with the runner still in a clean state.
     """

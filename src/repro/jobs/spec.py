@@ -1,30 +1,18 @@
 """Job specifications: pure, picklable descriptions of work to execute.
 
-A *job* is everything a client needs to say about one unit of orchestrated
+A *job* is everything a caller needs to say about one unit of orchestrated
 work — which scenarios, which seeds, which knobs — and nothing about *how*
 it runs (no pools, no store connections, no file handles).  Each job type
 is a frozen dataclass whose fields are plain scalars and tuples, so a spec
-can be pickled to a worker, serialised over a wire, or content-addressed:
+can be pickled to a worker and compared by value:
 
 * :class:`SweepJob` — execute ``scenarios × seeds`` (the ``run`` command);
 * :class:`AnalyzeJob` — classify validity-property families and optionally
   cross-check them against recorded summaries (``analyze``);
-* :class:`FuzzJob` — one coverage-guided mutation campaign (``fuzz``);
-* :class:`ReportJob` — aggregate a stored slice into summaries (``report``);
-* :class:`CompareJob` — diff the store against a reference (``compare``).
-
-Every job has a canonical :meth:`payload` (JSON-ready, deterministic) and a
-:meth:`fingerprint` derived through the same
-:func:`~repro.store.fingerprint.payload_fingerprint` convention the run
-store keys on, so identical requests hash identically no matter who built
-them.  :func:`job_from_payload` is the inverse — the entry point a future
-HTTP service will feed wire payloads through — and
-``job_from_payload(job.payload()) == job`` round-trips exactly for every
-job type.
+* :class:`FuzzJob` — one coverage-guided mutation campaign (``fuzz``).
 
 Scenario-bearing jobs carry their scenarios as *canonical payload strings*
-(:func:`specs_to_payloads`), not live :class:`ScenarioSpec` objects: the
-strings are hashable, picklable and wire-safe, and
+(:func:`specs_to_payloads`), not live :class:`ScenarioSpec` objects, and
 :func:`payloads_to_specs` rebuilds the exact specs on the executing side.
 Invalid field combinations raise :class:`JobSpecError` at construction
 time, so a malformed request dies before it ever reaches a session.
@@ -34,11 +22,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Any, ClassVar, List, Optional, Sequence, Tuple
 
 from ..experiments.runner import DEFAULT_SEED
 from ..experiments.scenario import ScenarioSpec, default_matrix, find_scenarios, make_scenario
-from ..store.fingerprint import canonical_form, payload_fingerprint, spec_from_payload, spec_payload
+from ..store.fingerprint import canonical_form, spec_from_payload, spec_payload
 
 DEFAULT_FUZZ_BASES = ("binary+none+partition", "quad+none+synchronous")
 """Default fuzz bases: one leaderless and one leader-based protocol, with
@@ -49,19 +37,16 @@ class JobSpecError(ValueError):
     """The job specification itself is invalid (a configuration error).
 
     Raised at spec construction or resolution time — before any kernel has
-    run — so the CLI maps it to :data:`~repro.jobs.status.EXIT_CONFIG` and a
-    service would map it to a 4xx response.
+    run — so the CLI maps it to :data:`~repro.jobs.status.EXIT_CONFIG`.
     """
 
 
-def _canonical_dumps(payload: Any) -> str:
-    """The one serialisation every payload string in a job spec uses."""
-    return json.dumps(canonical_form(payload), sort_keys=True, separators=(",", ":"))
-
-
 def specs_to_payloads(specs: Sequence[ScenarioSpec]) -> Tuple[str, ...]:
-    """Encode scenarios as canonical payload strings (hashable, wire-safe)."""
-    return tuple(_canonical_dumps(spec_payload(spec)) for spec in specs)
+    """Encode scenarios as canonical, hashable payload strings."""
+    return tuple(
+        json.dumps(canonical_form(spec_payload(spec)), sort_keys=True, separators=(",", ":"))
+        for spec in specs
+    )
 
 
 def payloads_to_specs(payloads: Sequence[str]) -> List[ScenarioSpec]:
@@ -142,29 +127,6 @@ class SweepJob:
                 "deterministic, so a repeated seed would just sweep the same runs twice"
             )
 
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "scenarios": [json.loads(text) for text in self.scenario_payloads],
-            "seeds": list(self.seeds),
-            "rerun": self.rerun,
-            "collect_records": self.collect_records,
-        }
-
-    def fingerprint(self) -> str:
-        return payload_fingerprint(self.payload())
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "SweepJob":
-        return cls(
-            scenario_payloads=tuple(
-                _canonical_dumps(record) for record in payload["scenarios"]
-            ),
-            seeds=tuple(payload["seeds"]),
-            rerun=bool(payload.get("rerun", False)),
-            collect_records=bool(payload.get("collect_records", False)),
-        )
-
 
 _ANALYZE_FAMILIES = ("named", "enumerated", "sampled")
 
@@ -191,25 +153,6 @@ class AnalyzeJob:
         if self.cross_check_reference is not None:
             object.__setattr__(self, "cross_check_reference", str(self.cross_check_reference))
 
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "families": list(self.families),
-            "cross_check_reference": self.cross_check_reference,
-            "rerun": self.rerun,
-        }
-
-    def fingerprint(self) -> str:
-        return payload_fingerprint(self.payload())
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "AnalyzeJob":
-        return cls(
-            families=tuple(payload.get("families", _ANALYZE_FAMILIES)),
-            cross_check_reference=payload.get("cross_check_reference"),
-            rerun=bool(payload.get("rerun", False)),
-        )
-
 
 @dataclass(frozen=True)
 class FuzzJob:
@@ -229,126 +172,3 @@ class FuzzJob:
             raise JobSpecError("fuzzing needs at least one base scenario")
         if self.budget < 1:
             raise JobSpecError("fuzz budget must be at least 1")
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "bases": [json.loads(text) for text in self.base_payloads],
-            "budget": self.budget,
-            "fuzz_seed": self.fuzz_seed,
-            "base_seed": self.base_seed,
-            "shrink": self.shrink,
-        }
-
-    def fingerprint(self) -> str:
-        return payload_fingerprint(self.payload())
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "FuzzJob":
-        return cls(
-            base_payloads=tuple(_canonical_dumps(record) for record in payload["bases"]),
-            budget=int(payload.get("budget", 200)),
-            fuzz_seed=int(payload.get("fuzz_seed", DEFAULT_SEED)),
-            base_seed=int(payload.get("base_seed", DEFAULT_SEED)),
-            shrink=bool(payload.get("shrink", True)),
-        )
-
-
-@dataclass(frozen=True)
-class ReportJob:
-    """Aggregate a stored slice into per-scenario summary tables."""
-
-    kind: ClassVar[str] = "report"
-
-    scenarios: Tuple[str, ...] = ()
-    protocols: Tuple[str, ...] = ()
-    adversaries: Tuple[str, ...] = ()
-    delays: Tuple[str, ...] = ()
-    any_code: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("scenarios", "protocols", "adversaries", "delays"):
-            _as_tuple(self, name, getattr(self, name))
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "scenarios": list(self.scenarios),
-            "protocols": list(self.protocols),
-            "adversaries": list(self.adversaries),
-            "delays": list(self.delays),
-            "any_code": self.any_code,
-        }
-
-    def fingerprint(self) -> str:
-        return payload_fingerprint(self.payload())
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "ReportJob":
-        return cls(
-            scenarios=tuple(payload.get("scenarios", ())),
-            protocols=tuple(payload.get("protocols", ())),
-            adversaries=tuple(payload.get("adversaries", ())),
-            delays=tuple(payload.get("delays", ())),
-            any_code=bool(payload.get("any_code", False)),
-        )
-
-
-@dataclass(frozen=True)
-class CompareJob:
-    """Diff the session's store against a reference store or JSON baseline."""
-
-    kind: ClassVar[str] = "compare"
-
-    reference: str
-    scenarios: Tuple[str, ...] = ()
-    tolerance: float = 0.2
-    any_code: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "reference", str(self.reference))
-        _as_tuple(self, "scenarios", self.scenarios)
-        if not self.reference:
-            raise JobSpecError("a compare job needs a reference path")
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "reference": self.reference,
-            "scenarios": list(self.scenarios),
-            "tolerance": self.tolerance,
-            "any_code": self.any_code,
-        }
-
-    def fingerprint(self) -> str:
-        return payload_fingerprint(self.payload())
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "CompareJob":
-        return cls(
-            reference=payload["reference"],
-            scenarios=tuple(payload.get("scenarios", ())),
-            tolerance=float(payload.get("tolerance", 0.2)),
-            any_code=bool(payload.get("any_code", False)),
-        )
-
-
-JOB_TYPES: Dict[str, Type[Any]] = {
-    job_type.kind: job_type
-    for job_type in (SweepJob, AnalyzeJob, FuzzJob, ReportJob, CompareJob)
-}
-"""Every job type by its wire ``kind`` (the dispatch table services use)."""
-
-
-def job_from_payload(payload: Mapping[str, Any]) -> Any:
-    """Rebuild a job spec from its :meth:`payload` form (wire entry point)."""
-    if not isinstance(payload, Mapping):
-        raise JobSpecError(f"a job payload must be a mapping, got {type(payload).__name__}")
-    kind = payload.get("kind")
-    job_type = JOB_TYPES.get(kind)
-    if job_type is None:
-        raise JobSpecError(f"unknown job kind {kind!r}; known: {sorted(JOB_TYPES)}")
-    try:
-        return job_type.from_payload(payload)
-    except (KeyError, TypeError) as exc:
-        raise JobSpecError(f"{kind} job payload has missing or invalid fields: {exc}") from None

@@ -12,8 +12,8 @@ the executor has started driving kernels; the three terminal states mean,
 respectively: the job finished cleanly (``Complete``), the job finished but
 its outcome is a failure — failing runs, regressions, theory/simulation
 divergences, or an exception (``Error``) — and the job had nothing to work
-on: an empty or all-stale store slice (``No Solution``).  Any other
-transition is a programming error and :class:`JobStatusError` refuses it.
+on (``No Solution``).  Any other transition is a programming error and
+:class:`JobStatusError` refuses it.
 
 The same module owns the process exit codes the CLI maps those terminal
 states onto, and the two summary-row status strings (``ok``/``FAIL``)
@@ -42,7 +42,7 @@ STATUS_ERROR = "Error"
 """Terminal: the job finished with failures (or died on an exception)."""
 
 STATUS_NO_SOLUTION = "No Solution"
-"""Terminal: the job had nothing to operate on (empty/all-stale slice)."""
+"""Terminal: the job had nothing to operate on."""
 
 TERMINAL_STATUSES: FrozenSet[str] = frozenset(
     {STATUS_COMPLETE, STATUS_ERROR, STATUS_NO_SOLUTION}

@@ -1,4 +1,4 @@
-"""Observability: metrics registry, structured tracing, profiling hooks.
+"""Observability: metrics registry and structured tracing.
 
 Everything in this package is **descriptive, never load-bearing** — the
 execution layers emit telemetry into it, and nothing reads telemetry back
@@ -30,14 +30,6 @@ from .trace import (
     TRACE_FORMAT_VERSION,
     TraceSink,
 )
-from .profiling import (
-    PROFILE_DIR_ENV,
-    merge_profiles,
-    profile_directory,
-    profiled_call,
-    top_functions,
-    worker_profiling,
-)
 
 __all__ = [
     "METRICS",
@@ -56,10 +48,4 @@ __all__ = [
     "RECORD_SPAN_START",
     "TRACE_FORMAT_VERSION",
     "TraceSink",
-    "PROFILE_DIR_ENV",
-    "merge_profiles",
-    "profile_directory",
-    "profiled_call",
-    "top_functions",
-    "worker_profiling",
 ]

@@ -110,9 +110,7 @@ def load_reference_summaries(
     if not path.exists():
         raise FileNotFoundError(f"reference {path} does not exist")
     if is_run_store(path):
-        from ..jobs.session import open_run_store
-
-        with open_run_store(path) as reference:
+        with RunStore(path) as reference:
             return summaries_to_payload(summarize_store(reference, any_code=any_code))["scenarios"]
     return load_baseline(path)
 

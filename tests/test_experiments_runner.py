@@ -165,6 +165,26 @@ class TestRunner:
         assert result.error is not None and result.error.startswith(TIMEOUT_ERROR_PREFIX)
         assert result.agreement is None and not result.completed
 
+    @pytest.mark.parametrize("timeout", [None, 30.0])
+    def test_serial_runs_resolve_execute_run_through_the_runner_module(self, monkeypatch, timeout):
+        # The one worker entry looks execute_run up in runner's globals on
+        # every call, with or without a deadline, so patching it there sees
+        # every run of an in-process sweep.
+        from repro.experiments import runner as runner_module
+
+        seen = []
+
+        def recording_execute(spec, seed):
+            seen.append((spec.name, seed))
+            return execute_run(spec, seed)
+
+        monkeypatch.setattr(runner_module, "execute_run", recording_execute)
+        results = Runner(timeout=timeout).run(SWEEP[:2], SEEDS)
+        assert seen == [(spec.name, seed) for spec in SWEEP[:2] for seed in SEEDS]
+        assert canonical_trace(results) == canonical_trace(
+            [execute_run(spec, seed) for spec in SWEEP[:2] for seed in SEEDS]
+        )
+
 
 class TestAggregation:
     def test_summary_counts_and_determinism(self):

@@ -1,21 +1,25 @@
 """The job/session layer: specs, lifecycle, session ownership, teardown.
 
 Covers the contracts the architecture hangs on: the lifecycle state machine
-rejects illegal transitions; every job type round-trips through its wire
-payload; one session runs sweep → analyze → fuzz on a single pool and store
-(and a warm second submit executes nothing); and teardown is exception-safe
-— the pool dies and the store flushes even when a job blows up mid-flight
-or a streaming generator is abandoned.
+rejects illegal transitions; every job type survives pickling and rejects
+invalid fields at construction; one session runs sweep → analyze → fuzz on
+a single pool and store (and a warm second submit executes nothing); the
+``run`` command writes exactly the bytes ``ExecutionSession.submit``
+produces; and teardown is exception-safe — the pool dies and the store
+flushes even when a job blows up mid-flight or a streaming generator is
+abandoned.
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
-from repro.experiments import DEFAULT_SEED, execute_run, make_scenario
+from repro.experiments import DEFAULT_SEED, execute_run
+from repro.experiments.aggregate import results_to_json, write_baseline
+from repro.experiments.cli import main as cli_main
 from repro.jobs import (
     AnalyzeJob,
-    CompareJob,
     EVENT_LOG,
     EVENT_PROGRESS,
     EVENT_STATUS,
@@ -24,7 +28,6 @@ from repro.jobs import (
     JobLifecycle,
     JobSpecError,
     JobStatusError,
-    ReportJob,
     SessionClosedError,
     STATUS_COMPLETE,
     STATUS_ERROR,
@@ -33,13 +36,13 @@ from repro.jobs import (
     STATUS_RUNNING,
     SweepJob,
     exit_code_for,
-    job_from_payload,
-    open_run_store,
+    payloads_to_specs,
     resolve_fuzz_bases,
     select_scenarios,
     specs_to_payloads,
     summary_status,
 )
+from repro.jobs.status import EXIT_CONFIG
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.store import RunStore
 from repro.store.store import StoreFlushError
@@ -98,7 +101,7 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Spec round-trips: payload() → job_from_payload → identical spec
+# Spec round-trips: pickle → identical spec; bad fields die at construction
 # ----------------------------------------------------------------------
 class TestSpecRoundTrip:
     def jobs(self, tmp_path):
@@ -111,36 +114,36 @@ class TestSpecRoundTrip:
                 fuzz_seed=3,
                 shrink=False,
             ),
-            ReportJob(scenarios=("a", "b"), protocols=("binary",), any_code=True),
-            CompareJob(reference=str(tmp_path / "base.json"), scenarios=("a",), tolerance=0.5),
         ]
 
     def test_every_job_type_round_trips(self, tmp_path):
+        # A job's scenarios travel as canonical payload strings: decoding
+        # them and re-encoding the specs rebuilds an equal job.
         for job in self.jobs(tmp_path):
-            rebuilt = job_from_payload(job.payload())
-            assert rebuilt == job
-            assert rebuilt.fingerprint() == job.fingerprint()
-
-    def test_fingerprints_are_distinct_and_content_addressed(self, tmp_path):
-        fingerprints = {job.fingerprint() for job in self.jobs(tmp_path)}
-        assert len(fingerprints) == len(self.jobs(tmp_path))
-        assert SweepJob(slice_payloads()).fingerprint() == SweepJob(slice_payloads()).fingerprint()
-        assert (
-            SweepJob(slice_payloads()).fingerprint()
-            != SweepJob(slice_payloads(), seeds=(5,)).fingerprint()
-        )
+            rebuilt = {
+                name: specs_to_payloads(payloads_to_specs(value))
+                for name, value in vars(job).items()
+                if name.endswith("_payloads")
+            }
+            assert dataclasses.replace(job, **rebuilt) == job
+        sweep = self.jobs(tmp_path)[0]
+        assert payloads_to_specs(sweep.scenario_payloads) == select_scenarios(SLICE)
 
     def test_jobs_are_picklable(self, tmp_path):
         for job in self.jobs(tmp_path):
             assert pickle.loads(pickle.dumps(job)) == job
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(JobSpecError, match="unknown job kind"):
-            job_from_payload({"kind": "teleport"})
-
     def test_missing_fields_rejected(self):
-        with pytest.raises(JobSpecError, match="missing or invalid"):
-            job_from_payload({"kind": "sweep"})
+        # A scenario payload with missing fields (or no JSON at all) is a
+        # spec error, raised while the job's inputs are resolved and before
+        # the session starts a runner.
+        for payload in ('{"name": "binary+silent+synchronous"}', "not json"):
+            with pytest.raises(JobSpecError, match="invalid scenario payload"):
+                payloads_to_specs([payload])
+        with ExecutionSession() as session:
+            with pytest.raises(JobSpecError, match="invalid scenario payload"):
+                session.submit(SweepJob(('{"name": "x"}',)))
+            assert session._runner is None
 
     def test_invalid_specs_die_at_construction(self):
         with pytest.raises(JobSpecError, match="no scenarios"):
@@ -151,8 +154,6 @@ class TestSpecRoundTrip:
             FuzzJob(slice_payloads(), budget=0)
         with pytest.raises(JobSpecError, match="unknown property families"):
             AnalyzeJob(families=("named", "imagined"))
-        with pytest.raises(JobSpecError, match="reference"):
-            CompareJob(reference="")
 
     def test_unknown_fuzz_base_rejected(self):
         with pytest.raises(JobSpecError, match="unknown fuzz base"):
@@ -218,20 +219,62 @@ class TestSessionReuse:
         assert outcome.status == STATUS_COMPLETE
         assert outcome.store_stats is None
 
-    def test_store_requiring_jobs_fail_without_store(self):
-        with ExecutionSession() as session:
-            with pytest.raises(JobSpecError, match="needs a session with a store"):
-                session.submit(ReportJob())
-            with pytest.raises(JobSpecError, match="needs a session with a store"):
-                session.submit(CompareJob(reference="base.json"))
+    def test_store_requiring_jobs_fail_without_store(self, tmp_path, capsys):
+        # report and compare read a store outside any session and never
+        # create one: without --store they do not parse, and a missing store
+        # is a configuration error that leaves no file behind.
+        for command in (["report"], ["compare", "--against", "base.json"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main(command)
+            assert excinfo.value.code == EXIT_CONFIG
+        absent = tmp_path / "absent.db"
+        assert cli_main(["report", "--store", str(absent)]) == EXIT_CONFIG
+        assert cli_main(["compare", "--store", str(absent), "--against", str(absent)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count(f"store {absent} does not exist") == 2
+        assert not absent.exists()
 
-    def test_report_no_solution_on_empty_store(self, tmp_path):
-        with ExecutionSession(store_path=tmp_path / "empty.db") as session:
-            session.store  # create the store file
-            outcome = session.submit(ReportJob())
-        assert outcome.status == STATUS_NO_SOLUTION
-        assert "no stored records" in outcome.message
-        assert exit_code_for(outcome.status) == 3
+    def test_report_no_solution_on_empty_store(self, tmp_path, capsys):
+        # An empty store answers No Solution to both read-only queries, and
+        # reading it writes nothing into it (no telemetry snapshot).
+        empty, baseline = tmp_path / "empty.db", tmp_path / "baseline.json"
+        RunStore(empty).close()
+        assert cli_main([
+            "run", "--scenario", SLICE[0], "--seeds", "1", "--quiet", "--write-baseline", str(baseline),
+        ]) == 0
+        capsys.readouterr()
+        no_solution = exit_code_for(STATUS_NO_SOLUTION)
+        assert cli_main(["report", "--store", str(empty)]) == no_solution
+        assert "no stored records" in capsys.readouterr().err
+        assert cli_main(["compare", "--store", str(empty), "--against", str(baseline)]) == no_solution
+        assert "has no records" in capsys.readouterr().err
+        with RunStore(empty) as store:
+            assert store.count(any_code=True) == 0
+            assert list(store.iter_telemetry()) == []
+
+    def test_cli_run_writes_the_bytes_the_job_api_produces(self, tmp_path):
+        # The run command is a rendering shell over ExecutionSession.submit:
+        # its --output records and --write-baseline summary are byte-identical
+        # to the same job's.  A warm resubmit executing nothing is
+        # test_warm_second_submit_executes_nothing.
+        protocols, seeds = ["binary", "quad"], (DEFAULT_SEED, DEFAULT_SEED + 1)
+        cli_records, cli_baseline = tmp_path / "cli_records.json", tmp_path / "cli_baseline.json"
+        assert cli_main([
+            "run", "--protocol", *protocols, "--seeds", ",".join(map(str, seeds)), "--quiet",
+            "--store", str(tmp_path / "cli.db"),
+            "--output", str(cli_records), "--write-baseline", str(cli_baseline),
+        ]) == 0
+        job = SweepJob(
+            specs_to_payloads(select_scenarios(protocols=protocols)),
+            seeds=seeds,
+            collect_records=True,
+        )
+        with ExecutionSession(store_path=tmp_path / "api.db") as session:
+            outcome = session.submit(job)
+        assert outcome.run_count > 0
+        assert cli_records.read_text() == results_to_json(outcome.records) + "\n"
+        api_baseline = tmp_path / "api_baseline.json"
+        write_baseline(api_baseline, outcome.summaries)
+        assert cli_baseline.read_bytes() == api_baseline.read_bytes()
 
     def test_unknown_job_type_is_spec_error(self):
         events = []
@@ -359,11 +402,3 @@ class TestTeardown:
         assert session._store is None
         with RunStore(tmp_path / "runs.db") as reopened:
             assert sum(1 for _ in reopened.iter_records()) == len(SLICE)
-
-    def test_open_run_store_is_context_managed(self, tmp_path):
-        path = tmp_path / "runs.db"
-        with open_run_store(path) as store:
-            assert isinstance(store, RunStore)
-        # Reopening proves the connection was cleanly closed.
-        with open_run_store(path) as store:
-            assert store.stats.hits == 0

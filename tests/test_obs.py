@@ -1,11 +1,11 @@
 """Observability: metrics registry, trace sink, telemetry persistence, stats CLI.
 
 The hard contract under test: telemetry is **descriptive, never
-load-bearing**.  Traced/profiled/metered executions must produce
-byte-identical run records and summaries to bare ones, on or off, serial
-or parallel.  Everything else here covers the instruments themselves —
-registry semantics, JSONL trace structure, the persisted ``telemetry``
-table, the ``stats`` subcommand and the cProfile worker hooks.
+load-bearing**.  Traced/metered executions must produce byte-identical
+run records and summaries to bare ones, on or off, serial or parallel.
+Everything else here covers the instruments themselves — registry
+semantics, JSONL trace structure, the persisted ``telemetry`` table and
+the ``stats`` subcommand.
 """
 
 import io
@@ -21,28 +21,22 @@ from repro.jobs import (
     ExecutionSession,
     JobEvent,
     SweepJob,
-    open_run_store,
     select_scenarios,
     specs_to_payloads,
 )
 from repro.obs import (
     METRICS,
     MetricsRegistry,
-    PROFILE_DIR_ENV,
     RECORD_EVENT,
     RECORD_SPAN_END,
     RECORD_SPAN_START,
     TIMER_BUCKETS,
     TraceSink,
-    merge_profiles,
-    profile_directory,
     render_markdown,
     render_prometheus,
     render_text,
     set_enabled,
     telemetry_enabled,
-    top_functions,
-    worker_profiling,
 )
 from repro.store import RunStore
 
@@ -314,6 +308,23 @@ class TestTelemetryNeutrality:
         serial = run_sweep()
         parallel = run_sweep(trace_path=tmp_path / "t.jsonl", parallel=2)
         assert results_to_json(serial.records) == results_to_json(parallel.records)
+        # The real trace is well formed: a versioned header, every record
+        # sequenced by its line index, and spans closed innermost first.
+        records = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+        assert records[0]["name"] == "trace" and records[0]["version"] == 1
+        open_spans = []
+        for index, record in enumerate(records):
+            assert {"sequence", "record", "name", "parent", "t"} <= record.keys()
+            assert record["sequence"] == index
+            if record["record"] == RECORD_SPAN_START:
+                open_spans.append(record["name"])
+            elif record["record"] == RECORD_SPAN_END:
+                assert open_spans.pop() == record["name"]
+                assert record["duration"] >= 0
+            else:
+                assert record["record"] == RECORD_EVENT
+        assert open_spans == []
+        assert {"job.sweep", "phase.execute"} <= {r["name"] for r in records}
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +360,7 @@ class TestTelemetryTable:
 
     def test_sweep_job_persists_a_snapshot_with_nonzero_counters(self, tmp_path):
         run_sweep(store_path=tmp_path / "runs.db")
-        with open_run_store(tmp_path / "runs.db") as store:
+        with RunStore(tmp_path / "runs.db") as store:
             record = store.get_telemetry(label="sweep")
         assert record is not None
         counters = record.snapshot["registry"]["counters"]
@@ -445,12 +456,29 @@ class TestStatsCli:
         assert payload["registry"]["counters"]["runner.tasks.dispatched"] == 4
 
     def test_snapshot_id_and_label_selection(self, populated, capsys):
-        with open_run_store(populated) as store:
+        with RunStore(populated) as store:
             wanted = store.put_telemetry("fuzz", {"registry": {"counters": {"only.me": 9}}})
         assert run_cli("stats", "--store", str(populated), "--label", "fuzz", "--json") == 0
         assert json.loads(capsys.readouterr().out)["registry"]["counters"]["only.me"] == 9
         assert run_cli("stats", "--store", str(populated), "--snapshot", str(wanted), "--json") == 0
         assert json.loads(capsys.readouterr().out)["snapshot_id"] == wanted
+
+    def test_read_only_commands_leave_the_sweep_snapshot_latest(self, tmp_path, capsys):
+        db, baseline = tmp_path / "runs.db", tmp_path / "baseline.json"
+        assert run_cli(
+            "run", "--scenario", *SLICE, "--seeds", "2", "--store", str(db), "--quiet",
+            "--write-baseline", str(baseline),
+        ) == 0
+        assert run_cli("report", "--store", str(db), "--quiet") == 0
+        assert run_cli("compare", "--store", str(db), "--against", str(baseline)) == 0
+        capsys.readouterr()
+        assert run_cli("stats", "--store", str(db), "--json") == 0
+        assert json.loads(capsys.readouterr().out)["label"] == "sweep"
+
+    def test_run_stats_flag_prints_the_live_registry(self, capsys):
+        assert run_cli("run", "--scenario", *SLICE, "--seeds", "2", "--quiet", "--stats") == 0
+        out = capsys.readouterr().out
+        assert "telemetry:" in out and "runner.tasks.dispatched = 4" in out
 
     def test_markdown_and_prometheus_outputs(self, populated, tmp_path, capsys):
         assert run_cli("stats", "--store", str(populated), "--markdown") == 0
@@ -473,60 +501,13 @@ class TestStatsCli:
 
 
 # ----------------------------------------------------------------------
-# Profiling hooks
-# ----------------------------------------------------------------------
-class TestProfiling:
-    def test_worker_profiling_exports_and_restores_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(PROFILE_DIR_ENV, raising=False)
-        assert profile_directory() is None
-        with worker_profiling(tmp_path / "prof"):
-            assert profile_directory() == str(tmp_path / "prof")
-        assert profile_directory() is None
-
-    def test_profiled_sweep_dumps_and_merges(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(PROFILE_DIR_ENV, raising=False)
-        profile_dir = tmp_path / "prof"
-        with worker_profiling(profile_dir):
-            run_sweep()
-        dumps = list(profile_dir.glob("worker-*.pstats"))
-        assert dumps, "serial sweep should leave this process's profile behind"
-        stats = merge_profiles(profile_dir, output=profile_dir / "merged.pstats")
-        assert stats is not None
-        assert (profile_dir / "merged.pstats").exists()
-        lines = top_functions(stats, limit=5)
-        assert 0 < len(lines) <= 5
-        assert all("calls" in line for line in lines)
-
-    def test_merge_skips_corrupt_dumps(self, tmp_path):
-        (tmp_path / "worker-1.pstats").write_bytes(b"not a pstats dump")
-        assert merge_profiles(tmp_path) is None
-
-    def test_run_profile_flag_end_to_end(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(PROFILE_DIR_ENV, raising=False)
-        profile_dir = tmp_path / "prof"
-        code = run_cli(
-            "run", "--scenario", SLICE[0], "--seeds", "1", "--profile", str(profile_dir), "--quiet"
-        )
-        assert code == 0
-        assert (profile_dir / "merged.pstats").exists()
-        assert "profile" in capsys.readouterr().out
-
-    def test_profiled_run_is_byte_identical_to_bare(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(PROFILE_DIR_ENV, raising=False)
-        bare = run_sweep()
-        with worker_profiling(tmp_path / "prof"):
-            profiled = run_sweep()
-        assert results_to_json(bare.records) == results_to_json(profiled.records)
-
-
-# ----------------------------------------------------------------------
 # report surfaces poison + supervision
 # ----------------------------------------------------------------------
 class TestReportSurfacesPoisonAndSupervision:
     def test_report_text_and_json_include_poison_and_supervision(self, tmp_path, capsys):
         db = tmp_path / "runs.db"
         assert run_cli("run", "--scenario", *SLICE, "--seeds", "2", "--store", str(db), "--quiet") == 0
-        with open_run_store(db) as store:
+        with RunStore(db) as store:
             spec = select_scenarios([SLICE[0]])[0]
             store.put_poison(spec, 99, attempts=3, reason="worker kept dying")
         capsys.readouterr()

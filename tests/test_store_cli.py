@@ -155,13 +155,61 @@ class TestReport:
         assert run_cli("report", "--store", str(tmp_path / "absent.db")) == 2
         assert "does not exist" in capsys.readouterr().err
 
-    def test_report_empty_slice_exits_3(self, populated, capsys):
+    def test_report_empty_slice_exits_3(self, populated, tmp_path, capsys):
         # Empty slice is its own exit code (3), distinct from configuration
         # errors (2): CI can tell "nothing matched" from "you asked wrongly".
         assert run_cli("report", "--store", str(populated), "--protocol", "universal-compact") == 3
         err = capsys.readouterr().err
         assert "no stored records" in err
         assert len(err.strip().splitlines()) == 1
+        # A store that holds nothing at all is the same empty slice.
+        empty = tmp_path / "empty.db"
+        RunStore(empty).close()
+        assert run_cli("report", "--store", str(empty)) == 3
+        assert capsys.readouterr().err == "empty slice: no stored records match the requested slice\n"
+
+    def test_report_counts_records_under_older_code(self, populated, capsys):
+        # Records an earlier build stored stay out of the table by default,
+        # but the report says how many there are.
+        spec = make_scenario("binary", "silent", "synchronous")
+        with RunStore(populated, code_fp="built-by-older-code") as store:
+            store.put(spec, execute_run(spec, DEFAULT_SEED + 7))
+        capsys.readouterr()
+        assert run_cli("report", "--store", str(populated)) == 0
+        out = capsys.readouterr().out
+        assert "(+1 records under older code fingerprints; --any-code includes them)" in out
+        assert run_cli("report", "--store", str(populated), "--any-code") == 0
+        assert "older code fingerprints" not in capsys.readouterr().out
+
+    def test_report_all_stale_store_points_at_any_code(self, tmp_path, capsys):
+        stale = tmp_path / "stale.db"
+        spec = make_scenario("binary", "silent", "synchronous")
+        with RunStore(stale, code_fp="built-by-older-code") as store:
+            store.put(spec, execute_run(spec, DEFAULT_SEED))
+        assert run_cli("report", "--store", str(stale)) == 3
+        assert "pass --any-code or --rerun the sweep" in capsys.readouterr().err
+        assert run_cli("report", "--store", str(stale), "--any-code") == 0
+        assert "binary+silent+synchronous" in capsys.readouterr().out
+
+    def test_report_quiet_prints_only_what_it_wrote(self, populated, tmp_path, capsys):
+        summaries = tmp_path / "summaries.json"
+        assert run_cli("report", "--store", str(populated), "--quiet", "--json-output", str(summaries)) == 0
+        assert capsys.readouterr().out == f"wrote JSON summaries for 2 scenarios to {summaries}\n"
+        payload = json.loads(summaries.read_text())
+        assert payload["poison"] == []
+        # The sweep that filled the store persisted its supervision counters.
+        assert isinstance(payload["supervision"], dict)
+
+    def test_report_without_a_sweep_snapshot_has_no_supervision(self, tmp_path, capsys):
+        # Records put straight into a store come with no sweep telemetry, so
+        # there is no supervision line and the JSON field is null.
+        db, summaries = tmp_path / "runs.db", tmp_path / "summaries.json"
+        spec = make_scenario("binary", "silent", "synchronous")
+        with RunStore(db) as store:
+            store.put(spec, execute_run(spec, DEFAULT_SEED))
+        assert run_cli("report", "--store", str(db), "--json-output", str(summaries)) == 0
+        assert "supervision" not in capsys.readouterr().out
+        assert json.loads(summaries.read_text())["supervision"] is None
 
 
 class TestCompare:
@@ -237,6 +285,39 @@ class TestCompare:
         # Symmetrically: a measured store with only stale records errors too.
         assert run_cli("compare", "--store", str(stale), "--against", str(current)) == 3
         assert "--any-code" in capsys.readouterr().err
+        # --any-code reads the stale side, whose record is the current run's.
+        assert run_cli(
+            "compare", "--store", str(stale), "--against", str(current),
+            "--scenario", "binary+silent+synchronous", "--any-code",
+        ) == 0
+        assert "no regressions" in capsys.readouterr().out
+
+    def test_tolerance_sets_the_complexity_ceiling(self, tmp_path, capsys):
+        # A baseline whose mean message count is 30 % below the store's is a
+        # regression at the default 20 % tolerance and clean at 50 %.
+        db, baseline = tmp_path / "runs.db", tmp_path / "baseline.json"
+        assert run_cli("run", *SLICE, "--seeds", "1", "--quiet", "--store", str(db), "--write-baseline", str(baseline)) == 0
+        payload = json.loads(baseline.read_text())
+        messages = payload["scenarios"]["binary+silent+synchronous"]["messages"]
+        messages["mean"] /= 1.3
+        baseline.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("compare", "--store", str(db), "--against", str(baseline)) == 1
+        assert "mean messages rose" in capsys.readouterr().err
+        assert run_cli("compare", "--store", str(db), "--against", str(baseline), "--tolerance", "0.5") == 0
+
+    def test_comparing_two_stores_writes_to_neither(self, tmp_path):
+        db_a, db_b = tmp_path / "a.db", tmp_path / "b.db"
+        for db in (db_a, db_b):
+            assert run_cli("run", *SLICE, "--seeds", "1", "--quiet", "--store", str(db)) == 0
+
+        def contents(db):
+            with RunStore(db) as store:
+                return store.count(any_code=True), [record.snapshot_id for record in store.iter_telemetry()]
+
+        before = [contents(db) for db in (db_a, db_b)]
+        assert run_cli("compare", "--store", str(db_a), "--against", str(db_b)) == 0
+        assert [contents(db) for db in (db_a, db_b)] == before
 
 
 class TestStoreFormatErrors:
