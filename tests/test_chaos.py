@@ -14,8 +14,13 @@ Every fault here comes from a :class:`~repro.resilience.faults.FaultPlan`
 """
 
 import json
+import os
 import pathlib
+import signal
 import sqlite3
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -408,20 +413,26 @@ class TestChaosCLI:
         assert cli_main(argv) == 0
 
     def test_env_fault_plan_sweep_matches_fault_free_store(self, tmp_path, monkeypatch, capsys):
+        # Two worker kills and a failing first flush, injected through the
+        # environment: the store must end byte-identical to a fault-free
+        # one, with no innocent task quarantined for a transient death.
+        clean_db, chaos_db = str(tmp_path / "clean.db"), str(tmp_path / "chaos.db")
         argv = ["run", "--scenario"] + SLICE + ["--seeds", "2", "--parallel", "2", "--quiet"]
         monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-        assert cli_main(argv + ["--store", str(tmp_path / "clean.db")]) == 0
-        plan = FaultPlan(seed=3, worker_crash=(2, 5))
+        assert cli_main(argv + ["--store", clean_db]) == 0
+        plan = FaultPlan(seed=3, worker_crash=(2, 5), flush_errors=(1,))
         monkeypatch.setenv("REPRO_FAULT_PLAN", plan.to_json())
-        assert cli_main(argv + ["--store", str(tmp_path / "chaos.db")]) == 0
+        assert cli_main(argv + ["--store", chaos_db]) == 0
         monkeypatch.delenv("REPRO_FAULT_PLAN")
         capsys.readouterr()
 
-        with RunStore(tmp_path / "clean.db") as clean, RunStore(tmp_path / "chaos.db") as chaos:
+        with RunStore(clean_db) as clean, RunStore(chaos_db) as chaos:
             clean_records = sorted(r.canonical_json() for r in clean.iter_records())
             chaos_records = sorted(r.canonical_json() for r in chaos.iter_records())
+            assert list(clean.iter_poison()) == list(chaos.iter_poison()) == []
         assert clean_records == chaos_records
         assert len(clean_records) == len(SLICE) * 2
+        assert cli_main(["compare", "--store", chaos_db, "--against", clean_db, "--tolerance", "0"]) == 0
 
     def test_keyboard_interrupt_flushes_completed_and_exits_130(
         self, tmp_path, monkeypatch, capsys
@@ -456,6 +467,58 @@ class TestChaosCLI:
         assert cli_main(argv) == 0
         out = capsys.readouterr().out
         assert f"2 cached, {len(SLICE) - 2} executed" in out
+
+
+def _committed_rows(path):
+    """Rows another process has committed, 0 while the table is unreadable."""
+    if not path.exists():
+        return 0
+    try:
+        with sqlite3.connect(f"file:{path}?mode=ro", uri=True, timeout=0.1) as conn:
+            return conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
+    except sqlite3.Error:
+        return 0
+
+
+def _sorted_records(path):
+    with RunStore(path) as store:  # opening runs any pending recovery
+        return sorted(r.canonical_json() for r in store.iter_records())
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_sigkilled_sweep_resumes_missing_runs_only(tmp_path, monkeypatch, capsys):
+    # A real process killed with SIGKILL after its first committed batch
+    # keeps only what it committed; the re-run serves exactly those from
+    # cache and executes the rest.  100 seeds make 400 runs, so the sweep
+    # outlives its first 128-record commit.
+    argv = ["run", "--scenario", *SLICE, "--seeds", "100", "--quiet"]
+    monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+    assert cli_main(argv + ["--store", str(tmp_path / "clean.db")]) == 0
+    clean = _sorted_records(tmp_path / "clean.db")
+    assert len(clean) == len(SLICE) * 100
+
+    resume_db = tmp_path / "resume.db"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    victim = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments", *argv, "--store", str(resume_db)],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 60
+    while victim.poll() is None and time.monotonic() < deadline:
+        if _committed_rows(resume_db) > 0:
+            break
+        time.sleep(0.005)
+    if victim.poll() is None:
+        victim.send_signal(signal.SIGKILL)
+    victim.wait()
+
+    survivors = len(_sorted_records(resume_db))  # == len(clean) if it finished first
+    capsys.readouterr()
+    assert cli_main(argv + ["--store", str(resume_db)]) == 0
+    assert f"{survivors} cached, {len(clean) - survivors} executed" in capsys.readouterr().out
+    assert _sorted_records(resume_db) == clean
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Runnable documentation: every documented theory module carries doctests.
 
-The docs CI job runs the same examples through ``python -m doctest``
-semantics; this tier-1 test keeps them green locally and enforces the
-documentation contract — each module must state its theorem *and* show at
-least three runnable examples.
+This is the only place the examples run, with ``python -m doctest``
+semantics; it enforces the documentation contract — each module must state
+its theorem *and* show at least three runnable examples.
 """
 
 import doctest

@@ -262,7 +262,10 @@ class TestFuzzCLI:
         assert "0 executed" in out
         warm_report = json.loads(report_json.read_text())
         assert warm_report["executed"] == 0
-        assert warm_report["corpus_fingerprints"] == cold_report["corpus_fingerprints"]
+        # The campaign is identical; only the executed/cached split moves.
+        for report in (cold_report, warm_report):
+            del report["executed"], report["cached"]
+        assert warm_report == cold_report
 
         # Every emitted counterexample file is replayable via run --spec and
         # reproduces its violation (exit 1 = run failure).
