@@ -79,9 +79,11 @@ class CheapLeaderConsensus(ProtocolModule):
             self.broadcast(("lead", self.proposal))
         self.set_timer(self.timeout, "fallback")
 
-    def on_message(self, sender: int, payload: Any) -> None:
-        if sender == self.LEADER and isinstance(payload, tuple) and payload[0] == "lead":
-            self._decide(payload[1])
+    MESSAGES = {"lead": ("_on_lead", (object,))}
+
+    def _on_lead(self, sender: int, value: Any) -> None:
+        if sender == self.LEADER:
+            self._decide(value)
 
     def on_timer(self, tag: Any) -> None:
         if tag == "fallback":

@@ -6,6 +6,12 @@ is faulty; when the sender is correct, reliability of the links ensures that
 every correct process eventually delivers the message.  Both vector-consensus
 algorithms of the paper use it for their ``proposal`` and ``confirm``
 messages.
+
+The payload format belongs to the user, so this module declares no message
+table and forwards every delivery untouched.  A best-effort delivery is
+exactly a link message from its sender, so the in-tree users pass their own
+dispatcher, ``on_deliver=self.on_message``, and what arrives here is checked
+against their ``MESSAGES`` like anything sent to their own path.
 """
 
 from __future__ import annotations

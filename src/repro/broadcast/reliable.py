@@ -65,16 +65,12 @@ class ByzantineReliableBroadcast(ProtocolModule):
         self.broadcast((_SEND, message))
 
     # ------------------------------------------------------------------
-    def on_message(self, sender: int, payload: Any) -> None:
-        if not isinstance(payload, tuple) or not payload:
-            return
-        kind = payload[0]
-        if kind == _SEND and len(payload) == 2:
-            self._handle_send(sender, payload[1])
-        elif kind == _ECHO and len(payload) == 3:
-            self._handle_echo(sender, payload[1], payload[2])
-        elif kind == _READY and len(payload) == 3:
-            self._handle_ready(sender, payload[1], payload[2])
+    # A SEND's origin is its sender; ECHO and READY name the origin they vouch for.
+    MESSAGES = {
+        _SEND: ("_handle_send", (object,)),
+        _ECHO: ("_handle_echo", (int, object)),
+        _READY: ("_handle_ready", (int, object)),
+    }
 
     def _handle_send(self, origin: int, message: Any) -> None:
         key = (origin, digest(message))

@@ -33,7 +33,6 @@ class SlowBroadcast(ProtocolModule):
         self._on_deliver = on_deliver
         self._payload: Any = None
         self._next_receiver = 0
-        self._stopped = False
         delta = process.simulation.delay_model.delta
         self.wait_between_sends = delta * self.n * self.pid
 
@@ -50,10 +49,10 @@ class SlowBroadcast(ProtocolModule):
 
     def stop(self) -> None:
         """Stop participating (called when vector dissemination completes)."""
-        self._stopped = True
+        self.stopped = True
 
     def _send_next(self) -> None:
-        if self._stopped or self._payload is None or self._next_receiver >= self.n:
+        if self.stopped or self._payload is None or self._next_receiver >= self.n:
             return
         self.send(self._next_receiver, ("slow_broadcast", self._payload))
         self._next_receiver += 1
@@ -67,10 +66,8 @@ class SlowBroadcast(ProtocolModule):
         if tag == "next_send":
             self._send_next()
 
-    def on_message(self, sender: int, payload: Any) -> None:
-        if self._stopped or not isinstance(payload, tuple) or len(payload) != 2:
-            return
-        if payload[0] != "slow_broadcast":
-            return
+    MESSAGES = {"slow_broadcast": ("_on_slow_broadcast", (object,))}
+
+    def _on_slow_broadcast(self, sender: int, payload: Any) -> None:
         if self._on_deliver is not None:
-            self._on_deliver(payload[1], sender)
+            self._on_deliver(payload, sender)

@@ -24,7 +24,7 @@ the original ADD without changing its communication profile.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..crypto.hashing import digest
 from ..sim.process import Process, ProtocolModule
@@ -69,16 +69,10 @@ class AsynchronousDataDissemination(ProtocolModule):
         self._flush_pending()
 
     # ------------------------------------------------------------------
-    def on_message(self, sender: int, payload: Any) -> None:
-        if self._output is not None or not isinstance(payload, tuple) or len(payload) != 3:
-            return
-        kind, blob_hash, fragment = payload
-        if not isinstance(fragment, Fragment) or not isinstance(blob_hash, str):
-            return
-        if kind == _DISPERSE:
-            self._on_disperse(sender, blob_hash, fragment)
-        elif kind == _RECONSTRUCT:
-            self._on_reconstruct(sender, blob_hash, fragment)
+    MESSAGES = {
+        _DISPERSE: ("_on_disperse", (str, Fragment)),
+        _RECONSTRUCT: ("_on_reconstruct", (str, Fragment)),
+    }
 
     def _on_disperse(self, sender: int, blob_hash: str, fragment: Fragment) -> None:
         if fragment.index != self.pid:
@@ -121,6 +115,7 @@ class AsynchronousDataDissemination(ProtocolModule):
         if digest(blob) != self.expected_hash:
             return
         self._output = blob
+        self.stopped = True
         if self._on_output is not None:
             self._on_output(blob)
 

@@ -92,20 +92,14 @@ class BinaryConsensus(ConsensusModule):
         sent.add(value)
         self.broadcast((_BVAL, round_number, value))
 
-    def on_message(self, sender: int, payload: Any) -> None:
-        if not isinstance(payload, tuple) or len(payload) != 3:
-            return
-        kind, round_number, value = payload
-        if not isinstance(round_number, int) or round_number < 1 or value not in (0, 1):
-            return
-        if self._halted(round_number):
-            return
-        if kind == _BVAL:
-            self._on_bval(sender, round_number, value)
-        elif kind == _AUX:
-            self._on_aux(sender, round_number, value)
+    MESSAGES = {
+        _BVAL: ("_on_bval", (int, int)),
+        _AUX: ("_on_aux", (int, int)),
+    }
 
     def _on_bval(self, sender: int, round_number: int, value: int) -> None:
+        if round_number < 1 or value not in (0, 1) or self._halted(round_number):
+            return
         senders = self._bval_senders.setdefault(round_number, {}).setdefault(value, set())
         senders.add(sender)
         if instrument.SINK is not None:
@@ -126,6 +120,8 @@ class BinaryConsensus(ConsensusModule):
             self._progress(round_number)
 
     def _on_aux(self, sender: int, round_number: int, value: int) -> None:
+        if round_number < 1 or value not in (0, 1) or self._halted(round_number):
+            return
         self._aux_received.setdefault(round_number, {})[sender] = value
         self._progress(round_number)
 

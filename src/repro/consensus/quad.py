@@ -148,31 +148,19 @@ class Quad(ConsensusModule):
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
-    # kind -> (handler method, exact payload length)
-    _HANDLERS = {
-        _NEW_VIEW: ("_on_new_view", 3),
-        _PROPOSE: ("_on_propose", 5),
-        _PREPARE_VOTE: ("_on_prepare_vote", 4),
-        _PRECOMMIT: ("_on_precommit", 5),
-        _COMMIT_VOTE: ("_on_commit_vote", 4),
-        _DECIDE: ("_on_decide_message", 5),
+    # Every kind carries its view second; values and proofs are the verify
+    # predicate's business, so they may be anything.
+    MESSAGES = {
+        _NEW_VIEW: ("_on_new_view", (int, (tuple, type(None)))),
+        _PROPOSE: ("_on_propose", (int, object, object, (PrepareCertificate, type(None)))),
+        _PREPARE_VOTE: ("_on_prepare_vote", (int, str, PartialSignature)),
+        _PRECOMMIT: ("_on_precommit", (int, object, object, PrepareCertificate)),
+        _COMMIT_VOTE: ("_on_commit_vote", (int, str, PartialSignature)),
+        _DECIDE: ("_on_decide_message", (int, object, object, ThresholdSignature)),
     }
 
-    def on_message(self, sender: int, payload: Any) -> None:
-        if self.decided_value is not None:
-            # A process decides only in ``_on_decide_message``, after relaying the
-            # certificate; nothing that arrives later can change what it does.
-            return
-        if not isinstance(payload, tuple) or not payload or not isinstance(payload[0], str):
-            return
-        entry = self._HANDLERS.get(payload[0])
-        # Every kind carries its view second; a Byzantine sender chooses the rest.
-        if entry is not None and len(payload) == entry[1] and isinstance(payload[1], int):
-            getattr(self, entry[0])(sender, payload)
-
     # ----------------------------- leader side -----------------------
-    def _on_new_view(self, sender: int, payload: tuple) -> None:
-        _, view, prepare_payload = payload
+    def _on_new_view(self, sender: int, view: int, prepare_payload: Optional[tuple]) -> None:
         if view < self.view or self.leader_of(view) != self.pid:
             return
         entry = self._validated_prepare(prepare_payload)
@@ -180,7 +168,7 @@ class Quad(ConsensusModule):
         self._try_lead(view)
 
     def _validated_prepare(self, prepare_payload: Optional[tuple]) -> Optional[tuple]:
-        if not isinstance(prepare_payload, tuple) or len(prepare_payload) != 3:
+        if prepare_payload is None or len(prepare_payload) != 3:
             return None
         cert, value, proof = prepare_payload
         if not isinstance(cert, PrepareCertificate):
@@ -227,8 +215,7 @@ class Quad(ConsensusModule):
         self._proposed_in_view.add(view)
         self.broadcast((_PROPOSE, view, value, proof, justification))
 
-    def _on_prepare_vote(self, sender: int, payload: tuple) -> None:
-        _, view, value_digest, share = payload
+    def _on_prepare_vote(self, sender: int, view: int, value_digest: str, share: PartialSignature) -> None:
         if self.leader_of(view) != self.pid or view in self._precommitted_in_view:
             return
         if view not in self._current_view_value:
@@ -257,8 +244,7 @@ class Quad(ConsensusModule):
             self._precommitted_in_view.add(view)
             self.broadcast((_PRECOMMIT, view, value, proof, certificate))
 
-    def _on_commit_vote(self, sender: int, payload: tuple) -> None:
-        _, view, value_digest, share = payload
+    def _on_commit_vote(self, sender: int, view: int, value_digest: str, share: PartialSignature) -> None:
         if self.leader_of(view) != self.pid or view in self._decided_in_view:
             return
         if view not in self._current_view_value:
@@ -284,8 +270,9 @@ class Quad(ConsensusModule):
             self.broadcast((_DECIDE, view, value, proof, commit_certificate))
 
     # ----------------------------- replica side ----------------------
-    def _on_propose(self, sender: int, payload: tuple) -> None:
-        _, view, value, proof, justification = payload
+    def _on_propose(
+        self, sender: int, view: int, value: Any, proof: Any, justification: Optional[PrepareCertificate]
+    ) -> None:
         if view != self.view or sender != self.leader_of(view):
             return
         if not self.verify(value, proof):
@@ -310,7 +297,7 @@ class Quad(ConsensusModule):
         locked_value, _, locked_view = self.locked
         if value == locked_value:
             return True
-        if justification is None or not isinstance(justification, PrepareCertificate):
+        if justification is None:
             return False
         if justification.value_digest != digest(value):
             return False
@@ -318,11 +305,10 @@ class Quad(ConsensusModule):
             return False
         return justification.view >= locked_view
 
-    def _on_precommit(self, sender: int, payload: tuple) -> None:
-        _, view, value, proof, certificate = payload
-        if sender != self.leader_of(view):
-            return
-        if not isinstance(certificate, PrepareCertificate) or certificate.view != view:
+    def _on_precommit(
+        self, sender: int, view: int, value: Any, proof: Any, certificate: PrepareCertificate
+    ) -> None:
+        if sender != self.leader_of(view) or certificate.view != view:
             return
         if certificate.value_digest != digest(value):
             return
@@ -339,17 +325,18 @@ class Quad(ConsensusModule):
         share = self.scheme.partial_sign(self.pid, ("commit", view, certificate.value_digest))
         self.send(self.leader_of(view), (_COMMIT_VOTE, view, certificate.value_digest, share))
 
-    def _on_decide_message(self, sender: int, payload: tuple) -> None:
-        _, view, value, proof, commit_certificate = payload
-        if not isinstance(commit_certificate, ThresholdSignature):
-            return
+    def _on_decide_message(
+        self, sender: int, view: int, value: Any, proof: Any, commit_certificate: ThresholdSignature
+    ) -> None:
         if not self.scheme.verify(commit_certificate, ("commit", view, digest(value))):
             return
         if not self.verify(value, proof):
             return
         # One relay per correct process guarantees that everyone decides even
         # if the leader crashes right after producing the certificate, at a
-        # one-off cost of O(n^2) messages overall.  ``on_message`` stops
-        # dispatching once the decision is recorded, so this runs once.
+        # one-off cost of O(n^2) messages overall.  A process decides only
+        # here, and nothing that arrives later can change what it does, so it
+        # stops listening: this runs once.
         self.broadcast((_DECIDE, view, value, proof, commit_certificate))
+        self.stopped = True
         self._decide((value, proof))

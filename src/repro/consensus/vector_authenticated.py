@@ -107,7 +107,6 @@ class AuthenticatedVectorConsensus(ConsensusModule):
     ):
         super().__init__(process, name, parent, on_decide)
         self._received: Dict[int, SignedProposal] = {}
-        self._proposed_to_quad = False
         self.quad = Quad(
             process,
             verify=make_vector_verify(process),
@@ -121,12 +120,10 @@ class AuthenticatedVectorConsensus(ConsensusModule):
         signature = self.authority.sign(self.pid, ("proposal", value))
         self.broadcast(SignedProposal(sender=self.pid, value=value, signature=signature))
 
-    def on_message(self, sender: int, payload: Any) -> None:
-        if not isinstance(payload, SignedProposal):
-            return
-        if self._proposed_to_quad or sender in self._received:
-            return
-        if payload.sender != sender:
+    MESSAGES = {SignedProposal: ("_on_proposal", ())}
+
+    def _on_proposal(self, sender: int, payload: SignedProposal) -> None:
+        if sender in self._received or payload.sender != sender:
             return
         if not self.authority.verify(payload.signature, ("proposal", payload.value), expected_signer=sender):
             return
@@ -136,7 +133,7 @@ class AuthenticatedVectorConsensus(ConsensusModule):
                 ProcessProposal(pid, signed.value) for pid, signed in self._received.items()
             )
             proof = VectorConsensusProof(self._received)
-            self._proposed_to_quad = True
+            self.stopped = True  # proposals after the quorum change nothing
             self.quad.propose((vector, proof))
 
     def _on_quad_decision(self, pair: Any) -> None:

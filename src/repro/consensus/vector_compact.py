@@ -62,7 +62,7 @@ class CompactVectorConsensus(ConsensusModule):
         super().__init__(process, name, parent, on_decide)
         self._pair_verify = make_vector_verify(process)
         self.scheme = ThresholdScheme(self.authority, threshold=self.system.quorum)
-        self.beb = BestEffortBroadcast(process, name="beb", parent=self, on_deliver=self._on_proposal)
+        self.beb = BestEffortBroadcast(process, name="beb", parent=self, on_deliver=self.on_message)
         self.disseminator = VectorDissemination(
             process,
             name="disseminator",
@@ -81,7 +81,6 @@ class CompactVectorConsensus(ConsensusModule):
             on_decide=self._on_quad_decision,
         )
         self._received: Dict[int, SignedProposal] = {}
-        self._disseminated = False
         self._proposed_to_quad = False
 
     # ------------------------------------------------------------------
@@ -105,9 +104,10 @@ class CompactVectorConsensus(ConsensusModule):
         signature = self.authority.sign(self.pid, ("proposal", value))
         self.beb.broadcast_message(SignedProposal(sender=self.pid, value=value, signature=signature))
 
-    def _on_proposal(self, sender: int, payload: Any) -> None:
-        if not isinstance(payload, SignedProposal) or self._disseminated:
-            return
+    # Proposals arrive through ``self.beb``.
+    MESSAGES = {SignedProposal: ("_on_proposal", ())}
+
+    def _on_proposal(self, sender: int, payload: SignedProposal) -> None:
         if payload.sender != sender or sender in self._received:
             return
         if not self.authority.verify(payload.signature, ("proposal", payload.value), expected_signer=sender):
@@ -118,7 +118,7 @@ class CompactVectorConsensus(ConsensusModule):
                 ProcessProposal(pid, signed.value) for pid, signed in self._received.items()
             )
             proof = VectorConsensusProof(self._received)
-            self._disseminated = True
+            self.stopped = True  # proposals after the quorum change nothing
             self.disseminator.disseminate(serialise_vector(vector, proof))
 
     def _on_acquire(self, blob_hash: str, signature: ThresholdSignature) -> None:

@@ -47,7 +47,7 @@ class VectorDissemination(ProtocolModule):
         self._cache_validator = cache_validator
         self.scheme = ThresholdScheme(self.authority, threshold=self.system.quorum)
         self.slow = SlowBroadcast(process, name="slow", parent=self, on_deliver=self._on_slow_deliver)
-        self.beb = BestEffortBroadcast(process, name="beb", parent=self, on_deliver=self._on_beb_deliver)
+        self.beb = BestEffortBroadcast(process, name="beb", parent=self, on_deliver=self.on_message)
         self.own_hash: Optional[str] = None
         self.cached_vectors: Dict[str, bytes] = {}
         self._stored_from: Set[int] = set()
@@ -70,10 +70,15 @@ class VectorDissemination(ProtocolModule):
         return self._acquired
 
     # ------------------------------------------------------------------
+    # STORED arrives on this module's path, CONFIRM through ``self.beb``.
+    MESSAGES = {
+        _STORED: ("_on_stored", (str, PartialSignature)),
+        _CONFIRM: ("_on_confirm", (str, ThresholdSignature)),
+    }
+
     def _on_slow_deliver(self, blob: Any, sender: int) -> None:
-        if self._acquired is not None or not isinstance(blob, (bytes, bytearray)):
-            return
-        if sender in self._acknowledged_senders:
+        # Slow broadcast carries any payload; this module's are serialised vectors.
+        if not isinstance(blob, (bytes, bytearray)) or sender in self._acknowledged_senders:
             return
         blob = bytes(blob)
         if self._cache_validator is not None and not self._cache_validator(blob):
@@ -84,17 +89,8 @@ class VectorDissemination(ProtocolModule):
         share = self.scheme.partial_sign(self.pid, ("vector", blob_hash))
         self.send(sender, (_STORED, blob_hash, share))
 
-    def on_message(self, sender: int, payload: Any) -> None:
-        if self._acquired is not None or not isinstance(payload, tuple) or len(payload) != 3:
-            return
-        kind, blob_hash, credential = payload
-        if kind == _STORED:
-            self._on_stored(sender, blob_hash, credential)
-
-    def _on_stored(self, sender: int, blob_hash: str, share: Any) -> None:
-        if blob_hash != self.own_hash or sender in self._stored_from:
-            return
-        if not isinstance(share, PartialSignature) or share.signer != sender:
+    def _on_stored(self, sender: int, blob_hash: str, share: PartialSignature) -> None:
+        if blob_hash != self.own_hash or sender in self._stored_from or share.signer != sender:
             return
         if not self.scheme.verify_partial(share, ("vector", blob_hash)):
             return
@@ -105,17 +101,13 @@ class VectorDissemination(ProtocolModule):
             combined = self.scheme.combine(self._partials.values(), ("vector", blob_hash))
             self.beb.broadcast_message((_CONFIRM, blob_hash, combined))
 
-    def _on_beb_deliver(self, sender: int, payload: Any) -> None:
-        if self._acquired is not None or not isinstance(payload, tuple) or len(payload) != 3:
-            return
-        kind, blob_hash, signature = payload
-        if kind != _CONFIRM or not isinstance(signature, ThresholdSignature):
-            return
+    def _on_confirm(self, sender: int, blob_hash: str, signature: ThresholdSignature) -> None:
         if not self.scheme.verify(signature, ("vector", blob_hash)):
             return
         # Rebroadcast once, acquire, and stop participating (lines 23-25).
         self.beb.broadcast_message((_CONFIRM, blob_hash, signature))
         self._acquired = (blob_hash, signature)
+        self.stopped = True
         self.slow.stop()
         if self._on_acquire is not None:
             self._on_acquire(blob_hash, signature)

@@ -21,6 +21,7 @@ than Algorithm 1 — the gap the E6 experiment measures.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Optional
 
 from ..broadcast.reliable import ByzantineReliableBroadcast
@@ -33,6 +34,10 @@ from .interfaces import ConsensusModule, DecisionCallback
 class NonAuthenticatedVectorConsensus(ConsensusModule):
     """Algorithm 3: signature-free vector consensus from Bracha broadcast + binary consensus."""
 
+    # Proposals are Bracha deliveries, never messages on this module's own path:
+    # only ``self.brb`` dispatches against this table, as ``(origin, message)``.
+    DELIVERED = {"proposal": ("_on_proposal_delivered", (object,))}
+
     def __init__(
         self,
         process: Process,
@@ -42,7 +47,7 @@ class NonAuthenticatedVectorConsensus(ConsensusModule):
     ):
         super().__init__(process, name, parent, on_decide)
         self.brb = ByzantineReliableBroadcast(
-            process, name="brb", parent=self, on_deliver=self._on_proposal_delivered
+            process, name="brb", parent=self, on_deliver=partial(self.on_message, messages=self.DELIVERED)
         )
         self.instances: Dict[int, BinaryConsensus] = {}
         for origin in range(self.n):
@@ -61,12 +66,10 @@ class NonAuthenticatedVectorConsensus(ConsensusModule):
     def _handle_proposal(self, value: Any) -> None:
         self.brb.broadcast_message(("proposal", value))
 
-    def _on_proposal_delivered(self, origin: int, message: Any) -> None:
-        if not isinstance(message, tuple) or len(message) != 2 or message[0] != "proposal":
-            return
+    def _on_proposal_delivered(self, origin: int, value: Any) -> None:
         if origin in self._proposals:
             return
-        self._proposals[origin] = message[1]
+        self._proposals[origin] = value
         if self._proposing_ones and origin not in self._proposed_to:
             self._proposed_to.add(origin)
             self.instances[origin].propose(1)

@@ -24,7 +24,7 @@ store:
 Retries are invisible to result content: a task is a pure function of its
 input, so a re-executed task reproduces the same bytes and a chaos sweep
 stays byte-identical to the fault-free sweep — the contract
-``tests/test_chaos.py`` and the ``chaos-smoke`` CI job pin down.
+``tests/test_chaos.py`` pins down.
 """
 
 from .faults import FaultInjectionError, FaultPlan, FaultState, REPRO_FAULT_PLAN_ENV

@@ -15,7 +15,7 @@ Plans travel two ways:
   ``RunStore(fault_plan=...)`` for in-process tests;
 * the :data:`REPRO_FAULT_PLAN_ENV` environment variable (the plan's
   canonical JSON), read at ``Runner``/``RunStore`` construction, for
-  subprocess and CLI tests (the ``chaos-smoke`` CI job injects this way).
+  subprocess and CLI tests (``tests/test_chaos.py`` injects this way).
 
 The plan itself is frozen; per-process bookkeeping (which task number is
 being dispatched next, how many flush attempts have happened) lives in
@@ -33,8 +33,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 REPRO_FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 """Environment variable carrying a :meth:`FaultPlan.to_json` payload.
 ``Runner`` and ``RunStore`` read it at construction when no explicit plan
-is passed, which is how subprocess tests and the chaos-smoke CI job inject
-faults without touching the CLI surface."""
+is passed, which is how subprocess tests inject faults without touching the
+CLI surface."""
 
 FAULT_CRASH = "crash"
 """Worker-side instruction: die like ``kill -9`` (``os._exit``)."""

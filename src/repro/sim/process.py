@@ -1,4 +1,4 @@
-"""Processes and composable protocol modules.
+"""Processes and composable protocol modules, and the one message path between them.
 
 A :class:`Process` is one node of the simulated system.  Protocol logic is
 written as :class:`ProtocolModule` subclasses organised in a tree inside the
@@ -8,11 +8,34 @@ destination module's path so that each module only ever sees its own
 messages, which keeps every protocol implementation self-contained and lets
 them be stacked exactly the way the paper's pseudocode stacks its building
 blocks ("Uses: ...").
+
+Receiving.  Up to ``t`` processes may send arbitrary objects, and every
+algorithm of the paper assumes that a correct process ignores malformed
+input.  That assumption is implemented once: each module class declares the
+messages it accepts in :attr:`ProtocolModule.MESSAGES`, a table from *kind*
+to ``(handler name, field types)``.  The kind of a tuple payload is its first
+element, a ``str``; the kind of any other payload is its class (for example
+``SignedProposal``).  :meth:`ProtocolModule.on_message` is the only
+dispatcher.  It drops a payload whose kind is missing, unhashable or unknown,
+a tuple of the wrong arity and a field failing ``isinstance`` against its
+declared type, then calls ``handler(sender, *fields)`` for a tuple and
+``handler(sender, payload)`` for a class kind.  Handlers keep the value and
+state rules (a round is positive, a signature verifies); the shape is
+settled before they run.  A module that has stopped listening sets
+:attr:`ProtocolModule.stopped`, and the dispatcher drops everything after.
+
+Sending.  :meth:`ProtocolModule.send` checks the receiver it was given and
+hands one :class:`~repro.sim.events.Envelope` straight to
+:meth:`~repro.sim.simulation.Simulation.transmit`;
+:meth:`ProtocolModule.broadcast` builds one envelope and transmits it to
+every receiver of ``range(n)``, which needs no check.  Envelopes are never
+mutated, so one can travel in ``n`` deliveries.  :meth:`Process.send_raw` is
+the same step for adversaries and tests that build their own envelopes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from .events import Envelope, MessageDelivery, TimerExpiry
 
@@ -21,19 +44,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..crypto.signatures import KeyAuthority
     from .simulation import Simulation
 
+MessageTable = Dict[Union[str, type], Tuple[str, Tuple[Any, ...]]]
+"""Kind -> (handler method name, one ``isinstance`` type or type tuple per field)."""
+
 
 class Process:
     """A simulated process hosting a tree of protocol modules.
 
     Subclasses (or users composing modules directly) override :meth:`on_start`
     to build their protocol stack and kick it off, and may override
-    :meth:`on_decide` to observe decisions.
+    :meth:`on_decide` to observe decisions.  ``system``, ``n`` and
+    ``authority`` are fixed for the life of the process.
     """
 
     def __init__(self, pid: int, simulation: "Simulation"):
-        simulation.system.validate_process(pid)
+        system = simulation.system
+        system.validate_process(pid)
         self.pid = pid
         self.simulation = simulation
+        self.system: "SystemConfig" = system
+        self.n: int = system.n
+        self.authority: "KeyAuthority" = simulation.authority
         self.decision: Optional[Any] = None
         self.decision_time: Optional[float] = None
         self._modules: Dict[Tuple[str, ...], ProtocolModule] = {}
@@ -42,20 +73,8 @@ class Process:
     # Environment accessors
     # ------------------------------------------------------------------
     @property
-    def system(self) -> "SystemConfig":
-        return self.simulation.system
-
-    @property
-    def n(self) -> int:
-        return self.simulation.system.n
-
-    @property
     def now(self) -> float:
         return self.simulation.time
-
-    @property
-    def authority(self) -> "KeyAuthority":
-        return self.simulation.authority
 
     @property
     def is_correct(self) -> bool:
@@ -93,9 +112,10 @@ class Process:
             module.on_timer(expiry.tag)
 
     # ------------------------------------------------------------------
-    # Raw communication primitives (used by modules)
+    # Raw communication primitives (adversaries and tests)
     # ------------------------------------------------------------------
     def send_raw(self, receiver: int, envelope: Envelope) -> None:
+        self.system.validate_process(receiver)
         self.simulation.transmit(self.pid, receiver, envelope)
 
     def set_timer_raw(self, delay: float, path: Tuple[str, ...], tag: Any) -> None:
@@ -136,44 +156,37 @@ class ProtocolModule:
     Each module owns a unique path in its process and communicates only with
     the module at the same path on other processes.  Submodules are created
     by passing ``parent``; their names must be unique among siblings.
+    Subclasses declare what they receive in :attr:`MESSAGES` (see the module
+    docstring) and do not override :meth:`on_message`; the pass-through
+    best-effort broadcast, whose payloads belong to its user, is the one
+    exception.
     """
+
+    MESSAGES: MessageTable = {}
 
     def __init__(self, process: Process, name: str, parent: Optional["ProtocolModule"] = None):
         self.process = process
         self.name = name
         self.parent = parent
         self.path: Tuple[str, ...] = (parent.path + (name,)) if parent is not None else (name,)
+        self.pid = process.pid
+        self.n = process.n
+        self.system = process.system
+        self.authority = process.authority
+        self.stopped = False  # set once the module stops listening; the dispatcher then drops everything
         process.register_module(self)
-
-    # ------------------------------------------------------------------
-    # Environment accessors
-    # ------------------------------------------------------------------
-    @property
-    def pid(self) -> int:
-        return self.process.pid
-
-    @property
-    def n(self) -> int:
-        return self.process.n
-
-    @property
-    def system(self) -> "SystemConfig":
-        return self.process.system
 
     @property
     def now(self) -> float:
         return self.process.now
-
-    @property
-    def authority(self) -> "KeyAuthority":
-        return self.process.authority
 
     # ------------------------------------------------------------------
     # Communication
     # ------------------------------------------------------------------
     def send(self, receiver: int, payload: Any) -> None:
         """Send a point-to-point message to the peer module on ``receiver``."""
-        self.process.send_raw(receiver, Envelope(self.path, payload))
+        self.system.validate_process(receiver)
+        self.process.simulation.transmit(self.pid, receiver, Envelope(self.path, payload))
 
     def broadcast(self, payload: Any, include_self: bool = True) -> None:
         """Send ``payload`` to the peer module on every process.
@@ -181,27 +194,41 @@ class ProtocolModule:
         The broadcast costs ``n`` messages (or ``n - 1`` without self), which
         matches the accounting used by the paper's complexity statements.
         """
-        send = self.send
+        envelope = Envelope(self.path, payload)
+        transmit = self.process.simulation.transmit
         own_pid = self.pid
         for receiver in range(self.n):
-            if not include_self and receiver == own_pid:
-                continue
-            send(receiver, payload)
-
-    def send_to_all(self, receivers: Iterable[int], payload: Any) -> None:
-        """Send the same payload to an explicit set of receivers."""
-        for receiver in receivers:
-            self.send(receiver, payload)
+            if include_self or receiver != own_pid:
+                transmit(own_pid, receiver, envelope)
 
     def set_timer(self, delay: float, tag: Any) -> None:
         """Schedule :meth:`on_timer` to fire after ``delay`` time units."""
         self.process.set_timer_raw(delay, self.path, tag)
 
     # ------------------------------------------------------------------
-    # Handlers to override
+    # The dispatcher, and the timer handler to override
     # ------------------------------------------------------------------
-    def on_message(self, sender: int, payload: Any) -> None:
-        """Handle a message from the peer module on process ``sender``."""
+    def on_message(self, sender: int, payload: Any, messages: Optional[MessageTable] = None) -> None:
+        """Validate ``payload`` against ``messages`` (default :attr:`MESSAGES`) and run its handler.
+
+        A module whose payloads reach it through a child's callback rather
+        than its own path (a Bracha delivery, say) passes that table here.
+        """
+        if self.stopped:
+            return
+        table = self.MESSAGES if messages is None else messages
+        if type(payload) is tuple:
+            kind = payload[0] if payload else None
+            entry = table.get(kind) if type(kind) is str else None
+            if entry is not None:
+                fields = payload[1:]
+                types = entry[1]
+                if len(fields) == len(types) and all(map(isinstance, fields, types)):
+                    getattr(self, entry[0])(sender, *fields)
+        else:
+            entry = table.get(type(payload))
+            if entry is not None:
+                getattr(self, entry[0])(sender, payload)
 
     def on_timer(self, tag: Any) -> None:
         """Handle a timer scheduled with :meth:`set_timer`."""

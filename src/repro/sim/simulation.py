@@ -146,8 +146,11 @@ class Simulation:
         _heappush(self._queue, (time, self._sequence, kind, target, data))
 
     def transmit(self, sender: int, receiver: int, envelope: Envelope) -> None:
-        """Send a message from ``sender`` to ``receiver`` (called by processes)."""
-        self.system.validate_process(receiver)
+        """Send a message from ``sender`` to ``receiver`` (called by processes).
+
+        The caller checked ``receiver`` where it chose it (``ProtocolModule.send``,
+        ``Process.send_raw``); a broadcast's ``range(n)`` needs no check.
+        """
         send_time = self.time
         sender_correct = sender in self._correct
         self.metrics.record_message(

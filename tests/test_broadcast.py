@@ -113,6 +113,24 @@ class TestByzantineReliableBroadcast:
         # they all delivered the same one.
         assert len(set(deliveries)) <= 1
 
+    def test_an_origin_that_is_not_a_process_index_is_ignored(self):
+        class MalformedOriginSender(Process):
+            """ECHO and READY whose origin field is unhashable."""
+
+            def on_start(self):
+                for receiver in range(self.n):
+                    self.send_raw(receiver, Envelope(("brb",), ("echo", [1], "x")))
+                    self.send_raw(receiver, Envelope(("brb",), ("ready", {1: 2}, "x")))
+
+        sim = run_simulation(
+            lambda pid, s: BrbProcess(pid, s, message=("payload", pid)),
+            faulty=[3],
+            faulty_factory=MalformedOriginSender,
+        )
+        # Every correct process keeps running and delivers the same message per origin.
+        for pid in sim.correct_processes:
+            assert sim.processes[pid].delivered == {p: ("payload", p) for p in range(3)}
+
     def test_larger_system(self):
         sim = run_simulation(lambda pid, s: BrbProcess(pid, s, message=pid), n=7, t=2, faulty=[5, 6], faulty_factory=silent_factory)
         for pid in sim.correct_processes:

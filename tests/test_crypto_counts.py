@@ -64,7 +64,7 @@ def test_one_signed_run_counted(monkeypatch, system):
     monkeypatch.setattr(KeyAuthority, "sign", counted(KeyAuthority.sign, "sign"))
     monkeypatch.setattr(KeyAuthority, "verify", counted(KeyAuthority.verify, "verify"))
     monkeypatch.setattr(Quad, "on_message", counted(Quad.on_message, "mail", "mail_after_deciding"))
-    for name, _ in Quad._HANDLERS.values():
+    for name, _ in Quad.MESSAGES.values():
         handler = counted(getattr(Quad, name), "handled", "handled_after_deciding")
         monkeypatch.setattr(Quad, name, handler)
 

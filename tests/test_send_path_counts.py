@@ -1,0 +1,70 @@
+"""Counts before clocks: the send path of a fixed unsigned run, pinned exactly.
+
+``universal-non-authenticated`` under ``equivocation`` and ``eventual`` delays
+at n = 10, seed 2023, run beneath counting wrappers.  Almost every message of
+this protocol is a broadcast, so the pins say how sends are built: one
+``Envelope`` per ``broadcast`` call, one per point-to-point ``send`` and one
+per adversary ``send_raw``, never one per receiver.  The counts repeat across
+interpreters and ``PYTHONHASHSEED``s (CI runs this file under two).
+"""
+
+import hashlib
+
+from repro.experiments.execute import execute_run
+from repro.experiments.scenario import make_scenario
+from repro.sim import Envelope, Process, Simulation
+from repro.sim.process import ProtocolModule
+
+# ``result_sha256`` is the sha256 of ``RunResult.canonical_json()`` recorded at
+# commit 762eb76, where every receiver of a broadcast got its own Envelope
+# (5,280 of them on this run) and every transmit re-checked its receiver.
+PINNED = {
+    "result_sha256": "a4576fd993c979d4d8fe3fdb0cec3ed3250a025f6caaf2d252f2f1b85c24e1df",
+    "events_processed": 5106,
+    "total_messages": 5280,
+    "transmit": 5280,
+    "envelopes": 555,
+    "broadcast": 525,
+    "send": 0,
+    "send_raw": 30,
+}
+
+
+def test_one_unsigned_run_counted(monkeypatch):
+    counts = dict.fromkeys(PINNED, 0)
+    simulations = []
+
+    def counted(owner, name, key):
+        function = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            counts[key] += 1
+            return function(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Envelope, "__init__", "envelopes")
+    counted(ProtocolModule, "broadcast", "broadcast")
+    counted(ProtocolModule, "send", "send")
+    counted(Process, "send_raw", "send_raw")
+    counted(Simulation, "transmit", "transmit")
+    original_run = Simulation.run
+
+    def run(self, *args, **kwargs):
+        simulations.append(self)
+        return original_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "run", run)
+
+    spec = make_scenario("universal-non-authenticated", "equivocation", "eventual", n=10, t=3)
+    result = execute_run(spec, 2023)
+
+    assert result.ok
+    (simulation,) = simulations
+    counts["result_sha256"] = hashlib.sha256(result.canonical_json().encode()).hexdigest()
+    counts["events_processed"] = simulation.events_processed
+    counts["total_messages"] = simulation.metrics.total_messages
+    assert counts == PINNED
+    # The claim the numbers carry: a broadcast builds one envelope for all its receivers.
+    assert counts["envelopes"] == counts["broadcast"] + counts["send"] + counts["send_raw"]
+    assert counts["transmit"] == counts["total_messages"]
