@@ -90,14 +90,15 @@ class _SplitBrainShim:
     def is_correct(self, pid: int) -> bool:
         return self._simulation.is_correct(pid)
 
-    def transmit(self, sender: int, receiver: int, envelope: Envelope) -> None:
-        if receiver in self._byzantine_group or receiver == self._outer.pid:
-            wrapped = Envelope((self._world,) + envelope.path, envelope.payload)
-            self._simulation.transmit(self._outer.pid, receiver, wrapped)
-            return
-        if receiver not in self._allowed_correct:
-            return
-        self._simulation.transmit(self._outer.pid, receiver, envelope)
+    def transmit(self, sender: int, receivers: Sequence[int], envelope: Envelope) -> None:
+        # One simulator send per receiver, in receiver order: the receivers get
+        # different envelopes, and grouping them would reorder the delay draws.
+        for receiver in receivers:
+            if receiver in self._byzantine_group or receiver == self._outer.pid:
+                wrapped = Envelope((self._world,) + envelope.path, envelope.payload)
+                self._simulation.transmit(self._outer.pid, (receiver,), wrapped)
+            elif receiver in self._allowed_correct:
+                self._simulation.transmit(self._outer.pid, (receiver,), envelope)
 
     def schedule_timer(self, pid: int, delay: float, path: Tuple[str, ...], tag: Any) -> None:
         self._simulation.schedule_timer(self._outer.pid, delay, (self._world,) + path, tag)

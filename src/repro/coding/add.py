@@ -34,6 +34,22 @@ OutputCallback = Callable[[bytes], None]
 
 _DISPERSE = "disperse"
 _RECONSTRUCT = "reconstruct"
+_INT_ONLY = {int}
+
+
+def _well_formed(fragment: Fragment) -> bool:
+    """Whether a dispersed fragment's fields have their declared types, so it can be a vote key.
+
+    The dispatcher checks only that the field is a :class:`Fragment`; a
+    Byzantine sender may fill it with anything, an unhashable list included.
+    """
+    symbols = fragment.symbols
+    return (
+        type(fragment.index) is int
+        and type(fragment.blob_length) is int
+        and type(symbols) is tuple
+        and set(map(type, symbols)) <= _INT_ONLY
+    )
 
 
 class AsynchronousDataDissemination(ProtocolModule):
@@ -75,7 +91,7 @@ class AsynchronousDataDissemination(ProtocolModule):
     }
 
     def _on_disperse(self, sender: int, blob_hash: str, fragment: Fragment) -> None:
-        if fragment.index != self.pid:
+        if not _well_formed(fragment) or fragment.index != self.pid:
             return
         votes = self._disperse_votes.setdefault((blob_hash, fragment), set())
         votes.add(sender)
@@ -95,6 +111,7 @@ class AsynchronousDataDissemination(ProtocolModule):
                 return
 
     def _on_reconstruct(self, sender: int, blob_hash: str, fragment: Fragment) -> None:
+        # Kept per sender, never hashed; the decoder skips a malformed one.
         if fragment.index != sender:
             return
         self._reconstruct_fragments.setdefault(sender, fragment)

@@ -31,7 +31,7 @@ are model-faithful — no correct process's key is ever used.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from .events import Envelope, MessageDelivery
 from .process import Process
@@ -39,13 +39,9 @@ from .simulation import Simulation
 
 
 class SilentProcess(Process):
-    """A faulty process that never takes any computational step."""
+    """A faulty process that never takes any computational step (the inherited hooks do nothing)."""
 
-    def on_start(self) -> None:  # pragma: no cover - intentionally empty
-        pass
-
-    def on_unrouted_message(self, delivery: MessageDelivery) -> None:  # pragma: no cover
-        pass
+    listens = False
 
 
 class CrashProcess(Process):
@@ -100,10 +96,10 @@ class _ForwardingShim:
     def is_correct(self, pid: int) -> bool:
         return self._simulation.is_correct(pid)
 
-    def transmit(self, sender: int, receiver: int, envelope: Envelope) -> None:
+    def transmit(self, sender: int, receivers: Sequence[int], envelope: Envelope) -> None:
         if isinstance(self._outer, CrashProcess) and self._outer._check_crashed():
             return
-        self._simulation.transmit(self._outer.pid, receiver, envelope)
+        self._simulation.transmit(self._outer.pid, receivers, envelope)
 
     def schedule_timer(self, pid: int, delay: float, path, tag) -> None:
         self._simulation.schedule_timer(self._outer.pid, delay, path, tag)
@@ -148,10 +144,12 @@ class _DroppingShim(_ForwardingShim):
         self._drop_probability = drop_probability
         self._rng = rng
 
-    def transmit(self, sender: int, receiver: int, envelope: Envelope) -> None:
-        if self._rng.random() < self._drop_probability:
-            return
-        self._simulation.transmit(self._outer.pid, receiver, envelope)
+    def transmit(self, sender: int, receivers: Sequence[int], envelope: Envelope) -> None:
+        # One drop draw per receiver, in receiver order; the kept ones travel as one send.
+        random, drop_probability = self._rng.random, self._drop_probability
+        kept = [receiver for receiver in receivers if random() >= drop_probability]
+        if kept:
+            self._simulation.transmit(self._outer.pid, kept, envelope)
 
 
 class EquivocatingProposer(Process):
@@ -163,6 +161,8 @@ class EquivocatingProposer(Process):
     stresses the protocol's handling of inconsistent Byzantine input without
     ever forging another process's signature.
     """
+
+    listens = False
 
     def __init__(
         self,

@@ -9,13 +9,12 @@ where a word contains a constant number of values, hashes and signatures.
 auxiliary counters (total messages including pre-GST and Byzantine traffic,
 per-protocol breakdowns) used by the experiment reports.
 
-:func:`word_size` is called once per sent message, which makes it hot in
-every sweep.  It therefore dispatches on exact payload type first (the
-common shapes — tuples, scalars, envelopes — never reach a ``getattr``),
-and the collector memoizes the size of the most recent payload *object*: a
-broadcast hands the identical payload object to all ``n`` receivers, so
-``n - 1`` of those lookups are one identity check.  The estimates
-themselves are unchanged from the original recursive implementation.
+:meth:`MetricsCollector.record_message` is called once per send, not once
+per receiver: a broadcast to ``n`` receivers is recorded as ``count=n``
+messages of one size, so :func:`word_size` runs once per send.  It
+dispatches on exact payload type first (the common shapes — tuples,
+scalars, envelopes — never reach a ``getattr``).  The estimates themselves
+are unchanged from the original recursive implementation.
 """
 
 from __future__ import annotations
@@ -98,12 +97,6 @@ class MetricsCollector:
     per_protocol_messages: Counter = field(default_factory=Counter)
     per_sender_messages: Counter = field(default_factory=Counter)
     decisions: Dict[int, Tuple[float, Any]] = field(default_factory=dict)
-    # One-slot identity memo for word_size: broadcasts send the same payload
-    # object to every receiver back to back.  Payloads are treated as
-    # immutable once sent (everything the protocols send is), so identity
-    # implies an identical size estimate.
-    _last_payload: Any = field(default=None, init=False, repr=False, compare=False)
-    _last_size: int = field(default=0, init=False, repr=False, compare=False)
 
     def record_message(
         self,
@@ -112,24 +105,20 @@ class MetricsCollector:
         payload: Any,
         protocol: Tuple[str, ...],
         sender_correct: bool,
+        count: int = 1,
     ) -> None:
-        """Record one point-to-point message send."""
-        if payload is self._last_payload:
-            size = self._last_size
-        else:
-            size = word_size(payload)
-            self._last_payload = payload
-            self._last_size = size
-        self.total_messages += 1
-        self.total_words += size
-        self.per_protocol_messages[protocol[0] if protocol else "?"] += 1
-        self.per_sender_messages[sender] += 1
+        """Record one send of ``payload`` to ``count`` receivers (``count`` messages)."""
+        words = word_size(payload) * count
+        self.total_messages += count
+        self.total_words += words
+        self.per_protocol_messages[protocol[0] if protocol else "?"] += count
+        self.per_sender_messages[sender] += count
         if not sender_correct:
-            self.byzantine_messages += 1
+            self.byzantine_messages += count
             return
         if send_time >= self.gst:
-            self.messages_after_gst += 1
-            self.words_after_gst += size
+            self.messages_after_gst += count
+            self.words_after_gst += words
 
     def record_decision(self, process: int, time: float, value: Any) -> None:
         """Record the first decision of a (correct) process."""

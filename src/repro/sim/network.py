@@ -18,9 +18,13 @@ Messages from Byzantine senders carry no upper bound in the model (only the
 ``min_delay`` causality floor), which is the freedom the lower-bound and
 partitioning adversaries exploit.
 
-The contract is enforced in exactly one place — :meth:`DelayModel.delivery_time`,
-which is final (subclasses attempting to override it are rejected at class
-definition time).  Concrete network behaviours are *candidate-only*: they
+The contract is enforced in exactly one place — :meth:`DelayModel.delivery_times`,
+which is final, as is its one-receiver wrapper :meth:`DelayModel.delivery_time`
+(subclasses attempting to override either are rejected at class definition
+time).  The simulator calls ``delivery_times`` once per send, with every
+receiver of the send in order, and it draws one delay per receiver in that
+order, so a broadcast consumes the random stream exactly as ``n`` one-receiver
+sends would.  Concrete network behaviours are *candidate-only*: they
 override the :meth:`DelayModel._candidate_delay` hook, which proposes a
 delivery time that the base class then clamps to the contract.  The optional
 ``schedule_hook`` gives per-message adversarial control on top of any
@@ -46,7 +50,7 @@ Shipped candidate models:
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 ScheduleHook = Callable[[int, int, float, float], Optional[float]]
 """Adversarial override: ``(sender, receiver, send_time, candidate_delivery) -> delivery or None``."""
@@ -55,11 +59,12 @@ ScheduleHook = Callable[[int, int, float, float], Optional[float]]
 class DelayModel:
     """Computes delivery times under partial synchrony.
 
-    ``delivery_time`` is **final**: it asks :meth:`_candidate_delay` (and then
-    the ``schedule_hook``, if any) for a candidate delivery time and clamps
-    the result to the partial-synchrony contract for correct senders, so no
-    subclass or hook can accidentally violate the model.  Subclasses express
-    network behaviours by overriding :meth:`_candidate_delay` only.
+    ``delivery_times`` is **final**: for each receiver it asks
+    :meth:`_candidate_delay` (and then the ``schedule_hook``, if any) for a
+    candidate delivery time and clamps the result to the partial-synchrony
+    contract for correct senders, so no subclass or hook can accidentally
+    violate the model.  Subclasses express network behaviours by overriding
+    :meth:`_candidate_delay` only.
 
     Args:
         gst: The Global Stabilization Time of the execution.
@@ -94,7 +99,7 @@ class DelayModel:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        for final in ("delivery_time", "latest_delivery"):
+        for final in ("delivery_times", "delivery_time", "latest_delivery"):
             if final in cls.__dict__:
                 raise TypeError(
                     f"{cls.__name__} must not override {final}(); the partial-synchrony "
@@ -106,29 +111,39 @@ class DelayModel:
         """The latest time the partial-synchrony contract allows for delivery."""
         return max(send_time, self.gst) + self.delta
 
-    def delivery_time(self, sender: int, receiver: int, send_time: float, sender_correct: bool) -> float:
-        """Return the delivery time for a message (final; see module docstring).
+    def delivery_times(
+        self, sender: int, receivers: Sequence[int], send_time: float, sender_correct: bool
+    ) -> List[float]:
+        """Return the delivery time of one send to each of ``receivers`` (final).
 
-        Messages from correct senders always respect the partial-synchrony
-        contract; messages from Byzantine senders may be delayed arbitrarily
-        by the candidate model or the hook (they carry no guarantee in the
-        model) but never below the ``min_delay`` causality floor.
+        One delay is drawn per receiver, in receiver order.  Messages from
+        correct senders always respect the partial-synchrony contract;
+        messages from Byzantine senders may be delayed arbitrarily by the
+        candidate model or the hook (they carry no guarantee in the model)
+        but never below the ``min_delay`` causality floor.
         """
         earliest = send_time + self.min_delay
-        candidate = self._candidate_delay(sender, receiver, send_time)
-        if self.schedule_hook is not None:
-            override = self.schedule_hook(sender, receiver, send_time, candidate)
-            if override is not None:
-                candidate = override
-        chosen = candidate if candidate > earliest else earliest
-        if sender_correct:
-            # Inline latest_delivery(): this method is final, runs once per
-            # message, and the bound is two comparisons.
-            gst = self.gst
-            latest = (send_time if send_time > gst else gst) + self.delta
-            if chosen > latest:
+        # The latest_delivery() bound, inlined: it is the same for every receiver.
+        gst = self.gst
+        latest = (send_time if send_time > gst else gst) + self.delta
+        candidate_delay = self._candidate_delay
+        hook = self.schedule_hook
+        times = [earliest] * len(receivers)  # filled by index: no append call per receiver
+        for index, receiver in enumerate(receivers):
+            candidate = candidate_delay(sender, receiver, send_time)
+            if hook is not None:
+                override = hook(sender, receiver, send_time, candidate)
+                if override is not None:
+                    candidate = override
+            chosen = candidate if candidate > earliest else earliest
+            if sender_correct and chosen > latest:
                 chosen = latest
-        return chosen
+            times[index] = chosen
+        return times
+
+    def delivery_time(self, sender: int, receiver: int, send_time: float, sender_correct: bool) -> float:
+        """Return the delivery time for one message (final; :meth:`delivery_times` for one receiver)."""
+        return self.delivery_times(sender, (receiver,), send_time, sender_correct)[0]
 
     def _candidate_delay(self, sender: int, receiver: int, send_time: float) -> float:
         """Propose a delivery time (the extension point for network behaviours).
@@ -142,7 +157,8 @@ class DelayModel:
         earliest = send_time + min_delay
         if send_time >= self.gst:
             return earliest + self._rng.random() * (self.delta - min_delay)
-        return earliest + self._rng.random() * (self.latest_delivery(send_time) - earliest)
+        # Before GST, latest_delivery(send_time) is gst + delta.
+        return earliest + self._rng.random() * (self.gst + self.delta - earliest)
 
 
 class SynchronousDelayModel(DelayModel):

@@ -24,13 +24,16 @@ state rules (a round is positive, a signature verifies); the shape is
 settled before they run.  A module that has stopped listening sets
 :attr:`ProtocolModule.stopped`, and the dispatcher drops everything after.
 
-Sending.  :meth:`ProtocolModule.send` checks the receiver it was given and
-hands one :class:`~repro.sim.events.Envelope` straight to
-:meth:`~repro.sim.simulation.Simulation.transmit`;
-:meth:`ProtocolModule.broadcast` builds one envelope and transmits it to
-every receiver of ``range(n)``, which needs no check.  Envelopes are never
-mutated, so one can travel in ``n`` deliveries.  :meth:`Process.send_raw` is
-the same step for adversaries and tests that build their own envelopes.
+Sending.  Every send is one call to
+:meth:`~repro.sim.simulation.Simulation.transmit` with one
+:class:`~repro.sim.events.Envelope` and its receivers.
+:meth:`ProtocolModule.send` checks the receiver it was given and passes it
+as a one-tuple; :meth:`ProtocolModule.broadcast` passes ``range(n)``, which
+needs no check.  Envelopes are never mutated, so one can travel in ``n``
+deliveries.  :meth:`Process.send_raw` is the same step for adversaries and
+tests that build their own envelopes.  A process class that never reads its
+mail sets :attr:`Process.listens` to ``False``; deliveries to it are counted
+but never queued.
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ class Process:
     :meth:`on_decide` to observe decisions.  ``system``, ``n`` and
     ``authority`` are fixed for the life of the process.
     """
+
+    listens: bool = True
+    """Whether deliveries to this process are queued.  A class sets it to
+    ``False`` only if it keeps the inherited :meth:`deliver_message` and
+    registers no module, so every delivery would be dropped unread; the
+    simulator then still counts each message to it and draws its delay, but
+    queues no event."""
 
     def __init__(self, pid: int, simulation: "Simulation"):
         system = simulation.system
@@ -116,7 +126,7 @@ class Process:
     # ------------------------------------------------------------------
     def send_raw(self, receiver: int, envelope: Envelope) -> None:
         self.system.validate_process(receiver)
-        self.simulation.transmit(self.pid, receiver, envelope)
+        self.simulation.transmit(self.pid, (receiver,), envelope)
 
     def set_timer_raw(self, delay: float, path: Tuple[str, ...], tag: Any) -> None:
         self.simulation.schedule_timer(self.pid, delay, path, tag)
@@ -186,20 +196,15 @@ class ProtocolModule:
     def send(self, receiver: int, payload: Any) -> None:
         """Send a point-to-point message to the peer module on ``receiver``."""
         self.system.validate_process(receiver)
-        self.process.simulation.transmit(self.pid, receiver, Envelope(self.path, payload))
+        self.process.simulation.transmit(self.pid, (receiver,), Envelope(self.path, payload))
 
-    def broadcast(self, payload: Any, include_self: bool = True) -> None:
-        """Send ``payload`` to the peer module on every process.
+    def broadcast(self, payload: Any) -> None:
+        """Send ``payload`` to the peer module on every process, itself included.
 
-        The broadcast costs ``n`` messages (or ``n - 1`` without self), which
-        matches the accounting used by the paper's complexity statements.
+        The broadcast costs ``n`` messages, which matches the accounting used
+        by the paper's complexity statements.
         """
-        envelope = Envelope(self.path, payload)
-        transmit = self.process.simulation.transmit
-        own_pid = self.pid
-        for receiver in range(self.n):
-            if include_self or receiver != own_pid:
-                transmit(own_pid, receiver, envelope)
+        self.process.simulation.transmit(self.pid, range(self.n), Envelope(self.path, payload))
 
     def set_timer(self, delay: float, tag: Any) -> None:
         """Schedule :meth:`on_timer` to fire after ``delay`` time units."""

@@ -11,15 +11,24 @@ timer of every sweep run passes through it — so it is written tuple-first:
 queue entries are plain ``(time, sequence, kind, target, data)`` tuples
 (see :mod:`repro.sim.events`), dispatch is inlined into the loop, and the
 "all correct processes decided" stop condition is a counter maintained by
-:meth:`record_decision` instead of an O(n) scan after every event.  None of
-this changes the event order: regression baselines are byte-identical to
-the pre-optimization driver.
+:meth:`record_decision` instead of an O(n) scan after every event.
+
+One send is one call: :meth:`Simulation.transmit` takes the send's whole
+receiver sequence (``range(n)`` for a broadcast, a one-tuple otherwise),
+records its messages once, draws one delay per receiver in receiver order
+and queues the deliveries with one sequence number per message.  A
+delivery to a receiver that never listens — no process at all, or a class
+with :attr:`Process.listens` false, such as a silent process — is counted
+and gets its delay drawn, but is not queued, so it is not an event and
+:attr:`Simulation.events_processed` does not count it.  None of this
+changes the event order or the random streams: regression baselines are
+byte-identical to the pre-optimization driver.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.system import SystemConfig
 from ..crypto.signatures import KeyAuthority
@@ -58,6 +67,7 @@ class Simulation:
         self.processes: Dict[int, Process] = {}
         self._correct: Set[int] = set()
         self._correct_view: Optional[FrozenSet[int]] = None
+        self._listens: List[bool] = [False] * system.n  # pid -> is a delivery to it queued
         self._decided_correct = 0
         self._queue: List[tuple] = []
         self._sequence = 0
@@ -86,6 +96,7 @@ class Simulation:
                 f"{self.delay_model.gst}; the model requires correct processes to start by GST"
             )
         self.processes[process.pid] = process
+        self._listens[process.pid] = process.listens
         if correct:
             self._correct.add(process.pid)
             self._correct_view = None
@@ -145,20 +156,17 @@ class Simulation:
         self._sequence += 1
         _heappush(self._queue, (time, self._sequence, kind, target, data))
 
-    def transmit(self, sender: int, receiver: int, envelope: Envelope) -> None:
-        """Send a message from ``sender`` to ``receiver`` (called by processes).
+    def transmit(self, sender: int, receivers: Sequence[int], envelope: Envelope) -> None:
+        """Send ``envelope`` from ``sender`` to each of ``receivers`` (called by processes).
 
-        The caller checked ``receiver`` where it chose it (``ProtocolModule.send``,
-        ``Process.send_raw``); a broadcast's ``range(n)`` needs no check.
+        One call per send: the caller checked the receiver it chose
+        (``ProtocolModule.send``, ``Process.send_raw``); a broadcast's
+        ``range(n)`` needs no check.  ``receivers`` must not be empty.
         """
         send_time = self.time
         sender_correct = sender in self._correct
         self.metrics.record_message(
-            sender=sender,
-            send_time=send_time,
-            payload=envelope.payload,
-            protocol=envelope.path,
-            sender_correct=sender_correct,
+            sender, send_time, envelope.payload, envelope.path, sender_correct, len(receivers)
         )
         if instrument.SINK is not None:
             payload = envelope.payload
@@ -166,21 +174,26 @@ class Simulation:
             instrument.SINK.add(
                 ("transmit", envelope.path[0] if envelope.path else "?", kind, sender_correct)
             )
-        # DelayModel.delivery_time is final and already enforces the
+        # DelayModel.delivery_times is final and already enforces the
         # min_delay causality floor and the GST + delta contract.
-        delivery_time = self.delay_model.delivery_time(sender, receiver, send_time, sender_correct)
-        sequence = self._sequence + 1
+        times = self.delay_model.delivery_times(sender, receivers, send_time, sender_correct)
+        listens = self._listens
+        queue = self._queue
+        sequence = self._sequence
+        for receiver, delivery_time in zip(receivers, times):
+            sequence += 1
+            if listens[receiver]:
+                _heappush(
+                    queue,
+                    (
+                        delivery_time,
+                        sequence,
+                        _MESSAGE,
+                        receiver,
+                        MessageDelivery(sender, receiver, envelope, send_time),
+                    ),
+                )
         self._sequence = sequence
-        _heappush(
-            self._queue,
-            (
-                delivery_time,
-                sequence,
-                _MESSAGE,
-                receiver,
-                MessageDelivery(sender, receiver, envelope, send_time),
-            ),
-        )
 
     def schedule_timer(self, pid: int, delay: float, path: Tuple[str, ...], tag: Any) -> None:
         """Schedule a timer for a process (called by processes)."""
@@ -208,29 +221,36 @@ class Simulation:
             self._push(self._start_times[pid], _TIMER, pid, TimerExpiry(path=_START_PATH, tag=None))
         self._started = True
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: int = 2_000_000,
-        stop_when: Optional[Callable[["Simulation"], bool]] = None,
-    ) -> MetricsCollector:
-        """Run the event loop.
+    def run(self, until: Optional[float] = None, max_events: int = 2_000_000) -> MetricsCollector:
+        """Run the event loop until the queue drains or the horizon is reached.
 
         Args:
             until: Optional simulated-time horizon.
             max_events: Safety bound on processed events.
-            stop_when: Optional predicate evaluated after every event; the
-                run stops as soon as it returns ``True`` (used e.g. to stop
-                once all correct processes have decided).
 
         Returns:
             The metrics collector (also available as ``self.metrics``).
         """
+        return self._run(until, max_events, stop_once_decided=False)
+
+    def run_until_all_correct_decide(
+        self, until: Optional[float] = None, max_events: int = 2_000_000
+    ) -> MetricsCollector:
+        """Run until every correct process has decided (or the queue drains).
+
+        The stop condition costs O(1) per event: :meth:`record_decision`
+        maintains a counter of distinct decided correct processes, which the
+        loop compares against the number of correct processes.
+        """
+        return self._run(until, max_events, stop_once_decided=True)
+
+    def _run(self, until: Optional[float], max_events: int, stop_once_decided: bool) -> MetricsCollector:
         if not self._started:
             self._start_processes()
         processed = 0
         queue = self._queue
         processes = self.processes
+        correct_count = len(self._correct)
         heappop = heapq.heappop
         while queue:
             if processed >= max_events:
@@ -258,24 +278,9 @@ class Simulation:
                         process.deliver_timer(expiry)
             processed += 1
             self.events_processed += 1
-            if stop_when is not None and stop_when(self):
+            if stop_once_decided and self._decided_correct >= correct_count:
                 break
         return self.metrics
-
-    def run_until_all_correct_decide(
-        self, until: Optional[float] = None, max_events: int = 2_000_000
-    ) -> MetricsCollector:
-        """Run until every correct process has decided (or the queue drains).
-
-        The stop condition costs O(1) per event: :meth:`record_decision`
-        maintains a counter of distinct decided correct processes, so no
-        per-event scan over all processes (and no per-call closure) is
-        needed.
-        """
-        return self.run(until=until, max_events=max_events, stop_when=self._all_correct_decided_probe)
-
-    def _all_correct_decided_probe(self, _simulation: Optional["Simulation"] = None) -> bool:
-        return self._decided_correct >= len(self._correct)
 
     # ------------------------------------------------------------------
     # Correctness checks used by tests and experiments

@@ -213,6 +213,46 @@ class TestADDInSimulation:
         assert set(sim.decisions().values()) == {self.blob}
 
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"symbols": [1]},
+            {"symbols": (1, [2])},
+            {"symbols": {1: 2}},
+            {"blob_length": [1]},
+        ],
+        ids=["list-symbols", "nested-list-symbol", "dict-symbols", "list-length"],
+    )
+    def test_malformed_disperse_fragments_are_dropped(self, fields):
+        # A Fragment whose fields are not the declared ints used to reach
+        # ADD's vote table as a dict key: an unhashable one crashed every
+        # correct process it was addressed to.
+        from repro.core import SystemConfig
+        from repro.crypto import digest
+        from repro.sim import Envelope, Process, Simulation, SynchronousDelayModel
+
+        blob, expected = self.blob, digest(self.blob)
+        system = SystemConfig(7, 2)
+
+        class MalformedDisperser(Process):
+            """Byzantine: disperses a malformed fragment to every process, under the expected hash."""
+
+            def on_start(self):
+                for receiver in range(system.n):
+                    fragment = Fragment(**{"index": receiver, "symbols": (1,), "blob_length": 1, **fields})
+                    self.send_raw(receiver, Envelope(("add",), ("disperse", expected, fragment)))
+
+        sim = Simulation(system, delay_model=SynchronousDelayModel(seed=5))
+        sim.populate(
+            self.add_process_factory(holders=(0, 1, 2)),
+            faulty=[5, 6],
+            faulty_factory=MalformedDisperser,
+        )
+        sim.run_until_all_correct_decide(until=1_000)
+        assert sim.all_correct_decided()
+        assert set(sim.decisions().values()) == {self.blob}
+
+
 def test_the_cli_import_is_stdlib_only():
     """A fresh interpreter importing the CLI loads neither numpy nor the test-side oracle."""
     probe = (

@@ -1,6 +1,6 @@
 """Property tests for the partial-synchrony delay-model contract.
 
-The contract (enforced in exactly one place, ``DelayModel.delivery_time``):
+The contract (enforced in exactly one place, ``DelayModel.delivery_times``):
 every message from a correct sender is delivered within::
 
     send_time + min_delay  <=  delivery  <=  max(send_time, gst) + delta
@@ -72,6 +72,39 @@ def test_delivery_time_is_final():
         class Rogue(DelayModel):
             def delivery_time(self, sender, receiver, send_time, sender_correct):
                 return 0.0
+
+
+def test_delivery_times_is_final():
+    with pytest.raises(TypeError, match="_candidate_delay"):
+
+        class Rogue(DelayModel):
+            def delivery_times(self, sender, receivers, send_time, sender_correct):
+                return [0.0] * len(receivers)
+
+
+@pytest.mark.parametrize("delay_key", sorted(DELAY_MODELS))
+@pytest.mark.parametrize("hook_key", ["none", "selective", "zero"])
+def test_one_call_for_all_receivers_equals_one_call_per_receiver(delay_key, hook_key):
+    # The simulator asks for a whole send's delays at once; a same-seed twin
+    # asked once per receiver must see the same times and stay in step.
+    spec = make_scenario("binary", delay=delay_key, n=7, t=2)
+    for seed in SEEDS:
+        batched = DELAY_MODELS[delay_key](spec, seed)
+        single = DELAY_MODELS[delay_key](spec, seed)
+        batched.schedule_hook = single.schedule_hook = HOOKS[hook_key]
+        gst = batched.gst
+        send_times = (0.0, gst / 2, gst, gst + 0.3, gst + 4.0)
+        for send_time in send_times:
+            for sender in range(spec.n):
+                for sender_correct in (True, False):
+                    receivers = range(spec.n)
+                    expected = [
+                        single.delivery_time(sender, receiver, send_time, sender_correct)
+                        for receiver in receivers
+                    ]
+                    assert batched.delivery_times(sender, receivers, send_time, sender_correct) == expected
+        # Still in step: the next draw of each twin is the same draw.
+        assert batched.delivery_times(0, (3,), gst + 1.0, True) == [single.delivery_time(0, 3, gst + 1.0, True)]
 
 
 def test_latest_delivery_is_final_too():

@@ -145,10 +145,10 @@ def test_decided_counter_matches_the_full_scan():
     simulation.populate(lambda pid, s: TimedDecider(pid, s), faulty=[3])
     simulation.run(until=1.5)
     assert not simulation.all_correct_decided()
-    assert not simulation._all_correct_decided_probe()
+    assert simulation._decided_correct == 1
     simulation.run_until_all_correct_decide()
     assert simulation.all_correct_decided()
-    assert simulation._all_correct_decided_probe()
+    assert simulation._decided_correct == len(simulation.correct_processes) == 3
     assert set(simulation.decisions()) == {0, 1, 2}
 
 

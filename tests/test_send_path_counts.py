@@ -3,8 +3,12 @@
 ``universal-non-authenticated`` under ``equivocation`` and ``eventual`` delays
 at n = 10, seed 2023, run beneath counting wrappers.  Almost every message of
 this protocol is a broadcast, so the pins say how sends are built: one
-``Envelope`` per ``broadcast`` call, one per point-to-point ``send`` and one
-per adversary ``send_raw``, never one per receiver.  The counts repeat across
+``Envelope`` and one ``Simulation.transmit`` per ``broadcast`` call, per
+point-to-point ``send`` and per adversary ``send_raw``, never one per
+receiver.  ``queued`` counts message entries pushed on the event heap: the
+three equivocating processes never listen, so the 1,584 messages addressed
+to them (3 of each broadcast's 10, and 9 of the 30 ``send_raw``s) are
+recorded but never queued and never become events.  The counts repeat across
 interpreters and ``PYTHONHASHSEED``s (CI runs this file under two).
 """
 
@@ -12,17 +16,20 @@ import hashlib
 
 from repro.experiments.execute import execute_run
 from repro.experiments.scenario import make_scenario
-from repro.sim import Envelope, Process, Simulation
+from repro.sim import Envelope, Event, Process, Simulation
+from repro.sim import simulation as simulation_module
 from repro.sim.process import ProtocolModule
 
 # ``result_sha256`` is the sha256 of ``RunResult.canonical_json()`` recorded at
 # commit 762eb76, where every receiver of a broadcast got its own Envelope
-# (5,280 of them on this run) and every transmit re-checked its receiver.
+# and its own transmit (5,280 of them on this run), every message was queued
+# and every transmit re-checked its receiver.
 PINNED = {
     "result_sha256": "a4576fd993c979d4d8fe3fdb0cec3ed3250a025f6caaf2d252f2f1b85c24e1df",
-    "events_processed": 5106,
+    "events_processed": 3578,
     "total_messages": 5280,
-    "transmit": 5280,
+    "queued": 3696,
+    "transmit": 555,
     "envelopes": 555,
     "broadcast": 525,
     "send": 0,
@@ -48,13 +55,20 @@ def test_one_unsigned_run_counted(monkeypatch):
     counted(ProtocolModule, "send", "send")
     counted(Process, "send_raw", "send_raw")
     counted(Simulation, "transmit", "transmit")
-    original_run = Simulation.run
+    original_run = Simulation.run_until_all_correct_decide
 
     def run(self, *args, **kwargs):
         simulations.append(self)
         return original_run(self, *args, **kwargs)
 
-    monkeypatch.setattr(Simulation, "run", run)
+    monkeypatch.setattr(Simulation, "run_until_all_correct_decide", run)
+    heappush = simulation_module._heappush
+
+    def push(queue, entry):
+        counts["queued"] += entry[2] == Event.MESSAGE
+        heappush(queue, entry)
+
+    monkeypatch.setattr(simulation_module, "_heappush", push)
 
     spec = make_scenario("universal-non-authenticated", "equivocation", "eventual", n=10, t=3)
     result = execute_run(spec, 2023)
@@ -65,6 +79,8 @@ def test_one_unsigned_run_counted(monkeypatch):
     counts["events_processed"] = simulation.events_processed
     counts["total_messages"] = simulation.metrics.total_messages
     assert counts == PINNED
-    # The claim the numbers carry: a broadcast builds one envelope for all its receivers.
-    assert counts["envelopes"] == counts["broadcast"] + counts["send"] + counts["send_raw"]
-    assert counts["transmit"] == counts["total_messages"]
+    # The claims the numbers carry: a send builds one envelope and makes one
+    # simulator call for all its receivers, and messages to processes that
+    # never listen are counted but not queued.
+    sends = counts["broadcast"] + counts["send"] + counts["send_raw"]
+    assert counts["envelopes"] == counts["transmit"] == sends

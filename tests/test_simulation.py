@@ -275,3 +275,62 @@ class TestModuleRouting:
         process.deliver_message(
             type("D", (), {"sender": 1, "receiver": 0, "envelope": Envelope(("ghost",), "x"), "send_time": 0.0})()
         )
+
+
+def _subclasses(cls):
+    for subclass in cls.__subclasses__():
+        yield subclass
+        yield from _subclasses(subclass)
+
+
+class TestNonListeningReceivers:
+    """A message to a process that never reads its mail is counted, drawn, and not queued."""
+
+    PROTOCOLS = ("binary", "quad", "universal-authenticated", "universal-non-authenticated", "universal-compact")
+
+    @staticmethod
+    def run_capturing(monkeypatch, spec, seed=2023):
+        from repro.experiments.execute import execute_run
+
+        simulations = []
+        original = Simulation.run_until_all_correct_decide
+
+        def run(self, *args, **kwargs):
+            simulations.append(self)
+            return original(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Simulation, "run_until_all_correct_decide", run)
+            result = execute_run(spec, seed)
+        (simulation,) = simulations
+        return result, simulation
+
+    def test_every_non_listening_class_keeps_the_inherited_delivery(self):
+        import repro.experiments  # noqa: F401  (loads every shipped adversary)
+
+        non_listening = {cls for cls in _subclasses(Process) if not cls.listens}
+        assert {cls.__name__ for cls in non_listening} >= {"SilentProcess", "EquivocatingProposer"}
+        for cls in non_listening:
+            assert cls.deliver_message is Process.deliver_message, cls
+
+    @pytest.mark.parametrize("adversary", ["silent", "equivocation"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_not_queueing_changes_no_count_and_no_result(self, monkeypatch, protocol, adversary):
+        from repro.experiments import make_scenario
+        from repro.sim import EquivocatingProposer, SilentProcess
+
+        spec = make_scenario(protocol, adversary, "eventual", n=7, t=2)
+        result, simulation = self.run_capturing(monkeypatch, spec)
+        silent = [process for process in simulation.processes.values() if not process.listens]
+        assert len(silent) == spec.t
+        for process in silent:
+            assert not process._modules, "a non-listening process must register no module"
+        monkeypatch.setattr(SilentProcess, "listens", True)
+        monkeypatch.setattr(EquivocatingProposer, "listens", True)
+        queued_result, queued_simulation = self.run_capturing(monkeypatch, spec)
+        assert result.canonical_json() == queued_result.canonical_json()
+        metrics, queued_metrics = simulation.metrics, queued_simulation.metrics
+        assert metrics.per_sender_messages == queued_metrics.per_sender_messages
+        assert metrics.message_complexity == queued_metrics.message_complexity
+        assert metrics.total_messages == queued_metrics.total_messages
+        assert simulation.events_processed < queued_simulation.events_processed

@@ -32,10 +32,13 @@ class DisseminatorProcess(Process):
         self.acquired = None
 
     def on_start(self):
-        self.disseminator = VectorDissemination(
-            self, on_acquire=lambda h, sig: setattr(self, "acquired", (h, sig))
-        )
+        self.disseminator = VectorDissemination(self, on_acquire=self._acquire)
         self.disseminator.disseminate(self.blob)
+
+    def _acquire(self, blob_hash, signature):
+        # Acquiring is this test process's decision, so the run can stop once all have.
+        self.acquired = (blob_hash, signature)
+        self.decide(self.acquired)
 
 
 class TestSlowBroadcast:
@@ -64,11 +67,7 @@ class TestVectorDissemination:
         system = SystemConfig(4, 1)
         sim = Simulation(system, delay_model=SynchronousDelayModel(seed=2))
         sim.populate(lambda pid, s: DisseminatorProcess(pid, s, blob=b"common-vector"))
-        sim.run(
-            stop_when=lambda simulation: all(
-                simulation.processes[p].acquired is not None for p in simulation.correct_processes
-            )
-        )
+        sim.run_until_all_correct_decide()
         hashes = set()
         for pid in sim.correct_processes:
             process = sim.processes[pid]
@@ -89,11 +88,7 @@ class TestVectorDissemination:
             faulty=[3],
             faulty_factory=silent_factory,
         )
-        sim.run(
-            stop_when=lambda simulation: all(
-                simulation.processes[p].acquired is not None for p in simulation.correct_processes
-            )
-        )
+        sim.run_until_all_correct_decide()
         for pid in sim.correct_processes:
             assert sim.processes[pid].acquired is not None
 
