@@ -29,6 +29,7 @@ import logging
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -45,6 +46,9 @@ from .execute import POISON_ERROR_PREFIX, TIMEOUT_ERROR_PREFIX, RunResult, execu
 from .scenario import ScenarioSpec
 
 _LOG = logging.getLogger("repro.experiments.runner")
+
+_DYING_POOL_ERRORS = (OSError, ValueError, AssertionError, RuntimeError)
+"""What a dying pool or its processes legitimately raise during teardown."""
 
 DEFAULT_SEED = 2023
 """The shared seed used by benchmarks and smoke sweeps (one seeding path)."""
@@ -224,18 +228,19 @@ class Runner:
         fault_plan: Deterministic fault injection for chaos tests; defaults
             to the plan in the ``REPRO_FAULT_PLAN`` environment variable,
             else none.  The serial path never injects faults.
-        supervision_deadline: Per-task wall-clock ceiling (seconds from
-            dispatch) after which supervision presumes the worker hung and
-            reclaims it.  Defaults to ``timeout`` plus a grace period when
+        supervision_deadline: Per-batch wall-clock ceiling (seconds from
+            when a worker starts the batch) after which supervision presumes
+            the worker hung and reclaims it.  Defaults to ``timeout`` plus a grace period when
             a per-run timeout is set (the worker's own ``SIGALRM`` should
             fire first), else no deadline (worker *death* is still caught
             via pool pid churn).
         batch_size: Tasks per parallel worker dispatch.  ``None`` sizes the
-            microbatch automatically from the miss count and worker count
-            (see :meth:`_effective_batch_size`); ``1`` restores one dispatch
-            per task.  Batching amortizes pickle/pool overhead only — result
-            order, store caching and crash/retry/poison supervision are
-            per-task at every size, and serial execution ignores it.
+            microbatches automatically, shrinking them towards the end of
+            the sweep (see :meth:`_plan_batches`); ``1`` restores one
+            dispatch per task.  Batching amortizes pickle/pool overhead
+            only — result order, store caching and crash/retry/poison
+            supervision are per-task at every size, and serial execution
+            ignores it.
         on_log: Optional sink for supervision/teardown log lines; defaults
             to the module logger.
     """
@@ -244,6 +249,11 @@ class Runner:
     """Ceiling for automatically sized microbatches: large enough to make
     dispatch overhead invisible, small enough that one straggler cannot
     serialise a meaningful fraction of a sweep behind it."""
+
+    TEARDOWN_GRACE = 2.0
+    """Seconds :meth:`close` waits for the pool to terminate before killing
+    its workers outright: ``Pool.terminate`` blocks forever when a worker
+    died holding the pool's result-queue lock."""
 
     def __init__(
         self,
@@ -339,15 +349,45 @@ class Runner:
         raises (``OSError`` from dead pipes, pool-state ``ValueError``/
         ``AssertionError``/``RuntimeError``); anything else is logged so a
         real bug in teardown stops being silently swallowed.
+
+        Teardown is bounded: a worker killed while it held the pool's
+        result-queue lock wedges ``Pool.terminate`` for good, so terminate
+        runs on a daemon thread joined for :attr:`TEARDOWN_GRACE` seconds;
+        past that the workers are killed, the wedge is logged and the pool
+        is abandoned to its thread.
         """
         pool, self._pool = self._pool, None
         if pool is None:
             return
+        stopper = threading.Thread(
+            target=self._terminate_pool, args=(pool,), name="repro-pool-teardown", daemon=True
+        )
+        try:
+            stopper.start()
+        except RuntimeError:  # no new threads at interpreter shutdown
+            self._terminate_pool(pool)
+            return
+        stopper.join(self.TEARDOWN_GRACE)
+        if not stopper.is_alive():
+            return
+        workers = list(getattr(pool, "_pool", ()))
+        for worker in workers:
+            with contextlib.suppress(*_DYING_POOL_ERRORS):
+                worker.kill()
+        for worker in workers:
+            with contextlib.suppress(*_DYING_POOL_ERRORS):
+                worker.join(self.TEARDOWN_GRACE)
+        self._log(
+            f"runner: pool teardown still blocked after {self.TEARDOWN_GRACE:.1f}s; "
+            f"killed {len(workers)} worker(s) and abandoned the pool"
+        )
+
+    def _terminate_pool(self, pool: Any) -> None:
         for teardown in (pool.terminate, pool.join):
             try:
                 teardown()
-            except (OSError, ValueError, AssertionError, RuntimeError):
-                pass  # a dying pool's expected complaints
+            except _DYING_POOL_ERRORS:
+                pass
             except Exception as exc:  # noqa: BLE001 - logged, never raised from teardown
                 self._log(
                     f"runner: unexpected {type(exc).__name__} during pool "
@@ -369,19 +409,28 @@ class Runner:
     # ------------------------------------------------------------------
     # Generic task execution (shared by sweeps and the analysis pipeline)
     # ------------------------------------------------------------------
-    def _effective_batch_size(self, miss_count: int) -> int:
-        """Tasks per worker dispatch for a parallel sweep of ``miss_count`` misses.
+    def _plan_batches(self, misses: List[Tuple[int, Any]]) -> List[List[Tuple[int, Any]]]:
+        """Split ``misses`` into consecutive worker dispatches, in item order.
 
-        An explicit :attr:`batch_size` wins.  Auto aims for roughly two
-        batches per worker — enough slack that a straggler batch cannot idle
-        the pool while the per-dispatch overhead (pickling the payload, pool
-        plumbing, supervision polls) is amortized over the batch — capped at
-        :data:`MAX_AUTO_BATCH` so huge sweeps still stream results steadily.
+        An explicit :attr:`batch_size` gives fixed chunks (the last one may
+        be short).  Auto sizing is guided self-scheduling (Polychronopoulos
+        and Kuck, 1987): each batch takes ``remaining // (2 × workers)``
+        items, at least one and at most :data:`MAX_AUTO_BATCH`, so batches
+        shrink as the sweep drains and the last worker to finish has only a
+        small batch left to run.  The large early batches amortize the
+        per-dispatch overhead (pickling the payload, pool plumbing,
+        supervision polls); the cap keeps huge sweeps streaming results.
         """
-        if self.batch_size is not None:
-            return self.batch_size
-        workers = self.parallel or 1
-        return max(1, min(self.MAX_AUTO_BATCH, miss_count // (workers * 2) or 1))
+        slots = 2 * (self.parallel or 1)
+        batches: List[List[Tuple[int, Any]]] = []
+        start = 0
+        while start < len(misses):
+            size = self.batch_size or max(
+                1, min(self.MAX_AUTO_BATCH, (len(misses) - start) // slots)
+            )
+            batches.append(misses[start : start + size])
+            start += size
+        return batches
 
     def iter_tasks(
         self,
@@ -437,7 +486,7 @@ class Runner:
                 deadline=self.supervision_deadline,
                 stats=self.supervision,
                 on_log=self._log,
-            ).map_unordered(func, misses, batch_size=self._effective_batch_size(len(misses)))
+            ).map_unordered(func, self._plan_batches(misses))
         next_index = 0
         try:
             while next_index in pending:  # cached results before the first miss: serve now
@@ -474,10 +523,11 @@ class Runner:
         """Yield results in ``scenarios × seeds`` order as they become available.
 
         Parallel sweeps dispatch through the supervisor's windowed
-        ``apply_async`` (no worker ever waits on another batch's straggler)
-        and reorder through a small buffer, so the yielded sequence is
-        deterministic while early results can be aggregated before the sweep
-        finishes.
+        ``apply_async`` (each worker has its next batch queued while it runs
+        the current one, and the batches shrink towards the end of the sweep
+        so the last straggler is short) and reorder through a small buffer,
+        so the yielded sequence is deterministic while early results can be
+        aggregated before the sweep finishes.
 
         With a ``store`` (a :class:`repro.store.RunStore`), the sweep is
         **incremental**: requested runs are partitioned into cache hits —

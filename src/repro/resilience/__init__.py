@@ -16,7 +16,7 @@ store:
   same faults;
 * :mod:`repro.resilience.supervisor` — :class:`Supervisor`: the parent-side
   dispatch loop that replaces the bare ``imap_unordered`` fan-out.  It
-  detects dead workers (pool pid churn) and hung tasks (per-task deadline),
+  detects dead workers (pool pid churn) and hung batches (per-batch deadline),
   respawns the pool, re-dispatches in-flight work under the retry policy,
   and quarantines a task that repeatedly kills its worker as a typed
   :class:`PoisonRecord` instead of aborting the sweep.

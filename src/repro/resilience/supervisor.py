@@ -9,8 +9,9 @@ forever.  :class:`Supervisor` replaces that loop with a windowed
 
 * **detection** — each poll compares the pool's worker pid set against a
   snapshot (a vanished or replaced pid means a worker died) and checks
-  every in-flight task against a per-task deadline (a hung worker never
-  churns a pid, only the deadline catches it);
+  every running batch against a per-batch deadline, counted from when the
+  pool started running it (a hung worker never churns a pid, only the
+  deadline catches it);
 * **recovery** — on a detected fault the pool is respawned and every
   unharvested in-flight task is re-dispatched under the
   :class:`~repro.resilience.retry.RetryPolicy`, with seeded backoff;
@@ -18,7 +19,15 @@ forever.  :class:`Supervisor` replaces that loop with a windowed
   time), so when a crash recurs it is attributed to exactly one task; a
   task that keeps killing its worker is yielded as a typed
   :class:`PoisonRecord` after its attempt budget instead of aborting the
-  sweep.
+  sweep.  Only a crash that loses a lone single-item task is attributed:
+  every other lost task is requeued whatever its budget.
+
+Fresh batches fill a window of ``2 × workers`` in-flight dispatches, so
+every worker has its next batch queued while it runs the current one; a
+crash therefore loses up to ``2 × workers`` batches, and every task in them
+is re-run on its own.  A retry is an in-flight batch on its second or later
+attempt: while one runs, nothing else dispatches.  A batch queued behind a
+running one has not started, so its deadline clock has not either.
 
 Because tasks are pure functions of their items, a re-dispatched task
 reproduces the same bytes, and completion-order jitter is absorbed by the
@@ -30,6 +39,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..obs.registry import METRICS
@@ -128,11 +138,14 @@ class _Task:
     singletons that *inherit* the counter, so the per-task attempt
     accounting the retry policy and quarantine thresholds reason about is
     preserved (the batch dispatch was attempt one for every member).
+    ``running_since`` starts the deadline clock once the pool is running
+    the batch, not while it waits in the pool's queue.
     """
 
     items: List[Tuple[int, Any]]
     attempts: int = 0
     eligible_at: float = 0.0
+    running_since: Optional[float] = None
 
     @property
     def index(self) -> int:
@@ -151,10 +164,10 @@ class Supervisor:
         fault_state: Deterministic fault bookkeeping (may wrap ``plan=None``,
             in which case no faults are ever injected — detection and
             recovery still run, they just never trigger).
-        deadline: Optional per-task wall-clock ceiling (seconds from
-            dispatch) after which an in-flight task is presumed lost to a
-            hung worker.  ``None`` disables deadline detection (pid churn
-            still catches outright deaths).
+        deadline: Optional per-batch wall-clock ceiling (seconds from
+            when the pool starts running the batch) after which it is
+            presumed lost to a hung worker.  ``None`` disables deadline
+            detection (pid churn still catches outright deaths).
         stats: Counters to accumulate into (the runner shares one across
             all its dispatches).
         on_log: Optional sink for supervision log lines.
@@ -219,12 +232,26 @@ class Supervisor:
         if task.eligible_at > now:
             return False
         if task.attempts > 0:
-            # Isolation: a retried task runs alone so a recurring crash is
-            # attributed to it and only it.
+            # Isolation: a requeued task (attempts counts its past dispatches)
+            # runs alone so a recurring crash is attributed to it and only it.
             return not self._outstanding
-        if any(entry[2].attempts > 0 for entry in self._outstanding.values()):
+        # In flight, attempts already counts the current dispatch: a retry is
+        # attempt two or later, and nothing joins it while it runs.
+        if any(entry[2].attempts > 1 for entry in self._outstanding.values()):
             return False
         return len(self._outstanding) < self._window()
+
+    def _start_clocks(self, now: float) -> None:
+        """Start the deadline clock of every batch the pool is now running.
+
+        The pool hands batches to workers in dispatch order, so the running
+        ones are the oldest ``parallel`` in flight; a batch queued behind
+        them has not started, and its wait must not count against it.
+        """
+        running = islice(self._outstanding.values(), self._runner.parallel or 1)
+        for _result, _dispatched, task in running:
+            if task.running_since is None:
+                task.running_since = now
 
     def _detect_fault(self, pool: Any, now: float) -> Optional[str]:
         if self._worker_died(pool):
@@ -233,8 +260,8 @@ class Supervisor:
         if self._pids is not None and pids is not None and pids != self._pids:
             return "pool worker pids churned (a worker died and was replaced)"
         if self._deadline is not None:
-            for index, (_result, started, _task) in self._outstanding.items():
-                if now - started > self._deadline:
+            for index, (_result, _dispatched, task) in self._outstanding.items():
+                if task.running_since is not None and now - task.running_since > self._deadline:
                     return (
                         f"task {index} exceeded the {self._deadline:.1f}s "
                         "supervision deadline (worker presumed hung)"
@@ -264,20 +291,20 @@ class Supervisor:
         _OBS_RESPAWNS.inc()
         poisoned: List[Tuple[int, PoisonRecord]] = []
         now = time.monotonic()
-        singles: List[Tuple[_Task, bool]] = []
+        # The crash is attributable only when it lost one single-item task.
+        # Any other lost task may be an innocent batch-mate or a bystander
+        # queued behind the culprit, so it is requeued even with its attempt
+        # budget spent; it re-runs alone, where a recurrence *is*
+        # attributable and quarantines it.
+        attributable = len(lost) == 1 and len(lost[0].items) == 1
+        singles: List[_Task] = []
         for task in lost:
             if len(task.items) > 1:
-                singles.extend(
-                    (_Task(items=[pair], attempts=task.attempts), True) for pair in task.items
-                )
+                singles.extend(_Task(items=[pair], attempts=task.attempts) for pair in task.items)
             else:
-                singles.append((task, False))
-        for task, fresh_split in reversed(singles):  # appendleft keeps original dispatch order
-            # A singleton fresh off a batch split has never run in isolation,
-            # so it cannot be quarantined off this crash — the culprit could
-            # be any batch-mate.  It is requeued even with its attempt budget
-            # spent; the *next* crash (now attributable) quarantines it.
-            if not fresh_split and task.attempts >= self._policy.max_attempts:
+                singles.append(task)
+        for task in reversed(singles):  # appendleft keeps original dispatch order
+            if attributable and task.attempts >= self._policy.max_attempts:
                 self.stats.quarantined += 1
                 _OBS_QUARANTINED.inc()
                 self._log(
@@ -298,27 +325,24 @@ class Supervisor:
     # The dispatch loop
     # ------------------------------------------------------------------
     def map_unordered(
-        self, func: Any, indexed_items: Iterable[Tuple[int, Any]], batch_size: int = 1
+        self, func: Any, batches: Iterable[List[Tuple[int, Any]]]
     ) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(index, func(item))`` for every pair, in completion order.
+        """Yield ``(index, func(item))`` for every ``(index, item)`` pair of
+        every batch, in completion order.
 
         A quarantined task yields ``(index, PoisonRecord)`` instead; the
         caller decides whether that aborts the sweep or becomes a typed
         poison result.
 
-        ``batch_size`` microbatches dispatch: consecutive items travel to a
-        worker in chunks of that size, amortizing pickle and pool plumbing
-        over the chunk while results are still yielded (and faults still
-        injected, retried and quarantined) per item.  Results within a
-        harvested batch arrive in item order; across batches, completion
-        order — the caller's reorder buffer makes both invisible.
+        Each batch travels to a worker in one dispatch, amortizing pickle
+        and pool plumbing over the batch while results are still yielded
+        (and faults still injected, retried and quarantined) per item; how
+        items are grouped is the caller's plan (see
+        :meth:`~repro.experiments.runner.Runner._plan_batches`).  Results
+        within a harvested batch arrive in item order; across batches,
+        completion order — the caller's reorder buffer makes both invisible.
         """
-        items_list = list(indexed_items)
-        batch_size = max(1, int(batch_size))
-        queue: Deque[_Task] = deque(
-            _Task(items=items_list[start : start + batch_size])
-            for start in range(0, len(items_list), batch_size)
-        )
+        queue: Deque[_Task] = deque(_Task(items=batch) for batch in batches)
         hang_seconds = self._faults.plan.hang_seconds if self._faults.plan else 0.0
         while queue or self._outstanding:
             now = time.monotonic()
@@ -329,6 +353,7 @@ class Supervisor:
                 if self._pids is None:
                     self._pids = self._worker_pids(pool)
                 task.attempts += 1
+                task.running_since = None
                 self.stats.dispatched += len(task.items)
                 _OBS_DISPATCHED.inc(len(task.items))
                 # One fault tag per item, computed in item order so the
@@ -342,6 +367,7 @@ class Supervisor:
                     (func, faults, hang_seconds, tuple(task.items)),
                 )
                 self._outstanding[task.index] = (async_result, time.monotonic(), task)
+            self._start_clocks(now)
             # Harvest everything that completed.
             completed = [
                 index for index, (result, _s, _t) in self._outstanding.items() if result.ready()

@@ -158,7 +158,10 @@ class TestSupervisedSweeps:
         baseline = canonical_results(serial.iter_runs(scenarios, [1]))
         serial.close()
 
-        plan = FaultPlan(seed=1, worker_crash=(5, 40))
+        # The second crash sits past the first dispatch window (tasks 0-63):
+        # a crash position inside it is lost with task 5's crash and re-runs
+        # as attempt two, where a first-attempt crash never fires.
+        plan = FaultPlan(seed=1, worker_crash=(5, 100))
         chaotic = Runner(parallel=2, retry_policy=FAST_RETRY, fault_plan=plan)
         try:
             survived = canonical_results(chaotic.iter_runs(scenarios, [1]))

@@ -49,9 +49,10 @@ def sweep(batch_size=None, **runner_kwargs):
 class TestBatchSizeByteIdentity:
     def test_every_batch_size_matches_the_serial_sweep(self):
         baseline, _ = sweep()  # serial: batch_size is ignored entirely
-        for batch_size in BATCH_SIZES:
-            parallel, runner = sweep(batch_size=batch_size, parallel=2)
-            assert parallel == baseline, f"batch_size={batch_size} diverged"
+        cases = [(2, batch_size) for batch_size in BATCH_SIZES] + [(4, 3), (4, None)]
+        for workers, batch_size in cases:
+            parallel, runner = sweep(batch_size=batch_size, parallel=workers)
+            assert parallel == baseline, f"parallel={workers} batch_size={batch_size} diverged"
             assert runner.supervision.dispatched == len(SLICE) * len(SEEDS)
 
     def test_serial_sweep_ignores_batch_size(self):
@@ -70,18 +71,22 @@ class TestBatchSizeByteIdentity:
 # ----------------------------------------------------------------------
 # Auto batch sizing
 # ----------------------------------------------------------------------
+def largest_batch(runner, misses):
+    return max(len(batch) for batch in runner._plan_batches([(i, i) for i in range(misses)]))
+
+
 class TestEffectiveBatchSize:
     def test_explicit_size_always_wins(self):
         runner = Runner(parallel=4, batch_size=7)
-        assert runner._effective_batch_size(1) == 7
-        assert runner._effective_batch_size(10**6) == 7
+        assert largest_batch(runner, 1) == 1  # a one-miss sweep is one short batch
+        assert largest_batch(runner, 10**4) == 7
         runner.close()
 
     def test_auto_scales_with_misses_and_is_capped(self):
         runner = Runner(parallel=4)
-        assert runner._effective_batch_size(5) == 1  # tiny sweeps stay unbatched
-        assert runner._effective_batch_size(100) == 100 // 8
-        assert runner._effective_batch_size(10**6) == Runner.MAX_AUTO_BATCH
+        assert largest_batch(runner, 5) == 1  # tiny sweeps stay unbatched
+        assert largest_batch(runner, 100) == 100 // 8
+        assert largest_batch(runner, 10**4) == Runner.MAX_AUTO_BATCH
         runner.close()
 
     def test_validation(self):
