@@ -48,7 +48,7 @@ from typing import Any, Dict, Optional, Sequence, Set, Tuple
 from ..consensus.universal_protocol import UniversalProcess
 from ..core.system import SystemConfig
 from ..core.universal import UniversalSpec
-from ..sim.events import Envelope, MessageDelivery, TimerExpiry
+from ..sim.events import Envelope, TimerExpiry
 from ..sim.network import PartitionDelayModel
 from ..sim.process import Process
 from ..sim.simulation import Simulation
@@ -141,22 +141,16 @@ class SplitBrainProcess(Process):
         self._personality_a.on_start()
         self._personality_c.on_start()
 
-    def deliver_message(self, delivery: MessageDelivery) -> None:
-        path = delivery.envelope.path
+    def deliver_message(self, sender: int, envelope: Envelope) -> None:
+        path = envelope.path
         if path and path[0] in (_WORLD_A, _WORLD_C):
-            unwrapped = MessageDelivery(
-                sender=delivery.sender,
-                receiver=delivery.receiver,
-                envelope=Envelope(path[1:], delivery.envelope.payload),
-                send_time=delivery.send_time,
-            )
             target = self._personality_a if path[0] == _WORLD_A else self._personality_c
-            target.deliver_message(unwrapped)
+            target.deliver_message(sender, Envelope(path[1:], envelope.payload))
             return
-        if delivery.sender in self._group_a:
-            self._personality_a.deliver_message(delivery)
-        elif delivery.sender in self._group_c:
-            self._personality_c.deliver_message(delivery)
+        if sender in self._group_a:
+            self._personality_a.deliver_message(sender, envelope)
+        elif sender in self._group_c:
+            self._personality_c.deliver_message(sender, envelope)
 
     def deliver_timer(self, expiry: TimerExpiry) -> None:
         if expiry.path and expiry.path[0] in (_WORLD_A, _WORLD_C):

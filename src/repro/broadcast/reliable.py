@@ -16,6 +16,12 @@ may broadcast one message, and deliveries are reported as
 ``on_deliver(origin, message)``.  The echo/ready thresholds are the standard
 ones for ``n > 3t``: ``ceil((n + t + 1) / 2)`` echoes to send ``ready``,
 ``t + 1`` readies to amplify, ``2t + 1`` readies to deliver.
+
+Messages are keyed by ``(origin, digest(message))``.  Every echo and ready
+of one origin carries the very object the origin sent, so each module
+digests an object once: a memo keyed on ``id(message)`` holds
+``(message, digest)``, and a hit requires the stored object ``is`` the
+message (the stored reference also keeps the id from being reused).
 """
 
 from __future__ import annotations
@@ -49,12 +55,13 @@ class ByzantineReliableBroadcast(ProtocolModule):
         self.ready_amplification_threshold = t + 1
         self.delivery_threshold = 2 * t + 1
         # Per-origin state, keyed by origin process index.
-        self._echoed: Set[Tuple[int, str]] = set()
+        self._echoed: Set[int] = set()  # origins whose first SEND this process echoed
         self._readied: Set[Tuple[int, str]] = set()
         self._delivered: Set[int] = set()
         self._echo_senders: Dict[Tuple[int, str], Set[int]] = {}
         self._ready_senders: Dict[Tuple[int, str], Set[int]] = {}
         self._payloads: Dict[Tuple[int, str], Any] = {}
+        self._digests: Dict[int, Tuple[Any, str]] = {}  # id(message) -> (message, digest(message))
 
     def set_deliver_callback(self, on_deliver: DeliverCallback) -> None:
         self._on_deliver = on_deliver
@@ -72,19 +79,23 @@ class ByzantineReliableBroadcast(ProtocolModule):
         _READY: ("_handle_ready", (int, object)),
     }
 
+    def _key(self, origin: int, message: Any) -> Tuple[int, str]:
+        entry = self._digests.get(id(message))
+        if entry is None or entry[0] is not message:
+            entry = self._digests[id(message)] = (message, digest(message))
+        return (origin, entry[1])
+
     def _handle_send(self, origin: int, message: Any) -> None:
-        key = (origin, digest(message))
-        if key in self._echoed:
+        if origin in self._echoed:
+            # A repeat, or the origin equivocated; echo only its first message.
             return
-        if any(existing[0] == origin for existing in self._echoed):
-            # The origin equivocated; echo only its first message.
-            return
-        self._echoed.add(key)
+        self._echoed.add(origin)
+        key = self._key(origin, message)
         self._payloads[key] = message
         self.broadcast((_ECHO, origin, message))
 
     def _handle_echo(self, sender: int, origin: int, message: Any) -> None:
-        key = (origin, digest(message))
+        key = self._key(origin, message)
         self._payloads.setdefault(key, message)
         senders = self._echo_senders.setdefault(key, set())
         senders.add(sender)
@@ -92,7 +103,7 @@ class ByzantineReliableBroadcast(ProtocolModule):
             self._send_ready(key, message)
 
     def _handle_ready(self, sender: int, origin: int, message: Any) -> None:
-        key = (origin, digest(message))
+        key = self._key(origin, message)
         self._payloads.setdefault(key, message)
         senders = self._ready_senders.setdefault(key, set())
         senders.add(sender)

@@ -28,7 +28,7 @@ scheduler could delay (never violate) termination; see DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from ..sim import instrument
 from ..sim.process import Process, ProtocolModule
@@ -58,8 +58,13 @@ class BinaryConsensus(ConsensusModule):
         self._bval_sent: Dict[int, Set[int]] = {}
         self._bin_values: Dict[int, Set[int]] = {}
         self._aux_sent: Set[int] = set()
-        self._aux_received: Dict[int, Dict[int, int]] = {}
+        self._aux_received: Dict[int, Dict[int, int]] = {}  # round -> sender -> its latest AUX value
+        self._aux_counts: Dict[int, List[int]] = {}  # round -> [senders at 0, senders at 1], kept with it
         self._round_done: Set[int] = set()
+        t = self.system.t
+        self._echo_threshold = t + 1
+        self._bin_threshold = 2 * t + 1
+        self._quorum = self.system.quorum
 
     # ------------------------------------------------------------------
     def _handle_proposal(self, value: Any) -> None:
@@ -97,8 +102,13 @@ class BinaryConsensus(ConsensusModule):
         _AUX: ("_on_aux", (int, int)),
     }
 
+    # Both handlers take a value only if its type is exactly int: True passes
+    # isinstance(·, int) and ``in (0, 1)``, and would reach a correct decision.
     def _on_bval(self, sender: int, round_number: int, value: int) -> None:
-        if round_number < 1 or value not in (0, 1) or self._halted(round_number):
+        halt = self._halt_round
+        if round_number < 1 or type(value) is not int or value not in (0, 1) or (
+            halt is not None and round_number > halt
+        ):
             return
         senders = self._bval_senders.setdefault(round_number, {}).setdefault(value, set())
         senders.add(sender)
@@ -109,49 +119,66 @@ class BinaryConsensus(ConsensusModule):
                     "binary.bval",
                     instrument.bucket(round_number),
                     value,
-                    instrument.margin(len(senders), 2 * self.system.t + 1),
+                    instrument.margin(len(senders), self._bin_threshold),
                 )
             )
-        if len(senders) >= self.system.t + 1:
+        if len(senders) >= self._echo_threshold:
             # Echo: at least one correct process sent this value.
             self._broadcast_bval(round_number, value)
-        if len(senders) >= 2 * self.system.t + 1:
+        if len(senders) >= self._bin_threshold:
             self._bin_values.setdefault(round_number, set()).add(value)
             self._progress(round_number)
 
     def _on_aux(self, sender: int, round_number: int, value: int) -> None:
-        if round_number < 1 or value not in (0, 1) or self._halted(round_number):
+        halt = self._halt_round
+        if round_number < 1 or type(value) is not int or value not in (0, 1) or (
+            halt is not None and round_number > halt
+        ):
             return
-        self._aux_received.setdefault(round_number, {})[sender] = value
+        if round_number < self.round:
+            return  # _progress never reads a finished round's AUX state, so none is kept
+        received = self._aux_received.get(round_number)
+        if received is None:
+            received = self._aux_received[round_number] = {}
+            counts = self._aux_counts[round_number] = [0, 0]
+        else:
+            counts = self._aux_counts[round_number]
+            previous = received.get(sender)
+            if previous is not None:
+                counts[previous] -= 1  # a re-send replaces the sender's value
+        received[sender] = value
+        counts[value] += 1
         self._progress(round_number)
 
     def _progress(self, round_number: int) -> None:
         """Drive the round forward whenever its preconditions may have become true."""
         if self.estimate is None or round_number != self.round or round_number in self._round_done:
             return
-        bin_values = self._bin_values.get(round_number, set())
+        bin_values = self._bin_values.get(round_number)
         if not bin_values:
             return
         if round_number not in self._aux_sent:
             self._aux_sent.add(round_number)
             self.broadcast((_AUX, round_number, min(bin_values)))
-        supported = {
-            sender: value
-            for sender, value in self._aux_received.get(round_number, {}).items()
-            if value in bin_values
-        }
+        # AUX senders whose latest value lies in bin_values.
+        counts = self._aux_counts.get(round_number)
+        supported = 0
+        if counts is not None:
+            for value in bin_values:
+                supported += counts[value]
         if instrument.SINK is not None:
             instrument.SINK.add(
                 (
                     "binary.aux",
                     instrument.bucket(round_number),
-                    instrument.margin(len(supported), self.system.quorum),
+                    instrument.margin(supported, self._quorum),
                 )
             )
-        if len(supported) < self.system.quorum:
+        if supported < self._quorum:
             return
-        values = set(supported.values())
+        values = {value for value in bin_values if counts[value]}
         self._round_done.add(round_number)
+        del self._aux_received[round_number], self._aux_counts[round_number]
         fallback = self.fallback_value(round_number)
         if len(values) == 1:
             (only_value,) = values

@@ -11,7 +11,7 @@ from .adversary import (
     equivocating_factory,
     silent_factory,
 )
-from .events import Envelope, Event, MessageDelivery, TimerExpiry
+from .events import Envelope, Event, TimerExpiry
 from .metrics import MetricsCollector, word_size
 from .network import (
     DelayModel,
@@ -30,7 +30,6 @@ __all__ = [
     "ProtocolModule",
     "Envelope",
     "Event",
-    "MessageDelivery",
     "TimerExpiry",
     "DelayModel",
     "SynchronousDelayModel",

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from .events import Envelope, MessageDelivery
+from .events import Envelope
 from .process import Process
 from .simulation import Simulation
 
@@ -59,10 +59,10 @@ class CrashProcess(Process):
             return
         self._inner.on_start()
 
-    def deliver_message(self, delivery: MessageDelivery) -> None:
+    def deliver_message(self, sender: int, envelope: Envelope) -> None:
         if self._check_crashed():
             return
-        self._inner.deliver_message(delivery)
+        self._inner.deliver_message(sender, envelope)
 
     def deliver_timer(self, expiry) -> None:
         if self._check_crashed():
@@ -131,8 +131,8 @@ class MessageDroppingProcess(Process):
     def on_start(self) -> None:
         self._inner.on_start()
 
-    def deliver_message(self, delivery: MessageDelivery) -> None:
-        self._inner.deliver_message(delivery)
+    def deliver_message(self, sender: int, envelope: Envelope) -> None:
+        self._inner.deliver_message(sender, envelope)
 
     def deliver_timer(self, expiry) -> None:
         self._inner.deliver_timer(expiry)
@@ -277,17 +277,17 @@ class QuadSplitBrainLeader(Process):
             for receiver in members:
                 self.send_raw(receiver, Envelope(("quad",), payload))
 
-    def deliver_message(self, delivery: MessageDelivery) -> None:
-        payload = delivery.envelope.payload
+    def deliver_message(self, sender: int, envelope: Envelope) -> None:
+        payload = envelope.payload
         if not isinstance(payload, tuple) or len(payload) != 4:
             return
         kind, view, value_digest, share = payload
         if view != self.attack_view or value_digest not in self._sides:
             return
         if kind == "prepare_vote":
-            self._collect(delivery.sender, value_digest, share, phase="prepare")
+            self._collect(sender, value_digest, share, phase="prepare")
         elif kind == "commit_vote":
-            self._collect(delivery.sender, value_digest, share, phase="commit")
+            self._collect(sender, value_digest, share, phase="commit")
 
     def _collect(self, sender: int, value_digest: str, share: Any, phase: str) -> None:
         from ..consensus.quad import PrepareCertificate

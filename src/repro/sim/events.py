@@ -5,23 +5,24 @@ timer expirations.  Events are totally ordered by ``(time, sequence)`` where
 the sequence number breaks ties deterministically, so a simulation run is a
 pure function of its inputs (processes, delay model, seed).
 
-Hot-path layout: the event queue itself holds plain ``(time, sequence,
-kind, target, data)`` tuples — heap sifting then costs one C-level tuple
-comparison per level instead of a generated dataclass ``__lt__``, and since
-the sequence number is unique the comparison never reaches the non-ordered
-fields, preserving the exact ``(time, sequence)`` order of the original
-dataclass events.  :class:`Event` is a ``NamedTuple`` over the same five
-fields, so code that builds or inspects events by attribute keeps working
-and instances compare equal to the raw tuples in the queue.
+Hot-path layout: the event queue holds plain tuples.  A timer entry is
+``(time, sequence, kind, pid, TimerExpiry)``; a message entry is
+``(time, sequence, kind, receiver, sender, envelope)``, so a delivery
+allocates nothing beyond its queue tuple and the loop hands ``sender`` and
+the shared :class:`Envelope` straight to the receiving module.  Heap sifting
+costs one C-level tuple comparison per level, and since the sequence number
+is unique the comparison never reaches the non-ordered fields.
+:class:`Event` is a ``NamedTuple`` over the five leading fields (for a
+message, ``data`` is the sender), so code that builds or inspects events by
+attribute keeps working and its instances compare equal to timer entries.
 
-The payload classes (:class:`Envelope`, :class:`MessageDelivery`,
-:class:`TimerExpiry`) are allocated once per message/timer, which makes
-their constructors hot.  They are plain ``__slots__`` classes with
-handwritten ``__init__`` — a frozen dataclass would route every field
-through ``object.__setattr__``, roughly doubling the allocation cost — but
-they keep dataclass-style value equality, hashing and repr.  Treat them as
-immutable: nothing in the simulator mutates a payload after construction,
-and the metrics layer memoizes on payload identity.
+The payload classes (:class:`Envelope`, :class:`TimerExpiry`) are allocated
+once per send/timer, which makes their constructors hot.  They are plain
+``__slots__`` classes with handwritten ``__init__`` — a frozen dataclass
+would route every field through ``object.__setattr__``, roughly doubling the
+allocation cost — but they keep dataclass-style value equality, hashing and
+repr.  Treat them as immutable: one envelope travels in every delivery of
+its send and nothing in the simulator mutates it.
 """
 
 from __future__ import annotations
@@ -71,37 +72,6 @@ class Event(NamedTuple):
 
 Event.MESSAGE = "message"
 Event.TIMER = "timer"
-
-
-class MessageDelivery:
-    """Payload of a message-delivery event."""
-
-    __slots__ = ("sender", "receiver", "envelope", "send_time")
-
-    def __init__(self, sender: int, receiver: int, envelope: Envelope, send_time: float):
-        self.sender = sender
-        self.receiver = receiver
-        self.envelope = envelope
-        self.send_time = send_time
-
-    def __repr__(self) -> str:
-        return (
-            f"MessageDelivery(sender={self.sender!r}, receiver={self.receiver!r}, "
-            f"envelope={self.envelope!r}, send_time={self.send_time!r})"
-        )
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is MessageDelivery:
-            return (
-                self.sender == other.sender
-                and self.receiver == other.receiver
-                and self.envelope == other.envelope
-                and self.send_time == other.send_time
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((MessageDelivery, self.sender, self.receiver, self.envelope, self.send_time))
 
 
 class TimerExpiry:

@@ -13,8 +13,10 @@ per-protocol breakdowns) used by the experiment reports.
 per receiver: a broadcast to ``n`` receivers is recorded as ``count=n``
 messages of one size, so :func:`word_size` runs once per send.  It
 dispatches on exact payload type first (the common shapes — tuples,
-scalars, envelopes — never reach a ``getattr``).  The estimates themselves
-are unchanged from the original recursive implementation.
+scalars, envelopes — never reach a ``getattr``), and counts a container's
+exact ``str``/``int``/``float``/``bool`` items inline instead of recursing.
+The estimates themselves are unchanged from the original recursive
+implementation.
 """
 
 from __future__ import annotations
@@ -41,7 +43,12 @@ def word_size(payload: Any) -> int:
     if kind is tuple or kind is list:
         total = 0
         for item in payload:
-            total += word_size(item)
+            # Exact scalars are one word each, counted here without a call.
+            item_kind = type(item)
+            if item_kind is str or item_kind is int or item_kind is float or item_kind is bool:
+                total += 1
+            else:
+                total += word_size(item)
         return total if total > 0 else 1
     if kind is str or kind is int or kind is float or kind is bool:
         return 1

@@ -22,15 +22,18 @@ The contract is enforced in exactly one place — :meth:`DelayModel.delivery_tim
 which is final, as is its one-receiver wrapper :meth:`DelayModel.delivery_time`
 (subclasses attempting to override either are rejected at class definition
 time).  The simulator calls ``delivery_times`` once per send, with every
-receiver of the send in order, and it draws one delay per receiver in that
-order, so a broadcast consumes the random stream exactly as ``n`` one-receiver
-sends would.  Concrete network behaviours are *candidate-only*: they
-override the :meth:`DelayModel._candidate_delay` hook, which proposes a
-delivery time that the base class then clamps to the contract.  The optional
-``schedule_hook`` gives per-message adversarial control on top of any
-candidate distribution (it too is clamped for correct senders); both the
-lower-bound and triviality experiments rely on it to delay specific link
-groups until after a chosen time.
+receiver of the send in order.  Concrete network behaviours are
+*candidate-only*: they override the one hook
+:meth:`DelayModel._candidate_delays`, which proposes a delivery time for each
+receiver of a send, in one loop that draws each receiver's delay in receiver
+order — so a broadcast consumes the random stream exactly as ``n``
+one-receiver sends would.  The base class then clamps every candidate to the
+contract.  The optional ``schedule_hook`` gives per-message adversarial
+control on top of any candidate distribution (it too is clamped for correct
+senders); it is called once per receiver, in receiver order, after the
+send's candidates are drawn, so a hook must not draw from the model's own
+random stream.  Both the lower-bound and triviality experiments rely on it
+to delay specific link groups until after a chosen time.
 
 Shipped candidate models:
 
@@ -59,12 +62,12 @@ ScheduleHook = Callable[[int, int, float, float], Optional[float]]
 class DelayModel:
     """Computes delivery times under partial synchrony.
 
-    ``delivery_times`` is **final**: for each receiver it asks
-    :meth:`_candidate_delay` (and then the ``schedule_hook``, if any) for a
-    candidate delivery time and clamps the result to the partial-synchrony
-    contract for correct senders, so no subclass or hook can accidentally
-    violate the model.  Subclasses express network behaviours by overriding
-    :meth:`_candidate_delay` only.
+    ``delivery_times`` is **final**: it asks :meth:`_candidate_delays` for
+    one candidate delivery time per receiver (then the ``schedule_hook``, if
+    any) and clamps the results to the partial-synchrony contract for
+    correct senders, so no subclass or hook can accidentally violate the
+    model.  Subclasses express network behaviours by overriding
+    :meth:`_candidate_delays` only.
 
     Args:
         gst: The Global Stabilization Time of the execution.
@@ -103,7 +106,7 @@ class DelayModel:
             if final in cls.__dict__:
                 raise TypeError(
                     f"{cls.__name__} must not override {final}(); the partial-synchrony "
-                    "contract is enforced there — override _candidate_delay() instead"
+                    "contract is enforced there — override _candidate_delays() instead"
                 )
 
     # ------------------------------------------------------------------
@@ -122,43 +125,47 @@ class DelayModel:
         candidate model or the hook (they carry no guarantee in the model)
         but never below the ``min_delay`` causality floor.
         """
-        earliest = send_time + self.min_delay
-        # The latest_delivery() bound, inlined: it is the same for every receiver.
-        gst = self.gst
-        latest = (send_time if send_time > gst else gst) + self.delta
-        candidate_delay = self._candidate_delay
+        times = self._candidate_delays(sender, receivers, send_time)
         hook = self.schedule_hook
-        times = [earliest] * len(receivers)  # filled by index: no append call per receiver
-        for index, receiver in enumerate(receivers):
-            candidate = candidate_delay(sender, receiver, send_time)
-            if hook is not None:
-                override = hook(sender, receiver, send_time, candidate)
+        if hook is not None:
+            for index, receiver in enumerate(receivers):
+                override = hook(sender, receiver, send_time, times[index])
                 if override is not None:
-                    candidate = override
-            chosen = candidate if candidate > earliest else earliest
-            if sender_correct and chosen > latest:
-                chosen = latest
-            times[index] = chosen
+                    times[index] = override
+        # The clamps, per receiver; min()/max() skip a pass that would change nothing.
+        earliest = send_time + self.min_delay
+        if times and min(times) < earliest:
+            times = [time if time > earliest else earliest for time in times]
+        if sender_correct:
+            # The latest_delivery() bound, inlined: it is the same for every receiver.
+            gst = self.gst
+            latest = (send_time if send_time > gst else gst) + self.delta
+            if times and max(times) > latest:
+                times = [time if time < latest else latest for time in times]
         return times
 
     def delivery_time(self, sender: int, receiver: int, send_time: float, sender_correct: bool) -> float:
         """Return the delivery time for one message (final; :meth:`delivery_times` for one receiver)."""
         return self.delivery_times(sender, (receiver,), send_time, sender_correct)[0]
 
-    def _candidate_delay(self, sender: int, receiver: int, send_time: float) -> float:
-        """Propose a delivery time (the extension point for network behaviours).
+    def _candidate_delays(self, sender: int, receivers: Sequence[int], send_time: float) -> List[float]:
+        """Propose one delivery time per receiver (the extension point for network behaviours).
 
-        The returned candidate may fall outside the contract window; the base
-        class clamps it.  The default draws uniform jitter from
-        ``[min_delay, delta]`` after GST, and uniformly over the full allowed
-        window before GST.
+        One call per send; an override draws each receiver's delay in
+        receiver order and returns a new list.  A candidate may fall outside
+        the contract window; the base class clamps it.  The default draws
+        uniform jitter from ``[min_delay, delta]`` after GST, and uniformly
+        over the full allowed window before GST.
         """
         min_delay = self.min_delay
         earliest = send_time + min_delay
         if send_time >= self.gst:
-            return earliest + self._rng.random() * (self.delta - min_delay)
-        # Before GST, latest_delivery(send_time) is gst + delta.
-        return earliest + self._rng.random() * (self.gst + self.delta - earliest)
+            span = self.delta - min_delay
+        else:
+            # Before GST, latest_delivery(send_time) is gst + delta.
+            span = self.gst + self.delta - earliest
+        random = self._rng.random
+        return [earliest + random() * span for _ in receivers]
 
 
 class SynchronousDelayModel(DelayModel):
@@ -211,17 +218,24 @@ class PartitionDelayModel(DelayModel):
             schedule_hook=schedule_hook,
         )
 
-    def _candidate_delay(self, sender: int, receiver: int, send_time: float) -> float:
-        crosses = (sender in self.group_a and receiver in self.group_c) or (
-            sender in self.group_c and receiver in self.group_a
-        )
-        if crosses and send_time < self.release_time:
-            return self.release_time + self.min_delay + self._rng.random() * (self.delta - self.min_delay)
-        # Within a group (or involving processes outside both groups) the
-        # adversary chooses prompt, synchronous-looking delays even before
-        # GST: this is exactly the scheduling freedom the partitioning
-        # argument exploits.
-        return send_time + self.min_delay + self._rng.random() * (self.delta - self.min_delay)
+    def _candidate_delays(self, sender: int, receivers: Sequence[int], send_time: float) -> List[float]:
+        # A message crosses when it goes from one group to the other.  Within a
+        # group (or involving processes outside both groups) the adversary
+        # chooses prompt, synchronous-looking delays even before GST: this is
+        # exactly the scheduling freedom the partitioning argument exploits.
+        if send_time >= self.release_time:
+            other: frozenset = frozenset()
+        elif sender in self.group_a:
+            other = self.group_c
+        elif sender in self.group_c:
+            other = self.group_a
+        else:
+            other = frozenset()
+        prompt = send_time + self.min_delay
+        released = self.release_time + self.min_delay
+        span = self.delta - self.min_delay
+        random = self._rng.random
+        return [(released if receiver in other else prompt) + random() * span for receiver in receivers]
 
 
 class StalledDelayModel(DelayModel):
@@ -261,11 +275,21 @@ class StalledDelayModel(DelayModel):
             schedule_hook=schedule_hook,
         )
 
-    def _candidate_delay(self, sender: int, receiver: int, send_time: float) -> float:
-        prompt = send_time + self.min_delay + self._rng.random() * (self.delta - self.min_delay)
-        if send_time >= self.stall_until or sender in self.favoured or receiver in self.favoured:
-            return prompt
-        return self.stall_until + self.min_delay + self._rng.random() * (self.delta - self.min_delay)
+    def _candidate_delays(self, sender: int, receivers: Sequence[int], send_time: float) -> List[float]:
+        # Every message draws a prompt delay; a stalled one (no favoured end,
+        # before stall_until) draws a second, after the stall, and keeps that.
+        early = send_time + self.min_delay
+        span = self.delta - self.min_delay
+        random = self._rng.random
+        if send_time >= self.stall_until or sender in self.favoured:
+            return [early + random() * span for _ in receivers]
+        stalled = self.stall_until + self.min_delay
+        favoured = self.favoured
+        times = []
+        for receiver in receivers:
+            prompt = early + random() * span
+            times.append(prompt if receiver in favoured else stalled + random() * span)
+        return times
 
 
 class JitteredDelayModel(DelayModel):
@@ -301,10 +325,13 @@ class JitteredDelayModel(DelayModel):
         self.alpha = alpha
         self.jitter_scale = delta if jitter_scale is None else jitter_scale
 
-    def _candidate_delay(self, sender: int, receiver: int, send_time: float) -> float:
+    def _candidate_delays(self, sender: int, receivers: Sequence[int], send_time: float) -> List[float]:
         earliest = send_time + self.min_delay
         if send_time >= self.gst:
-            return earliest + self._rng.random() * (self.delta - self.min_delay)
+            span = self.delta - self.min_delay
+            random = self._rng.random
+            return [earliest + random() * span for _ in receivers]
         # paretovariate() >= 1, so the extra jitter starts at 0 and has a
         # heavy right tail; stragglers are clamped to GST + delta by the base.
-        return earliest + (self._rng.paretovariate(self.alpha) - 1.0) * self.jitter_scale
+        pareto, alpha, scale = self._rng.paretovariate, self.alpha, self.jitter_scale
+        return [earliest + (pareto(alpha) - 1.0) * scale for _ in receivers]

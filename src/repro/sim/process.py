@@ -23,6 +23,18 @@ declared type, then calls ``handler(sender, *fields)`` for a tuple and
 state rules (a round is positive, a signature verifies); the shape is
 settled before they run.  A module that has stopped listening sets
 :attr:`ProtocolModule.stopped`, and the dispatcher drops everything after.
+Each module resolves its table once, when it is built, into
+``kind -> (bound handler, field types, arity)``; a table passed to
+``on_message`` (a ``DELIVERED`` table) is resolved on its first use and
+kept.  No handler name is looked up per message.
+
+Delivering.  The simulation routes a message itself: for a process whose
+class keeps the inherited :meth:`Process.deliver_message` it looks the
+envelope's path up in the process's module dict and calls the module's
+``on_message(sender, payload)`` directly, so a delivery costs one frame
+before the dispatcher.  A class that overrides ``deliver_message`` (a crash,
+a dropping wrapper, a split-brain adversary) is called as
+``deliver_message(sender, envelope)`` and routes on its own.
 
 Sending.  Every send is one call to
 :meth:`~repro.sim.simulation.Simulation.transmit` with one
@@ -38,9 +50,9 @@ but never queued.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
 
-from .events import Envelope, MessageDelivery, TimerExpiry
+from .events import Envelope, TimerExpiry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.system import SystemConfig
@@ -49,6 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 MessageTable = Dict[Union[str, type], Tuple[str, Tuple[Any, ...]]]
 """Kind -> (handler method name, one ``isinstance`` type or type tuple per field)."""
+
+BoundTable = Dict[Union[str, type], Tuple[Callable[..., None], Tuple[Any, ...], int]]
+"""A :data:`MessageTable` resolved on one module: kind -> (bound handler, field types, arity)."""
 
 
 class Process:
@@ -104,13 +119,17 @@ class Process:
     def module_at(self, path: Tuple[str, ...]) -> Optional["ProtocolModule"]:
         return self._modules.get(path)
 
-    def deliver_message(self, delivery: MessageDelivery) -> None:
-        """Route an incoming message to the addressed module (harness callback)."""
-        module = self._modules.get(delivery.envelope.path)
+    def deliver_message(self, sender: int, envelope: Envelope) -> None:
+        """Route an incoming message to the addressed module (harness callback).
+
+        The simulation inlines exactly this routing for every class that
+        keeps it, and calls an override instead where a class defines one.
+        """
+        module = self._modules.get(envelope.path)
         if module is None:
-            self.on_unrouted_message(delivery)
+            self.on_unrouted_message(sender, envelope)
             return
-        module.on_message(delivery.sender, delivery.envelope.payload)
+        module.on_message(sender, envelope.payload)
 
     def deliver_timer(self, expiry: TimerExpiry) -> None:
         """Route a timer expiry to the addressed module (harness callback)."""
@@ -151,7 +170,7 @@ class Process:
     def on_timer(self, tag: Any) -> None:
         """Called for process-level timers (path ``()``)."""
 
-    def on_unrouted_message(self, delivery: MessageDelivery) -> None:
+    def on_unrouted_message(self, sender: int, envelope: Envelope) -> None:
         """Called for messages addressed to a module this process never built.
 
         The default ignores them, which is the right behaviour for Byzantine
@@ -173,6 +192,8 @@ class ProtocolModule:
     """
 
     MESSAGES: MessageTable = {}
+    _passed: Tuple[Optional[MessageTable], BoundTable] = (None, {})
+    """The last table passed to :meth:`on_message` and its binding (a one-slot memo)."""
 
     def __init__(self, process: Process, name: str, parent: Optional["ProtocolModule"] = None):
         self.process = process
@@ -184,7 +205,13 @@ class ProtocolModule:
         self.system = process.system
         self.authority = process.authority
         self.stopped = False  # set once the module stops listening; the dispatcher then drops everything
+        # Resolved per instance, at construction: a handler patched on the class
+        # before the module is built is the one that runs.
+        self._handlers = self._bind(self.MESSAGES)
         process.register_module(self)
+
+    def _bind(self, table: MessageTable) -> BoundTable:
+        return {kind: (getattr(self, name), types, len(types)) for kind, (name, types) in table.items()}
 
     @property
     def now(self) -> float:
@@ -221,19 +248,24 @@ class ProtocolModule:
         """
         if self.stopped:
             return
-        table = self.MESSAGES if messages is None else messages
+        if messages is None:
+            handlers = self._handlers
+        else:
+            passed = self._passed
+            if passed[0] is not messages:
+                passed = self._passed = (messages, self._bind(messages))
+            handlers = passed[1]
         if type(payload) is tuple:
             kind = payload[0] if payload else None
-            entry = table.get(kind) if type(kind) is str else None
+            entry = handlers.get(kind) if type(kind) is str else None
             if entry is not None:
                 fields = payload[1:]
-                types = entry[1]
-                if len(fields) == len(types) and all(map(isinstance, fields, types)):
-                    getattr(self, entry[0])(sender, *fields)
+                if len(fields) == entry[2] and all(map(isinstance, fields, entry[1])):
+                    entry[0](sender, *fields)
         else:
-            entry = table.get(type(payload))
+            entry = handlers.get(type(payload))
             if entry is not None:
-                getattr(self, entry[0])(sender, payload)
+                entry[0](sender, payload)
 
     def on_timer(self, tag: Any) -> None:
         """Handle a timer scheduled with :meth:`set_timer`."""

@@ -8,14 +8,24 @@ what makes the complexity experiments reproducible.
 
 The event loop is the hottest code in the repository — every message and
 timer of every sweep run passes through it — so it is written tuple-first:
-queue entries are plain ``(time, sequence, kind, target, data)`` tuples
-(see :mod:`repro.sim.events`), dispatch is inlined into the loop, and the
-"all correct processes decided" stop condition is a counter maintained by
+queue entries are plain tuples (see :mod:`repro.sim.events`), and the "all
+correct processes decided" stop condition is a counter maintained by
 :meth:`record_decision` instead of an O(n) scan after every event.
+
+One delivery is one frame before the protocol handler.  A message entry is
+``(time, sequence, kind, receiver, sender, envelope)``; nothing else is
+allocated per delivery.  At the start of a run the loop builds one route
+per process: the process's module dict when its class keeps the inherited
+:meth:`Process.deliver_message`, ``None`` when the class overrides it.  A
+routed delivery looks the envelope's path up and calls the module's
+``on_message(sender, payload)`` itself (an unknown path goes to
+:meth:`Process.on_unrouted_message`); an override is called as
+``deliver_message(sender, envelope)``.
 
 One send is one call: :meth:`Simulation.transmit` takes the send's whole
 receiver sequence (``range(n)`` for a broadcast, a one-tuple otherwise),
-records its messages once, draws one delay per receiver in receiver order
+records its messages once, draws every receiver's delay, in receiver
+order, in one :meth:`~repro.sim.network.DelayModel.delivery_times` call
 and queues the deliveries with one sequence number per message.  A
 delivery to a receiver that never listens — no process at all, or a class
 with :attr:`Process.listens` false, such as a silent process — is counted
@@ -33,10 +43,13 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Seq
 from ..core.system import SystemConfig
 from ..crypto.signatures import KeyAuthority
 from . import instrument
-from .events import Envelope, Event, MessageDelivery, TimerExpiry
+from .events import Envelope, Event, TimerExpiry
 from .metrics import MetricsCollector
 from .network import DelayModel
 from .process import Process
+
+# The routing the loop inlines; a class whose deliver_message is anything else is called instead.
+_INHERITED_DELIVERY = Process.deliver_message
 
 _MESSAGE = Event.MESSAGE
 _TIMER = Event.TIMER
@@ -183,16 +196,7 @@ class Simulation:
         for receiver, delivery_time in zip(receivers, times):
             sequence += 1
             if listens[receiver]:
-                _heappush(
-                    queue,
-                    (
-                        delivery_time,
-                        sequence,
-                        _MESSAGE,
-                        receiver,
-                        MessageDelivery(sender, receiver, envelope, send_time),
-                    ),
-                )
+                _heappush(queue, (delivery_time, sequence, _MESSAGE, receiver, sender, envelope))
         self._sequence = sequence
 
     def schedule_timer(self, pid: int, delay: float, path: Tuple[str, ...], tag: Any) -> None:
@@ -250,6 +254,11 @@ class Simulation:
         processed = 0
         queue = self._queue
         processes = self.processes
+        # pid -> the module dict the loop routes through, or None: call the override.
+        routes = {
+            pid: process._modules if type(process).deliver_message is _INHERITED_DELIVERY else None
+            for pid, process in processes.items()
+        }
         correct_count = len(self._correct)
         heappop = heapq.heappop
         while queue:
@@ -265,12 +274,22 @@ class Simulation:
                 break
             if event_time > self.time:
                 self.time = event_time
-            # Dispatch, inlined (this is the per-event hot path).
-            process = processes.get(event[3])
-            if process is not None:
-                if event[2] == _MESSAGE:
-                    process.deliver_message(event[4])
+            # Dispatch, inlined (this is the per-event hot path).  Only listening
+            # processes have message entries, so a message's receiver exists.
+            if event[2] == _MESSAGE:
+                _, _, _, receiver, sender, envelope = event
+                modules = routes[receiver]
+                if modules is None:
+                    processes[receiver].deliver_message(sender, envelope)
                 else:
+                    module = modules.get(envelope.path)
+                    if module is None:
+                        processes[receiver].on_unrouted_message(sender, envelope)
+                    else:
+                        module.on_message(sender, envelope.payload)
+            else:
+                process = processes.get(event[3])
+                if process is not None:
                     expiry = event[4]
                     if expiry.path == _START_PATH:
                         process.on_start()

@@ -3,8 +3,11 @@
 from repro.core import SystemConfig, UniversalSpec
 from repro.consensus import universal_process_factory
 from repro.consensus.vector_authenticated import SignedProposal
+from repro.experiments.scenario import PROTOCOLS, make_scenario
 from repro.sim import (
+    Envelope,
     EquivocatingProposer,
+    Process,
     Simulation,
     SynchronousDelayModel,
     crash_factory,
@@ -92,3 +95,37 @@ class TestEquivocatingProposer:
         # Strong validity: all correct proposed 1, so 1 must be decided even
         # though the equivocator injected different values at every process.
         assert set(sim.decisions().values()) == {1}
+
+
+class TestByzantineBooleans:
+    """A Byzantine ``True``/``False`` is not a binary value, though ``isinstance(True, int)``.
+
+    Before binary consensus checked exact types, a faulty process sending
+    ``("bval", r, True)`` could put ``True`` into a correct process's
+    ``bin_values`` (``True == 1`` shares the key), which then went out in its
+    own AUX and came back as a correct decision of ``True``: 194 of these
+    200 seeds decided a bool.
+    """
+
+    class BoolSender(Process):
+        listens = False
+
+        def on_start(self):
+            for round_number in range(1, 5):
+                for value in (True, False):
+                    for kind in ("bval", "aux"):
+                        for receiver in range(self.n):
+                            self.send_raw(receiver, Envelope(("binary",), (kind, round_number, value)))
+
+    def test_every_decision_is_an_int_and_the_run_is_correct(self):
+        spec = make_scenario("binary", "silent", "synchronous", n=4, t=1)
+        system = spec.system()
+        for seed in range(200):
+            setup = PROTOCOLS["binary"](spec, system, seed)
+            sim = Simulation(system, delay_model=SynchronousDelayModel(seed=seed), seed=seed)
+            sim.populate(setup.factory, faulty=[3], faulty_factory=self.BoolSender)
+            sim.run_until_all_correct_decide(until=10_000)
+            assert sim.all_correct_decided(), seed
+            assert {type(value) for value in sim.decisions().values()} == {int}, seed
+            # Agreement, termination and binary validity, as the scenario checks them.
+            assert setup.check(sim, setup.proposals) == [], seed

@@ -26,7 +26,7 @@ from repro.experiments import (
     summaries_to_payload,
     sweep_seeds,
 )
-from repro.sim import Envelope, Event, MessageDelivery, Simulation, SynchronousDelayModel, word_size
+from repro.sim import Envelope, Event, Simulation, SynchronousDelayModel, word_size
 from repro.core import SystemConfig
 
 BASELINE = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "baselines" / "scenario_matrix.json"
@@ -160,10 +160,6 @@ def test_slotted_payload_classes_have_no_dict_and_keep_value_semantics():
     assert "path" in repr(envelope)
     with pytest.raises(AttributeError):
         envelope.extra = 1  # __slots__: no per-instance dict on the hot path
-    delivery = MessageDelivery(0, 1, envelope, 2.0)
-    assert delivery == MessageDelivery(0, 1, same, 2.0)
-    with pytest.raises(AttributeError):
-        delivery.extra = 1
 
 
 def test_word_size_memo_and_fast_paths_agree_with_the_convention():

@@ -272,9 +272,7 @@ class TestModuleRouting:
     def test_unrouted_messages_ignored(self):
         sim = build()
         process = sim.processes[0]
-        process.deliver_message(
-            type("D", (), {"sender": 1, "receiver": 0, "envelope": Envelope(("ghost",), "x"), "send_time": 0.0})()
-        )
+        process.deliver_message(1, Envelope(("ghost",), "x"))
 
 
 def _subclasses(cls):
