@@ -69,6 +69,7 @@ class AsynchronousDataDissemination(ProtocolModule):
         self._started = False
         self._output: Optional[bytes] = None
         self._own_fragment: Optional[Fragment] = None
+        self._well_formed_fragment: Optional[Fragment] = None
         self._disperse_votes: Dict[Tuple[str, Fragment], Set[int]] = {}
         self._reconstruct_fragments: Dict[int, Fragment] = {}
 
@@ -91,7 +92,13 @@ class AsynchronousDataDissemination(ProtocolModule):
     }
 
     def _on_disperse(self, sender: int, blob_hash: str, fragment: Fragment) -> None:
-        if not _well_formed(fragment) or fragment.index != self.pid:
+        # Correct dispersers send this process the same frozen Fragment object
+        # (the codec remembers its last blob's fragments): check it once.
+        if fragment is not self._well_formed_fragment:
+            if not _well_formed(fragment):
+                return
+            self._well_formed_fragment = fragment
+        if fragment.index != self.pid:
             return
         votes = self._disperse_votes.setdefault((blob_hash, fragment), set())
         votes.add(sender)

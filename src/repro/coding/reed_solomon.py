@@ -16,24 +16,28 @@ Blobs longer than ``k`` bytes are striped: byte ``j`` of fragment ``i`` is the
 
 This is the vectorized implementation: instead of evaluating one chunk at a
 time with scalar field calls, it lays the blob out as ``k`` coefficient rows
-(``bytes`` objects spanning every chunk) and drives Horner's rule, Lagrange
-interpolation and the Gaussian eliminations through whole-row
+(``bytes`` objects spanning every chunk) and drives polynomial evaluation,
+Lagrange interpolation and the Gaussian eliminations through whole-row
 ``bytes.translate`` / big-integer-XOR operations (see
-:mod:`repro.coding.gf256`).  Decoding first interpolates through the first
-``k`` received fragments and verifies the candidate against *all* received
-symbols row-wise; chunks where every symbol matches are provably identical
-to the Berlekamp-Welch answer (two degree ``< k`` polynomials with ``<= e``
-mismatches over ``m >= k + 2e`` points agree on ``>= k`` points and are
-therefore equal), and only chunks with a detected mismatch fall back to the
-exact per-chunk Berlekamp-Welch solve.  This is the only codec in the
-import path; the original element-at-a-time implementation lives on as
+:mod:`repro.coding.gf256`); rows are summed as ints and turned back into
+``bytes`` once.  Decoding first interpolates through the first ``k``
+received fragments and verifies the candidate against the other ``m - k``
+received symbols row-wise (the first ``k`` match by construction); chunks
+where every symbol matches are provably identical to the Berlekamp-Welch
+answer (two degree ``< k`` polynomials with ``<= e`` mismatches over
+``m >= k + 2e`` points agree on ``>= k`` points and are therefore equal),
+and only chunks with a detected mismatch fall back to the exact per-chunk
+Berlekamp-Welch solve.  Encoding remembers the last ``bytes`` blob it
+encoded, because every correct process of an ADD instance encodes the same
+object; nothing else is cached.  This is the only codec in the import path;
+the original element-at-a-time implementation lives on as
 ``tests/reference_codec.py``, the differential-test oracle for all of this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import gf256
 
@@ -45,8 +49,19 @@ class DecodingError(ValueError):
     """Raised when the received symbols cannot be decoded consistently."""
 
 
-def _xor(a: bytes, b: bytes, length: int) -> bytes:
-    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(length, "little")
+def _evaluate(rows: Sequence[bytes], constant: int, point: int) -> int:
+    """The polynomial whose coefficient ``r`` is ``rows[r]`` at ``point``, row-wise.
+
+    ``constant`` is ``rows[0]`` as a little-endian int.  Each further term is
+    one translate by ``point ** r`` and one int XOR; the result stays an int.
+    """
+    value = constant
+    power = 1
+    point_row = _MUL[point]
+    for row in rows[1:]:
+        power = point_row[power]
+        value ^= int.from_bytes(row.translate(_MUL[power]), "little")
+    return value
 
 
 def _solve_augmented(augmented: List[bytearray], cols: int) -> Optional[List[int]]:
@@ -115,6 +130,14 @@ class Fragment:
         return max(1, (len(self.symbols) + 63) // 64)
 
 
+# The last blob encoded, as ``(blob, total_symbols, data_symbols, fragments)``.
+# Every correct process of a run encodes the same ``bytes`` object.  A hit
+# requires ``is`` and the same code shape, and the strong reference keeps the
+# blob's id from being reused.  Only an exact ``bytes`` is remembered: a
+# ``bytearray`` can change under the same id.
+_LAST_ENCODED: Tuple[Any, int, int, Tuple[Fragment, ...]] = (None, 0, 0, ())
+
+
 class ReedSolomonCode:
     """A ``(n, k)`` Reed-Solomon code over GF(256)."""
 
@@ -126,7 +149,6 @@ class ReedSolomonCode:
         self.total_symbols = total_symbols
         self.data_symbols = data_symbols
         self.evaluation_points = list(range(1, total_symbols + 1))
-        self._basis_cache: Dict[Tuple[int, ...], List[List[int]]] = {}
 
     # ------------------------------------------------------------------
     def max_correctable_errors(self, received: int) -> int:
@@ -138,24 +160,32 @@ class ReedSolomonCode:
 
         The blob is laid out as ``k`` coefficient rows spanning every chunk
         (``rows[r][j]`` is coefficient ``r`` of chunk ``j``); each evaluation
-        point then costs ``k - 1`` Horner steps of one row-translate plus one
-        row-XOR, regardless of how many chunks there are.
+        point then costs ``k - 1`` row-translates and int XORs, regardless of
+        how many chunks there are.  The last ``bytes`` blob encoded is
+        remembered (see ``_LAST_ENCODED``): encoding it again with the same
+        ``(n, k)`` returns a new list of the same fragments.
         """
-        k = self.data_symbols
-        blob = bytes(blob)
-        chunk_count = self._chunk_count(len(blob))
-        padded = blob + bytes(chunk_count * k - len(blob))
+        global _LAST_ENCODED
+        n, k = self.total_symbols, self.data_symbols
+        last = _LAST_ENCODED
+        if last[0] is blob and last[1] == n and last[2] == k:
+            return list(last[3])
+        data = bytes(blob)
+        blob_length = len(data)
+        chunk_count = self._chunk_count(blob_length)
+        padded = data + bytes(chunk_count * k - blob_length)
         rows = [padded[row::k] for row in range(k)]
-        blob_length = len(blob)
-        fragments = []
-        for index, point in enumerate(self.evaluation_points):
-            point_row = _MUL[point]
-            accumulator = rows[k - 1]
-            for row in range(k - 2, -1, -1):
-                accumulator = _xor(accumulator.translate(point_row), rows[row], chunk_count)
-            fragments.append(
-                Fragment(index=index, symbols=tuple(accumulator), blob_length=blob_length)
+        constant = int.from_bytes(rows[0], "little")
+        fragments = [
+            Fragment(
+                index=index,
+                symbols=tuple(_evaluate(rows, constant, point).to_bytes(chunk_count, "little")),
+                blob_length=blob_length,
             )
+            for index, point in enumerate(self.evaluation_points)
+        ]
+        if type(blob) is bytes:
+            _LAST_ENCODED = (blob, n, k, tuple(fragments))
         return fragments
 
     def decode(self, fragments: Sequence[Fragment]) -> bytes:
@@ -219,29 +249,22 @@ class ReedSolomonCode:
         symbol_rows = [symbol_row for _, symbol_row in usable]
 
         # Fast path: interpolate through the first k fragments across every
-        # chunk at once, then verify the candidate against every received
-        # symbol row-wise.  Chunks that verify cleanly are provably the
-        # Berlekamp-Welch answer; the rest are re-solved exactly below.
+        # chunk at once, then verify the candidate against the other received
+        # symbols row-wise (the first k match by construction).  Chunks that
+        # verify cleanly are provably the Berlekamp-Welch answer; the rest are
+        # re-solved exactly below.
         basis = self._interpolation_basis(tuple(points[:k]))
-        zero = bytes(chunk_count)
         coefficient_rows: List[bytes] = []
-        for row in range(k):
-            accumulator = zero
-            basis_row = basis[row]
-            for i in range(k):
-                weight = basis_row[i]
+        for basis_row in basis:
+            coefficient = 0
+            for weight, symbol_row in zip(basis_row, symbol_rows):
                 if weight:
-                    accumulator = _xor(
-                        accumulator, symbol_rows[i].translate(_MUL[weight]), chunk_count
-                    )
-            coefficient_rows.append(accumulator)
+                    coefficient ^= int.from_bytes(symbol_row.translate(_MUL[weight]), "little")
+            coefficient_rows.append(coefficient.to_bytes(chunk_count, "little"))
+        constant = int.from_bytes(coefficient_rows[0], "little")
         mismatch_mask = 0
-        for point, symbol_row in zip(points, symbol_rows):
-            point_row = _MUL[point]
-            evaluated = coefficient_rows[k - 1]
-            for row in range(k - 2, -1, -1):
-                evaluated = _xor(evaluated.translate(point_row), coefficient_rows[row], chunk_count)
-            mismatch_mask |= int.from_bytes(evaluated, "little") ^ int.from_bytes(
+        for point, symbol_row in zip(points[k:], symbol_rows[k:]):
+            mismatch_mask |= _evaluate(coefficient_rows, constant, point) ^ int.from_bytes(
                 symbol_row, "little"
             )
 
@@ -260,44 +283,41 @@ class ReedSolomonCode:
                     data[chunk_index * k : (chunk_index + 1) * k] = bytes(coefficients)
         return bytes(data[:blob_length])
 
-    def _interpolation_basis(self, points: Tuple[int, ...]) -> List[List[int]]:
+    def _interpolation_basis(self, points: Tuple[int, ...]) -> List[bytes]:
         """The inverse Vandermonde of ``points``: ``coeffs = basis @ symbols``.
 
         ``basis[r][i]`` is the weight of symbol ``i`` in coefficient ``r`` of
-        the unique degree ``< k`` polynomial through the ``k`` points.  Cached
-        per point-subset, since a sweep decodes from the same subsets over
-        and over.
+        the unique degree ``< k`` polynomial through the ``k`` points.  Not
+        cached: each ADD instance has its own codec and decodes about 1.5
+        times, so a per-codec cache hit 0 of 188 lookups on a
+        ``large_n_signed`` unit.
         """
-        cached = self._basis_cache.get(points)
-        if cached is not None:
-            return cached
         k = len(points)
-        # Invert the Vandermonde matrix V[i][r] = points[i] ** r by Gaussian
-        # elimination on [V | I]; then coeffs = V^-1 @ ys.
+        width = 2 * k
+        # Invert the Vandermonde matrix V[i][r] = points[i] ** r by Gauss-Jordan
+        # elimination on [V | I], one little-endian int per row (element c is
+        # byte c); then coeffs = V^-1 @ ys.
         augmented = []
         for i, x in enumerate(points):
-            row = [0] * (2 * k)
+            row = bytearray(width)
             value = 1
             for r in range(k):
                 row[r] = value
                 value = _MUL[value][x]
             row[k + i] = 1
-            augmented.append(row)
+            augmented.append(int.from_bytes(row, "little"))
         for column in range(k):
-            pivot = next(r for r in range(column, k) if augmented[r][column])
+            shift = 8 * column
+            pivot = next(r for r in range(column, k) if augmented[r] >> shift & 0xFF)
             augmented[column], augmented[pivot] = augmented[pivot], augmented[column]
-            lead_row = _MUL[_INVERSE[augmented[column][column]]]
-            augmented[column] = [lead_row[value] for value in augmented[column]]
+            lead = augmented[column] >> shift & 0xFF
+            pivot_row = augmented[column].to_bytes(width, "little").translate(_MUL[_INVERSE[lead]])
+            augmented[column] = int.from_bytes(pivot_row, "little")
             for row in range(k):
-                if row != column and augmented[row][column]:
-                    factor_row = _MUL[augmented[row][column]]
-                    augmented[row] = [
-                        value ^ factor_row[pivot_value]
-                        for value, pivot_value in zip(augmented[row], augmented[column])
-                    ]
-        basis = [[augmented[r][k + i] for i in range(k)] for r in range(k)]
-        self._basis_cache[points] = basis
-        return basis
+                factor = augmented[row] >> shift & 0xFF
+                if factor and row != column:
+                    augmented[row] ^= int.from_bytes(pivot_row.translate(_MUL[factor]), "little")
+        return [row.to_bytes(width, "little")[k:] for row in augmented]
 
     def _chunk_count(self, blob_length: int) -> int:
         return max(1, -(-blob_length // self.data_symbols))

@@ -23,7 +23,7 @@ preserves Agreement and binary Strong Validity unconditionally, and
 guarantees Termination within two rounds of every correct process holding
 the same estimate — which the shipped adversaries (silent, crash, message
 dropping, equivocating proposers) cannot prevent.  A fully adaptive
-scheduler could delay (never violate) termination; see DESIGN.md.
+scheduler could delay (never violate) termination.
 """
 
 from __future__ import annotations

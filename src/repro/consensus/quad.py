@@ -19,9 +19,12 @@ decision is reached within ``O(t)`` views after GST under a correct leader,
 and every correct process relays the final decision certificate once, so the
 total message complexity is ``O(n^2)`` — matching the contract the paper
 relies on.  The original Quad achieves view synchronization with RareSync;
-here view timers are synchronized by the simulator's drift-free clocks after
-GST, which preserves both the complexity accounting and the behaviour the
-upper-bound experiments measure (see DESIGN.md, substitutions table).
+here views advance on drift-free local timers only.  That keeps views in
+step after GST only if every process starts its views together: a process
+enters view 1 when its own proposal arrives, so a pre-GST skew in proposal
+times (which the Universal stacks inherit from their vector layer) stays a
+skew in views.  ROADMAP item 1 records the schedules that show it and the
+fix.
 """
 
 from __future__ import annotations

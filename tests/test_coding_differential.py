@@ -8,16 +8,22 @@ this file as ``reference_codec.py``, and this suite pins the production
 codec to it byte for byte on every path: scalar field ops over the whole
 field, the row kernels, the polynomial helpers, encode, and decode through
 clean, max-erasure, error-correcting, scattered-corruption, k=1,
-malformed-fragment and failure paths.
+malformed-fragment and failure paths.  The last section checks what the
+codec remembers (the one encode slot: identity, shape, exact ``bytes``) and
+the two kernels the verify shortcut relies on: the inverse Vandermonde, and
+damage inside the interpolated points.
 """
 
+import operator
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_codec as reference
-from repro.coding import Fragment, ReedSolomonCode, gf256
+from repro.coding import Fragment, ReedSolomonCode, gf256, reed_solomon
 from repro.coding.reed_solomon import DecodingError
 
 SEEDS = [2023, 2024, 2025]
@@ -292,3 +298,92 @@ class TestCodecMatchesReference:
         expected = _outcome(oracle, starved)
         assert expected[0] == DecodingError.__name__
         assert _outcome(optimized, starved) == expected
+
+
+# ----------------------------------------------------------------------
+# The encode slot and the integer-domain kernels
+# ----------------------------------------------------------------------
+_EMPTY_SLOT = (None, 0, 0, ())
+
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    monkeypatch.setattr(reed_solomon, "_LAST_ENCODED", _EMPTY_SLOT)
+
+
+def _blob(seed, length=61):
+    rng = random.Random(seed)
+    return bytes(rng.randrange(256) for _ in range(length))
+
+
+@pytest.mark.usefixtures("empty_slot")
+class TestEncodeSlot:
+    def test_one_blob_under_different_shapes(self):
+        blob = _blob(SEEDS[0])
+        for n, k in ((7, 3), (7, 4), (10, 3), (7, 3), (7, 3)):
+            optimized, oracle = _pair(n, k)
+            assert optimized.encode(blob) == oracle.encode(blob)
+            assert reed_solomon._LAST_ENCODED[:3] == (blob, n, k)
+
+    def test_a_bytearray_is_never_remembered(self):
+        optimized, oracle = _pair(7, 3)
+        buffer = bytearray(_blob(SEEDS[1]))
+        assert optimized.encode(buffer) == oracle.encode(bytes(buffer))
+        buffer[0] ^= 0xFF
+        buffer.extend(b"more")
+        assert optimized.encode(buffer) == oracle.encode(bytes(buffer))
+        assert reed_solomon._LAST_ENCODED is _EMPTY_SLOT
+
+    def test_equal_but_distinct_blobs_are_encoded_afresh(self):
+        optimized, oracle = _pair(7, 3)
+        blob = _blob(SEEDS[2])
+        twin = bytes(bytearray(blob))
+        assert twin == blob and twin is not blob
+        first, second = optimized.encode(blob), optimized.encode(twin)
+        assert first == second == oracle.encode(blob)
+        assert not any(map(operator.is_, first, second))
+        assert reed_solomon._LAST_ENCODED[0] is twin
+
+    def test_a_hit_is_a_new_list_of_the_same_fragments(self):
+        optimized, oracle = _pair(7, 3)
+        blob = _blob(SEEDS[0])
+        first = optimized.encode(blob)
+        kept = list(first)
+        first[0] = Fragment(0, (0,) * len(first[0].symbols), len(blob))
+        first.append(first[1])
+        second = optimized.encode(blob)
+        assert second == oracle.encode(blob)
+        assert second is not first
+        assert all(map(operator.is_, second, kept))
+        # Another codec of the same shape shares the slot: the blob, not the codec, is the key.
+        assert all(map(operator.is_, ReedSolomonCode(7, 3).encode(blob), kept))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_interpolation_basis_inverts_the_vandermonde(data):
+    k = data.draw(st.integers(1, 16))
+    points = data.draw(st.lists(st.integers(1, 255), min_size=k, max_size=k, unique=True))
+    basis = ReedSolomonCode(255, k)._interpolation_basis(tuple(points))
+    for r in range(k):
+        for column in range(k):
+            entry = 0
+            for i, x in enumerate(points):
+                entry ^= reference.multiply(basis[r][i], reference.power(x, column))
+            assert entry == (r == column)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_corruption_among_the_interpolated_points_is_still_corrected(seed):
+    # Decoding interpolates through the first k received fragments (in index
+    # order) and checks only the rest, so damage inside the first k must show
+    # up as mismatches at the others and be corrected by the exact solve.
+    rng = random.Random(seed)
+    n, k = 10, 3
+    optimized, oracle = _pair(n, k)
+    blob = _blob(seed, 47)
+    fragments = optimized.encode(blob)
+    for damaged in ([0], [2], [0, 1], [0, 1, 2], [1, rng.randrange(k, n)]):
+        received = _corrupt(fragments, damaged, shift=rng.randrange(1, 256))
+        rng.shuffle(received)
+        assert optimized.decode(received) == oracle.decode(received) == blob

@@ -1,4 +1,4 @@
-"""Counts before clocks: the crypto work of a fixed signed run, pinned exactly.
+"""Counts before clocks: the crypto and coding work of fixed signed runs, pinned exactly.
 
 ``universal-authenticated`` under ``equivocation`` and ``eventual`` delays at
 seed 2023, run beneath counting wrappers.  The counts are a property of the
@@ -7,7 +7,8 @@ code, not of the host: they repeat across interpreters and
 receiver recompute a tag, or a decided Quad process verify its mail again,
 fails here whatever the wall-clock says.  At n = 7 the run ends before any
 relayed ``DECIDE`` reaches a decided process; n = 10 is there so that the
-"nothing is handled after deciding" pin is not vacuous.
+"nothing is handled after deciding" pin is not vacuous.  One
+``universal-compact`` run pins ADD's Reed-Solomon work the same way.
 """
 
 import hashlib
@@ -15,6 +16,8 @@ import hmac
 
 import pytest
 
+from repro.coding import add, reed_solomon
+from repro.coding.reed_solomon import Fragment, ReedSolomonCode
 from repro.consensus.quad import Quad
 from repro.crypto import KeyAuthority
 from repro.experiments.execute import execute_run
@@ -79,3 +82,44 @@ def test_one_signed_run_counted(monkeypatch, system):
     # had already computed, and a decided Quad process handled nothing.
     assert counts["hmac"] == counts["sign"]
     assert counts["handled_after_deciding"] == 0
+
+
+# ``universal-compact`` at (10, 3): Quad agrees on a hash, then ADD codes the
+# decided vector.  The seven correct processes input the same blob object, so
+# it is encoded once (10 fragments, not 70), and each correct receiver checks
+# the one dispersed fragment object it is sent once (7 ``_well_formed`` calls,
+# not 48).  The decodes and interpolation bases are one per reconstruction
+# attempt and did not move; ``result_sha256`` is the one commit 9f17312
+# recorded when it built 70 fragments and checked 48.
+COMPACT_PINNED = {
+    "result_sha256": "8220bf17bf6daee99ec4ca14f65d5ab52c78f340bfa474030871ade740505c41",
+    "fragments": 10,
+    "well_formed": 7,
+    "decode": 10,
+    "interpolation_basis": 7,
+}
+
+
+def test_one_compact_run_codes_each_blob_once(monkeypatch):
+    counts = dict.fromkeys(COMPACT_PINNED, 0)
+
+    def counted(function, name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(reed_solomon, "_LAST_ENCODED", (None, 0, 0, ()))
+    monkeypatch.setattr(Fragment, "__init__", counted(Fragment.__init__, "fragments"))
+    monkeypatch.setattr(add, "_well_formed", counted(add._well_formed, "well_formed"))
+    monkeypatch.setattr(ReedSolomonCode, "decode", counted(ReedSolomonCode.decode, "decode"))
+    basis = counted(ReedSolomonCode._interpolation_basis, "interpolation_basis")
+    monkeypatch.setattr(ReedSolomonCode, "_interpolation_basis", basis)
+
+    spec = make_scenario("universal-compact", "equivocation", "eventual", n=10, t=3)
+    result = execute_run(spec, 2023)
+
+    assert result.ok
+    counts["result_sha256"] = hashlib.sha256(result.canonical_json().encode()).hexdigest()
+    assert counts == COMPACT_PINNED
