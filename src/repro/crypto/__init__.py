@@ -1,12 +1,11 @@
 """Simulated cryptography: hashing, PKI signatures and threshold signatures."""
 
-from .hashing import digest, short_digest, stable_encode
+from .hashing import digest, stable_encode
 from .signatures import KeyAuthority, Signature
 from .threshold import PartialSignature, ThresholdScheme, ThresholdSignature
 
 __all__ = [
     "digest",
-    "short_digest",
     "stable_encode",
     "KeyAuthority",
     "Signature",

@@ -73,8 +73,3 @@ def stable_encode(value: Any) -> bytes:
 def digest(value: Any) -> str:
     """Return a hex SHA-256 digest of a protocol value."""
     return hashlib.sha256(stable_encode(value)).hexdigest()
-
-
-def short_digest(value: Any, length: int = 16) -> str:
-    """A truncated digest, convenient for logs and test assertions."""
-    return digest(value)[:length]

@@ -493,7 +493,10 @@ class RunStore:
         self._cache: Dict[str, "OrderedDict[Tuple, Any]"] = {
             name: OrderedDict() for name in _TABLES
         }
-        self._fp_cache: Dict[ScenarioSpec, str] = {}
+        # id(spec) -> (spec, fingerprint).  A hit requires ``is``: equal specs
+        # can hash differently (10000 == 10000.0, 1 == True), and the strong
+        # reference keeps the spec's id from being reused.
+        self._fp_cache: Dict[int, Tuple[ScenarioSpec, str]] = {}
         self._conn: Optional[sqlite3.Connection] = None
         if fault_plan is not None and fault_plan.corrupt_on_reopen:
             _inject_corruption(self.path)
@@ -877,11 +880,11 @@ class RunStore:
     # Run records
     # ------------------------------------------------------------------
     def fingerprint(self, spec: ScenarioSpec) -> str:
-        """The scenario fingerprint, memoised per spec object value."""
-        cached = self._fp_cache.get(spec)
-        if cached is None:
-            cached = self._fp_cache[spec] = scenario_fingerprint(spec)
-        return cached
+        """The scenario fingerprint, memoised per spec object."""
+        cached = self._fp_cache.get(id(spec))
+        if cached is None or cached[0] is not spec:
+            cached = self._fp_cache[id(spec)] = (spec, scenario_fingerprint(spec))
+        return cached[1]
 
     def _key(self, spec: ScenarioSpec, seed: int) -> Tuple[str, int, str]:
         return (self.fingerprint(spec), int(seed), self.code_fp)

@@ -11,19 +11,27 @@ on abandoned generators).
 """
 
 import ast
+import collections
 import contextlib
+import dataclasses
+import hashlib
+import inspect
 import json
 import shutil
 import sqlite3
 import time
+from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import (
     DEFAULT_SEED,
     Runner,
     RunResult,
     aggregate,
+    default_matrix,
     execute_run,
     make_scenario,
     summaries_to_json,
@@ -40,7 +48,13 @@ from repro.store import (
     scenario_fingerprint,
     spec_payload,
 )
-from repro.store.fingerprint import _REPRO_ROOT, _module_tree_digest, _semantic_paths
+from repro.store.fingerprint import (
+    _REPRO_ROOT,
+    _builder_source,
+    _module_tree_digest,
+    _semantic_paths,
+    canonical_form,
+)
 
 SWEEP = [
     make_scenario("binary", "silent", "synchronous"),
@@ -49,6 +63,32 @@ SWEEP = [
     make_scenario("universal-authenticated", "silent", "synchronous"),
 ]
 SEEDS = (DEFAULT_SEED, DEFAULT_SEED + 1)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Knob:
+    """A dataclass-valued param: ``dataclasses.asdict`` turns it into a dict."""
+
+    label: str
+    setting: Any
+
+
+_PARAM_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False),
+        st.text(max_size=4),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers()), children, max_size=3),
+        st.builds(_Knob, st.text(max_size=3), children),
+    ),
+    max_leaves=12,
+)
 
 
 def _delete_all_rows(path, table):
@@ -108,6 +148,46 @@ class TestFingerprints:
         assert code_fingerprint() != base
         monkeypatch.undo()
         assert code_fingerprint() == base
+
+    def test_a_builder_outside_the_hashed_files_is_hashed_by_its_source(self):
+        def _local_builder(spec, system, seed):  # pragma: no cover - never run
+            raise NotImplementedError
+
+        assert _builder_source(_local_builder) == inspect.getsource(_local_builder)
+
+    def test_a_registered_builder_is_hashed_by_its_location(self):
+        # Its file is in the tree digest, so the location stands in for the source.
+        builder = PROTOCOLS["binary"]
+        named = _builder_source(builder)
+        assert "experiments/scenario.py" in named and builder.__qualname__ in named
+        assert inspect.getsource(builder) not in named
+
+    def test_registering_a_builder_under_another_key_moves_the_fingerprint(self, monkeypatch):
+        base = code_fingerprint()
+        monkeypatch.setitem(PROTOCOLS, "binary", PROTOCOLS["quad"])
+        assert code_fingerprint() != base
+
+    def test_default_matrix_fingerprints_are_pinned(self):
+        # Every key a user's store already holds for the paper's matrix.
+        joined = "".join(scenario_fingerprint(spec) for spec in default_matrix())
+        assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == (
+            "b1e309114d73ebbd155959e183026893601ccdd67a4f897cfa3b23879d640ad2"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        params=st.lists(st.tuples(st.text(max_size=4), _PARAM_VALUES), max_size=4).map(tuple),
+        time_limit=st.one_of(st.integers(1, 10**6), st.floats(1.0, 1e6)),
+    )
+    def test_spec_payload_matches_the_asdict_reference(self, params, time_limit):
+        # The definition: canonical_form over dataclasses.asdict, which also
+        # turns a dataclass nested in a param into a dict.  Compared as the
+        # hashed JSON text too, since == alone says 1 == True == 1.0.
+        spec = SWEEP[0].with_(params=params, time_limit=time_limit)
+        reference = canonical_form(dataclasses.asdict(spec))
+        payload = spec_payload(spec)
+        assert payload == reference
+        assert json.dumps(payload, sort_keys=True) == json.dumps(reference, sort_keys=True)
 
     def test_hashed_files_are_closed_under_repro_imports(self):
         # "code" in the content key must be everything that can change a
@@ -320,6 +400,28 @@ class TestRunStore:
             assert store.put(starved, result)
             assert store.get(starved, DEFAULT_SEED) == result
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            ({"time_limit": 10000}, {"time_limit": 10000.0}),
+            ({"params": (("knob", 1),)}, {"params": (("knob", True),)}),
+        ],
+        ids=["int-vs-float-horizon", "int-vs-bool-param"],
+    )
+    def test_equal_specs_with_different_payloads_keep_their_own_rows(self, tmp_path, changes):
+        # ScenarioSpec equality says 10000 == 10000.0 and 1 == True, but the
+        # canonical payloads (and so the content keys) differ: the store's
+        # memo must not hand one spec the other's key.
+        base = make_scenario("binary", "silent", "synchronous")
+        a, b = (base.with_(**change) for change in changes)
+        assert a == b and scenario_fingerprint(a) != scenario_fingerprint(b)
+        with RunStore(tmp_path / "runs.db") as store, Runner() as runner:
+            assert store.fingerprint(a) == scenario_fingerprint(a)
+            assert store.fingerprint(b) == scenario_fingerprint(b)
+            runner.run([a, b], (DEFAULT_SEED,), store=store)
+        with RunStore(tmp_path / "runs.db") as store:
+            assert store.count() == 2
+
     def test_code_fingerprint_partitions_the_store(self, tmp_path):
         path = tmp_path / "runs.db"
         spec = SWEEP[0]
@@ -426,6 +528,36 @@ class TestIncrementalSweeps:
             assert store.stats.hits == len(warm) and store.stats.misses == 0
         assert canonical_trace(warm) == canonical_trace(cold)
         assert summaries_to_json(aggregate(warm)) == summaries_to_json(aggregate(cold))
+
+    def test_warm_resweep_pays_only_for_its_reads(self, tmp_path, monkeypatch):
+        # Counted per warm pass: no builder source re-read at open, no spec
+        # deep-copied to fingerprint it, one fingerprint per spec object.
+        matrix = default_matrix()
+        path = tmp_path / "runs.db"
+        with RunStore(path) as store, Runner() as runner:
+            runner.run(matrix, SEEDS, store=store)
+
+        calls = collections.Counter()
+        fingerprinted = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(inspect, "getsource", counted("getsource", inspect.getsource))
+        monkeypatch.setattr(dataclasses, "asdict", counted("asdict", dataclasses.asdict))
+        monkeypatch.setattr(
+            "repro.store.store.scenario_fingerprint",
+            lambda spec: fingerprinted.append(spec) or scenario_fingerprint(spec),
+        )
+        with RunStore(path) as store, Runner() as runner:
+            warm = runner.run(matrix, SEEDS, store=store)
+            assert store.stats.hits == len(warm) == len(matrix) * len(SEEDS)
+        assert calls == {}
+        assert sorted(map(id, fingerprinted)) == sorted(map(id, matrix))
 
     def test_interrupted_sweep_resumes_from_the_store(self, tmp_path):
         path = tmp_path / "runs.db"
