@@ -3,9 +3,9 @@
 The package is organised as follows:
 
 * :mod:`repro.core` — the paper's formalism: input configurations, validity
-  properties, the similarity/compatibility relations, triviality and the
-  similarity condition ``C_S``, the solvability classifier, and the
-  Universal decision rule.
+  properties, the configuration space with every similarity neighbourhood
+  ``sim(c)``, triviality and the similarity condition ``C_S``, the
+  solvability classifier, and the Universal decision rule.
 * :mod:`repro.sim` — a deterministic partially synchronous message-passing
   simulator (processes, adversarial scheduling, GST/delta, metrics).
 * :mod:`repro.crypto` — simulated PKI signatures, threshold signatures and

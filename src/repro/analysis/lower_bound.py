@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..consensus.universal_protocol import universal_process_factory
 from ..core.system import SystemConfig
@@ -197,11 +197,3 @@ def run_lower_bound_experiment(
         universal_exceeds_threshold=universal_sim.metrics.total_messages > threshold,
     )
 
-
-def threshold_sweep(sizes: Tuple[int, ...] = (4, 7, 10, 13, 16)) -> Dict[int, Dict[str, Any]]:
-    """Report the Theorem 4 threshold next to Universal's measured message count for several sizes."""
-    rows: Dict[int, Dict[str, Any]] = {}
-    for n in sizes:
-        report = run_lower_bound_experiment(n)
-        rows[n] = report.summary()
-    return rows

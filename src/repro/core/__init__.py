@@ -6,9 +6,7 @@ from .input_config import (
     ProcessProposal,
     Value,
     count_input_configurations,
-    enumerate_full_configurations,
     enumerate_input_configurations,
-    enumerate_minimal_configurations,
 )
 from .lambda_functions import (
     LambdaUndefinedError,
@@ -23,7 +21,7 @@ from .lambda_functions import (
     strong_validity_lambda,
     weak_validity_lambda,
 )
-from .ordering import canonical_choice, canonical_key, canonical_min, canonical_sorted, median_value
+from .ordering import canonical_choice, canonical_key, canonical_min, canonical_sorted
 from .properties import (
     ConstantValidity,
     ConvexHullValidity,
@@ -36,28 +34,24 @@ from .properties import (
     WeakValidity,
     standard_properties,
 )
-from .relations import compatible, similar, similar_configurations, similarity_classes
 from .similarity_condition import (
     LambdaFunction,
     SimilarityConditionResult,
     check_similarity_condition,
     satisfies_similarity_condition,
-    similarity_intersection,
-    verify_lambda_function,
 )
 from .solvability import (
     Classification,
     classify,
     count_validity_properties,
-    enumerate_validity_properties,
     enumerated_property,
     is_solvable,
 )
 from .space import ConfigurationSpace, configuration_space
 from .system import SystemConfig
 from .triviality import TrivialityResult, check_triviality, is_trivial
-from .universal import UniversalSpec, universal_decision
-from .validity import TableValidity, ValidityProperty, algorithm_satisfies_validity, restrict_to_domain
+from .universal import UniversalSpec
+from .validity import TableValidity, ValidityProperty
 
 __all__ = [
     "InputConfiguration",
@@ -66,8 +60,6 @@ __all__ = [
     "SystemConfig",
     "ValidityProperty",
     "TableValidity",
-    "restrict_to_domain",
-    "algorithm_satisfies_validity",
     "StrongValidity",
     "WeakValidity",
     "CorrectProposalValidity",
@@ -78,32 +70,22 @@ __all__ = [
     "FreeValidity",
     "VectorValidity",
     "standard_properties",
-    "similar",
-    "compatible",
-    "similar_configurations",
-    "similarity_classes",
     "check_triviality",
     "is_trivial",
     "TrivialityResult",
     "check_similarity_condition",
     "satisfies_similarity_condition",
-    "similarity_intersection",
-    "verify_lambda_function",
     "SimilarityConditionResult",
     "LambdaFunction",
     "classify",
     "is_solvable",
     "Classification",
-    "enumerate_validity_properties",
     "enumerated_property",
     "count_validity_properties",
     "ConfigurationSpace",
     "configuration_space",
     "UniversalSpec",
-    "universal_decision",
     "enumerate_input_configurations",
-    "enumerate_minimal_configurations",
-    "enumerate_full_configurations",
     "count_input_configurations",
     "standard_lambda_functions",
     "strong_validity_lambda",
@@ -120,5 +102,4 @@ __all__ = [
     "canonical_sorted",
     "canonical_min",
     "canonical_choice",
-    "median_value",
 ]

@@ -251,27 +251,6 @@ def enumerate_input_configurations(
                 )
 
 
-def enumerate_minimal_configurations(
-    system: SystemConfig, input_domain: Sequence[Value]
-) -> Iterator[InputConfiguration]:
-    """Enumerate ``I_{n-t}``, the configurations with exactly ``n - t`` pairs.
-
-    These are the configurations over which the ``Lambda`` function of the
-    similarity condition (Definition 2) is defined, and the decision space of
-    vector consensus.
-    """
-    yield from enumerate_input_configurations(
-        system, input_domain, sizes=[system.min_configuration_size]
-    )
-
-
-def enumerate_full_configurations(
-    system: SystemConfig, input_domain: Sequence[Value]
-) -> Iterator[InputConfiguration]:
-    """Enumerate ``I_n``, the configurations in which every process is correct."""
-    yield from enumerate_input_configurations(system, input_domain, sizes=[system.n])
-
-
 def count_input_configurations(system: SystemConfig, domain_size: int) -> int:
     """Closed-form count of ``|I|`` for a domain of the given size.
 

@@ -12,7 +12,7 @@ natural order when available, and finally by ``repr``.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence, Tuple
+from typing import Any, Iterable, Tuple
 
 
 def canonical_key(value: Any) -> Tuple[str, str, str]:
@@ -62,11 +62,3 @@ def canonical_choice(values: Iterable[Any]) -> Any:
     admissible value" rather than "pick the minimum".
     """
     return canonical_min(values)
-
-
-def median_value(values: Sequence[Any]) -> Any:
-    """Return the lower median of a non-empty sequence under the canonical order."""
-    ordered = canonical_sorted(values)
-    if not ordered:
-        raise ValueError("median of an empty collection")
-    return ordered[(len(ordered) - 1) // 2]

@@ -46,9 +46,8 @@ from typing import Callable, Dict, FrozenSet, Optional, Sequence
 
 from .input_config import InputConfiguration, Value
 from .ordering import canonical_sorted
-from .space import AdmissibilityTable, configuration_space, evaluate_property
+from .space import AdmissibilityTable, evaluate_property
 from .system import SystemConfig
-from .triviality import always_admissible_values
 from .validity import ValidityProperty
 
 LambdaFunction = Callable[[InputConfiguration], Value]
@@ -97,23 +96,6 @@ class SimilarityConditionResult:
                 ) from None
 
         return lambda_fn
-
-
-def similarity_intersection(
-    prop: ValidityProperty,
-    config: InputConfiguration,
-    system: SystemConfig,
-    input_domain: Sequence[Value],
-    output_domain: Sequence[Value],
-) -> FrozenSet[Value]:
-    """Compute the intersection of ``val(c')`` over all ``c'`` similar to ``config``.
-
-    This is the set from which any valid ``Lambda(config)`` must be drawn
-    (and, by canonical similarity, the set of values decidable in a canonical
-    execution corresponding to ``config``).
-    """
-    neighbourhood = configuration_space(system, input_domain).similar_to(config)
-    return always_admissible_values(prop, neighbourhood, output_domain)
 
 
 def check_similarity_condition(
@@ -169,30 +151,3 @@ def satisfies_similarity_condition(
 ) -> bool:
     """Shorthand for ``check_similarity_condition(...).holds``."""
     return check_similarity_condition(prop, system, input_domain, output_domain).holds
-
-
-def verify_lambda_function(
-    prop: ValidityProperty,
-    lambda_fn: LambdaFunction,
-    system: SystemConfig,
-    input_domain: Sequence[Value],
-    output_domain: Optional[Sequence[Value]] = None,
-) -> Optional[InputConfiguration]:
-    """Check that a candidate ``Lambda`` really witnesses ``C_S``.
-
-    Used by the tests to validate the closed-form ``Lambda`` implementations
-    of :mod:`repro.core.lambda_functions` against the definition: for every
-    minimal configuration ``c`` and every configuration ``c'`` similar to
-    ``c``, ``Lambda(c)`` must be admissible for ``c'``.
-
-    Returns:
-        ``None`` when the candidate is correct, otherwise the first minimal
-        configuration on which it fails.
-    """
-    space = configuration_space(system, input_domain)
-    for config, neighbourhood in zip(space.minimal_configurations, space.neighbourhoods):
-        chosen = lambda_fn(config)
-        for candidate in space.select(neighbourhood):
-            if not prop.is_admissible(candidate, chosen):
-                return config
-    return None

@@ -26,11 +26,12 @@ True
 False
 
 The space of *all* validity properties over finite domains is finite and
-enumerable (here ``(2^2 - 1)^8`` for the smallest system over two values):
+enumerable (here ``(2^2 - 1)^8`` for the smallest system over two values),
+and each of its members can be built from its rank alone:
 
 >>> count_validity_properties(SystemConfig(2, 1), 2, 2)
 6561
->>> next(enumerate_validity_properties(SystemConfig(2, 1), [0, 1], [0, 1])).name
+>>> enumerated_property(SystemConfig(2, 1), [0, 1], [0, 1], 0).name
 'enumerated-1'
 >>> enumerated_property(SystemConfig(2, 1), [0, 1], [0, 1], 6560).name
 'enumerated-6561'
@@ -39,7 +40,7 @@ enumerable (here ``(2^2 - 1)^8`` for the smallest system over two values):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .input_config import Value, count_input_configurations
 from .similarity_condition import SimilarityConditionResult, check_similarity_condition
@@ -150,49 +151,22 @@ def is_solvable(
 # ----------------------------------------------------------------------
 # Exhaustive enumeration of validity properties (Figure 1 experiment)
 # ----------------------------------------------------------------------
-def enumerate_validity_properties(
-    system: SystemConfig,
-    input_domain: Sequence[Value],
-    output_domain: Sequence[Value],
-    max_properties: Optional[int] = None,
-) -> Iterator[TableValidity]:
-    """Enumerate *all* validity properties over tiny finite domains.
-
-    A validity property assigns to each of the ``|I|`` input configurations a
-    non-empty subset of ``V_O``, so there are ``(2^{|V_O|} - 1)^{|I|}``
-    properties — astronomically many even for the smallest systems.  The
-    enumeration is therefore only practical with an explicit
-    ``max_properties`` cut-off or for systems where ``|I|`` is tiny; the
-    Figure 1 experiment instead samples this space and additionally uses the
-    named properties.  The enumeration order is deterministic.
-
-    Args:
-        system: System parameters.
-        input_domain: Finite proposal domain.
-        output_domain: Finite decision domain.
-        max_properties: Optional bound on the number of properties yielded.
-    """
-    distinct_inputs = len(configuration_space(system, input_domain).domain)
-    total = count_validity_properties(system, distinct_inputs, len(output_domain))
-    if max_properties is not None:
-        total = min(total, max_properties)
-    for index in range(total):
-        yield enumerated_property(system, input_domain, output_domain, index)
-
-
 def enumerated_property(
     system: SystemConfig,
     input_domain: Sequence[Value],
     output_domain: Sequence[Value],
     index: int,
 ) -> TableValidity:
-    """The property of rank ``index`` (0-based) in :func:`enumerate_validity_properties`.
+    """The property of rank ``index`` (0-based) among *all* validity properties.
 
-    The enumeration is the Cartesian product of the non-empty subsets of
-    ``V_O`` over ``I`` with the last configuration varying fastest, so the
-    rank written in base ``2^{|V_O|} - 1`` has one digit per configuration,
-    most significant first; unranking reads the property off directly
-    instead of walking the enumeration up to it.
+    A validity property assigns to each of the ``|I|`` input configurations a
+    non-empty subset of ``V_O``, so there are ``(2^{|V_O|} - 1)^{|I|}`` of
+    them (:func:`count_validity_properties`).  They are ranked as the
+    Cartesian product of the non-empty subsets of ``V_O`` over ``I`` with the
+    last configuration varying fastest, so the rank written in base
+    ``2^{|V_O|} - 1`` has one digit per configuration, most significant
+    first; unranking reads the property off directly instead of walking the
+    enumeration up to it.
 
     Raises:
         IndexError: if ``index`` is outside the enumeration.

@@ -9,10 +9,12 @@ per ``(n, t, domain)`` and shared: :func:`configuration_space` returns an
 immutable :class:`ConfigurationSpace` holding ``I`` as a tuple and every
 ``sim(c)`` as a Python-int bitmask over indices into that tuple.
 
-The neighbourhoods are built structurally rather than by pairwise
-:func:`~repro.core.relations.similar` calls.  With ``B[p][v]`` the mask of
-configurations in which process ``p`` proposes ``v`` and ``P[p]`` the mask of
-configurations containing ``p``,
+The similarity relation of Section 3.4 (``c ~ c'`` iff the two share a
+process and agree on every shared process) has no pairwise implementation
+here: the neighbourhoods are built structurally, and the pairwise definition
+lives in ``tests/reference_classifier.py`` as the oracle they are checked
+against.  With ``B[p][v]`` the mask of configurations in which process ``p``
+proposes ``v`` and ``P[p]`` the mask of configurations containing ``p``,
 
     ``sim(c) = (OR_p B[p][c[p]]) & ~(OR_p (P[p] & ~B[p][c[p]]))``
 

@@ -39,9 +39,9 @@ always-admissible value:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Sequence
+from typing import FrozenSet, Optional, Sequence
 
-from .input_config import InputConfiguration, Value
+from .input_config import Value
 from .ordering import canonical_sorted
 from .space import AdmissibilityTable, evaluate_property
 from .system import SystemConfig
@@ -80,24 +80,6 @@ class TrivialityResult:
         if not self.trivial or self.witness is None:
             raise ValueError("the validity property is non-trivial: no always-admissible value exists")
         return self.witness
-
-
-def always_admissible_values(
-    prop: ValidityProperty,
-    configurations: Iterable[InputConfiguration],
-    output_domain: Sequence[Value],
-) -> FrozenSet[Value]:
-    """Intersect ``val(c)`` over the given configurations.
-
-    Returns the set of values admissible for *every* configuration in the
-    iterable (over the finite output domain).
-    """
-    remaining = set(output_domain)
-    for config in configurations:
-        if not remaining:
-            break
-        remaining &= prop.admissible_values(config, output_domain)
-    return frozenset(remaining)
 
 
 def check_triviality(

@@ -7,22 +7,19 @@ configuration ``vector`` of exactly ``n - t`` process-proposal pairs, and
 
 The network protocol lives in
 :mod:`repro.consensus.universal_protocol`; this module contains the
-protocol-independent pieces: the pairing of a validity property with its
-``Lambda`` function and the correctness check used pervasively in tests
-(the decided value is admissible for the execution's input configuration
-because the decided vector is similar to it).
+protocol-independent piece: the pairing of a validity property with its
+``Lambda`` function.  The decided value is admissible for the execution's
+input configuration because the decided vector is similar to it (Lemma 8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .input_config import InputConfiguration, Value
 from .lambda_functions import standard_lambda_functions
 from .properties import standard_properties
-from .relations import similar
-from .similarity_condition import LambdaFunction, check_similarity_condition
+from .similarity_condition import LambdaFunction
 from .system import SystemConfig
 from .validity import ValidityProperty
 
@@ -51,20 +48,6 @@ class UniversalSpec:
             )
         return self.decision_rule(vector)
 
-    def decision_is_admissible(
-        self, vector: InputConfiguration, execution_configuration: InputConfiguration
-    ) -> bool:
-        """Check the key safety argument of Lemma 8 for a concrete execution.
-
-        Vector Validity guarantees that the decided ``vector`` is similar to
-        the execution's input configuration; by definition of ``Lambda`` the
-        decided value is then admissible.  Tests use this method to verify
-        the whole chain end-to-end.
-        """
-        if not similar(vector, execution_configuration):
-            return False
-        return self.validity.is_admissible(execution_configuration, self.decide(vector))
-
     @classmethod
     def for_standard_property(cls, system: SystemConfig, key: str) -> "UniversalSpec":
         """Build the spec for one of the named properties (``strong``, ``weak``, ...)."""
@@ -75,30 +58,3 @@ class UniversalSpec:
                 f"unknown standard property {key!r}; available: {sorted(set(properties) & set(rules))}"
             )
         return cls(system=system, validity=properties[key], decision_rule=rules[key])
-
-    @classmethod
-    def from_finite_domains(
-        cls,
-        system: SystemConfig,
-        validity: ValidityProperty,
-        input_domain: Sequence[Value],
-        output_domain: Optional[Sequence[Value]] = None,
-    ) -> "UniversalSpec":
-        """Build the spec for an arbitrary property over finite domains.
-
-        The ``Lambda`` function is obtained from the enumerative similarity
-        condition check; raises :class:`ValueError` if the property does not
-        satisfy ``C_S`` (and is therefore unsolvable for ``n > 3t``).
-        """
-        result = check_similarity_condition(validity, system, input_domain, output_domain)
-        if not result.holds:
-            raise ValueError(
-                f"validity property {validity.name!r} does not satisfy the similarity condition; "
-                "Universal cannot solve it"
-            )
-        return cls(system=system, validity=validity, decision_rule=result.lambda_function())
-
-
-def universal_decision(vector: InputConfiguration, decision_rule: LambdaFunction) -> Value:
-    """The bare Universal decision rule: ``decide Lambda(vector)``."""
-    return decision_rule(vector)

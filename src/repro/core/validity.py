@@ -5,11 +5,9 @@ configuration to a non-empty set of admissible decisions.  An algorithm
 satisfies the property iff, in every execution, correct processes only
 decide values admissible for the execution's input configuration.
 
-This module provides the abstract interface (:class:`ValidityProperty`), a
-concrete table-backed implementation for exhaustively enumerated properties
-(:class:`TableValidity`), and a helper for restricting a property to a
-finite output domain so that set-valued questions (triviality, ``C_S``)
-become decidable.
+This module provides the abstract interface (:class:`ValidityProperty`) and
+a concrete table-backed implementation for exhaustively enumerated properties
+(:class:`TableValidity`).
 """
 
 from __future__ import annotations
@@ -162,44 +160,3 @@ def non_empty_subsets(output_domain: Sequence[Value]) -> List[FrozenSet[Value]]:
         for size in range(1, len(output_domain) + 1)
         for subset in itertools.combinations(output_domain, size)
     ]
-
-
-def restrict_to_domain(
-    prop: ValidityProperty,
-    configurations: Iterable[InputConfiguration],
-    output_domain: Sequence[Value],
-    name: Optional[str] = None,
-) -> TableValidity:
-    """Materialise a symbolic validity property as a :class:`TableValidity`.
-
-    Useful for running the exact decision procedures on the named properties
-    of :mod:`repro.core.properties` over small, finite systems.
-    """
-    table = {
-        config: prop.admissible_values(config, output_domain) for config in configurations
-    }
-    return TableValidity(
-        table,
-        output_domain,
-        name=name or f"{prop.name}@finite",
-        default_all=False,
-    )
-
-
-def algorithm_satisfies_validity(
-    prop: ValidityProperty,
-    config: InputConfiguration,
-    decisions: Mapping[int, Value],
-) -> bool:
-    """Check the satisfaction condition of Section 3.3 for one execution.
-
-    Args:
-        prop: The validity property under test.
-        config: The input configuration the execution corresponds to.
-        decisions: Mapping from correct-process index to the value it decided
-            (processes that have not decided are simply absent).
-
-    Returns:
-        ``True`` iff every decided value is admissible for ``config``.
-    """
-    return all(prop.is_admissible(config, value) for value in decisions.values())

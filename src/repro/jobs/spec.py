@@ -26,7 +26,7 @@ from typing import Any, ClassVar, List, Optional, Sequence, Tuple
 
 from ..experiments.runner import DEFAULT_SEED
 from ..experiments.scenario import ScenarioSpec, default_matrix, find_scenarios, make_scenario
-from ..store.fingerprint import canonical_form, spec_from_payload, spec_payload
+from ..store.fingerprint import spec_from_payload, spec_payload
 
 DEFAULT_FUZZ_BASES = ("binary+none+partition", "quad+none+synchronous")
 """Default fuzz bases: one leaderless and one leader-based protocol, with
@@ -44,7 +44,7 @@ class JobSpecError(ValueError):
 def specs_to_payloads(specs: Sequence[ScenarioSpec]) -> Tuple[str, ...]:
     """Encode scenarios as canonical, hashable payload strings."""
     return tuple(
-        json.dumps(canonical_form(spec_payload(spec)), sort_keys=True, separators=(",", ":"))
+        json.dumps(spec_payload(spec), sort_keys=True, separators=(",", ":"))
         for spec in specs
     )
 

@@ -5,9 +5,9 @@ package makes the *harness that runs those experiments* tolerate faults of
 its own.  Three pieces, threaded through the runner, session, executor and
 store:
 
-* :mod:`repro.resilience.retry` — :class:`RetryPolicy`: bounded attempts,
-  seeded jittered backoff, and the transient-vs-deterministic error
-  classification every retry loop in the repo shares;
+* :mod:`repro.resilience.retry` — :class:`RetryPolicy`: bounded attempts
+  and seeded jittered backoff, the policy shape both retry loops (the
+  supervisor's re-dispatch and the store's flush) share;
 * :mod:`repro.resilience.faults` — :class:`FaultPlan`: a *deterministic*
   fault-injection plan (worker crash at task *k*, worker hang, flush
   ``OSError`` on attempt *j*, corrupt-on-reopen) injectable through
@@ -28,13 +28,7 @@ stays byte-identical to the fault-free sweep — the contract
 """
 
 from .faults import FaultInjectionError, FaultPlan, FaultState, REPRO_FAULT_PLAN_ENV
-from .retry import (
-    RetryPolicy,
-    TaskQuarantinedError,
-    call_with_retry,
-    classify_error,
-    is_transient_error,
-)
+from .retry import RetryPolicy, TaskQuarantinedError
 from .supervisor import PoisonRecord, SupervisionStats, Supervisor
 
 __all__ = [
@@ -47,7 +41,4 @@ __all__ = [
     "SupervisionStats",
     "Supervisor",
     "TaskQuarantinedError",
-    "call_with_retry",
-    "classify_error",
-    "is_transient_error",
 ]

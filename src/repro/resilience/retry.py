@@ -1,30 +1,20 @@
-"""Bounded, deterministic retries: :class:`RetryPolicy` and friends.
+"""Bounded, deterministic retries: :class:`RetryPolicy` and the quarantine error.
 
-Every retry loop in the repo — the supervisor re-dispatching a task whose
-worker died, the store re-attempting a failed flush — shares one policy
-shape: a bounded attempt budget, a seeded jittered exponential backoff,
-and a transient-vs-deterministic error classification.  Determinism is
-the point: backoff delays come from ``random.Random`` seeded with
-``(policy seed, attempt, token)``, never from the global RNG or the
+Both retry loops in the repo — the supervisor re-dispatching a task whose
+worker died, the store re-attempting a failed flush — share one policy
+shape: a bounded attempt budget and a seeded jittered exponential backoff.
+Each loop decides for itself which errors are worth another attempt.
+Determinism is the point: backoff delays come from ``random.Random`` seeded
+with ``(policy seed, attempt, token)``, never from the global RNG or the
 clock, so a chaos run under a fixed :class:`FaultPlan` replays the exact
 same schedule every time.
 """
 
 from __future__ import annotations
 
-import sqlite3
-import time
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Callable, Optional, TypeVar
-
-T = TypeVar("T")
-
-TRANSIENT = "transient"
-"""Classification for errors worth retrying (infrastructure hiccups)."""
-
-DETERMINISTIC = "deterministic"
-"""Classification for errors that will recur on retry (real bugs)."""
+from typing import Any
 
 
 class TaskQuarantinedError(RuntimeError):
@@ -42,15 +32,6 @@ class TaskQuarantinedError(RuntimeError):
         self.index = index
         self.attempts = attempts
         self.reason = reason
-
-
-class WorkerCrashError(RuntimeError):
-    """A pool worker died (or was reclaimed past deadline) mid-task.
-
-    Never escapes supervised dispatch directly — it is the internal,
-    always-transient signal that a dispatched task lost its worker and
-    must be retried or quarantined.
-    """
 
 
 @dataclass(frozen=True)
@@ -100,58 +81,3 @@ class RetryPolicy:
             raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return min(raw, self.backoff_max)
 
-
-def classify_error(exc: BaseException) -> str:
-    """Classify ``exc`` as :data:`TRANSIENT` or :data:`DETERMINISTIC`.
-
-    Transient errors are infrastructure failures a retry can plausibly
-    outlive: a worker process dying, the OS refusing a write, sqlite
-    reporting a busy/locked/full condition.  Everything else — assertion
-    failures, value errors, any bug in task code — is deterministic: the
-    same inputs will fail the same way, so retrying wastes the budget.
-    """
-    if isinstance(exc, WorkerCrashError):
-        return TRANSIENT
-    if isinstance(exc, (ConnectionError, TimeoutError)):
-        return TRANSIENT
-    if isinstance(exc, OSError):
-        return TRANSIENT
-    if isinstance(exc, sqlite3.OperationalError):
-        return TRANSIENT
-    return DETERMINISTIC
-
-
-def is_transient_error(exc: BaseException) -> bool:
-    return classify_error(exc) == TRANSIENT
-
-
-def call_with_retry(
-    func: Callable[[], T],
-    policy: RetryPolicy,
-    *,
-    token: Any = 0,
-    classify: Callable[[BaseException], str] = classify_error,
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
-) -> T:
-    """Call ``func`` under ``policy``, retrying transient failures.
-
-    Deterministic errors propagate immediately; transient errors are
-    retried with the policy's seeded backoff until the attempt budget is
-    spent, after which the last error propagates.  ``on_retry(attempt,
-    error, delay)`` fires before each backoff sleep.
-    """
-    last_error: Optional[BaseException] = None
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            return func()
-        except Exception as exc:  # noqa: BLE001 - classification decides
-            if classify(exc) != TRANSIENT or attempt == policy.max_attempts:
-                raise
-            last_error = exc
-            delay = policy.backoff(attempt, token)
-            if on_retry is not None:
-                on_retry(attempt, exc, delay)
-            if delay > 0:
-                sleep(delay)
-    raise last_error if last_error is not None else RuntimeError("unreachable")

@@ -1,19 +1,24 @@
-"""Reference (brute-force) triviality and similarity-condition procedures.
+"""Reference (brute-force) similarity, triviality and similarity-condition procedures.
 
-This module preserves the decision procedures of :mod:`repro.core.triviality`
-and :mod:`repro.core.similarity_condition` exactly as they were before they
-were re-expressed over the shared
+This module is the definition the production classifier is checked against.
+It holds the paper's two relations between input configurations as plain
+pairwise functions: :func:`similar` (Section 3.4) and :func:`compatible`
+(Section 4.1).  It also holds the decision procedures of
+:mod:`repro.core.triviality` and :mod:`repro.core.similarity_condition`
+exactly as they were before they were re-expressed over the shared
 :class:`~repro.core.space.ConfigurationSpace`: every call re-enumerates ``I``,
-every neighbourhood is a filter of pairwise
-:func:`~repro.core.relations.similar` calls, and every ``val(c)`` is
-re-evaluated wherever it is needed; the property enumeration is the plain
-``itertools.product`` walk that
+every neighbourhood is a filter of pairwise :func:`similar` calls, and every
+``val(c)`` is re-evaluated wherever it is needed; the property enumeration is
+the plain ``itertools.product`` walk that
 :func:`~repro.core.solvability.enumerated_property` unranks.  It lives beside
 the tests, outside the ``repro`` import path and the store's code
-fingerprints, because nothing but ``test_classifier_differential.py`` uses
-it: the production procedures are the bitmask reductions, and the
-differential suite asserts they return equal result objects, field by field,
-dict order included.
+fingerprints, because nothing in the system uses it: the production
+procedures are the bitmask reductions, and the differential suite asserts
+they return equal result objects, field by field, dict order included.  From
+``repro`` it imports only value and result types, the enumeration of ``I``
+and the canonical order of values: what both sides share by design (the
+dict orders and the ``Lambda`` choice are defined over them), not what the
+suite compares.
 
 Being the oracle, this module should stay boring.  Fix bugs in both places;
 do not optimize this one.
@@ -24,18 +29,49 @@ from __future__ import annotations
 import itertools
 from typing import FrozenSet, Iterator, Optional, Sequence
 
-from repro.core.input_config import (
-    InputConfiguration,
-    Value,
-    enumerate_input_configurations,
-    enumerate_minimal_configurations,
-)
+from repro.core.input_config import InputConfiguration, Value, enumerate_input_configurations
 from repro.core.ordering import canonical_sorted
-from repro.core.relations import similar
 from repro.core.similarity_condition import LambdaFunction, SimilarityConditionResult
 from repro.core.system import SystemConfig
 from repro.core.triviality import TrivialityResult
 from repro.core.validity import TableValidity, ValidityProperty
+
+
+def similar(first: InputConfiguration, second: InputConfiguration) -> bool:
+    """``c1 ~ c2``: at least one common process, and every common process agrees.
+
+    The relation is symmetric and reflexive but *not* transitive.
+    """
+    common = first.processes & second.processes
+    if not common:
+        return False
+    return all(first[process] == second[process] for process in common)
+
+
+def compatible(first: InputConfiguration, second: InputConfiguration, t: int) -> bool:
+    """``c1 <> c2``: at most ``t`` common processes, and neither contains the other.
+
+    The relation is symmetric and irreflexive.
+    """
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    common = first.processes & second.processes
+    if len(common) > t:
+        return False
+    if not (first.processes - second.processes):
+        return False
+    if not (second.processes - first.processes):
+        return False
+    return True
+
+
+def enumerate_minimal_configurations(
+    system: SystemConfig, input_domain: Sequence[Value]
+) -> Iterator[InputConfiguration]:
+    """``I_{n-t}``: the configurations with exactly ``n - t`` pairs, in enumeration order."""
+    yield from enumerate_input_configurations(
+        system, input_domain, sizes=[system.min_configuration_size]
+    )
 
 
 def similarity_intersection(

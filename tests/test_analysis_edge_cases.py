@@ -14,7 +14,7 @@ from repro.analysis.classification import (
 )
 from repro.analysis.partitioning import run_partitioning_attack
 from repro.core.input_config import enumerate_input_configurations
-from repro.core.solvability import enumerate_validity_properties
+from repro.core.solvability import enumerated_property
 from repro.core.system import SystemConfig
 
 
@@ -90,7 +90,7 @@ class TestEmptyFamilies:
         with pytest.raises(ValueError):
             list(enumerate_input_configurations(SystemConfig(3, 1), []))
         with pytest.raises(ValueError):
-            next(enumerate_validity_properties(SystemConfig(3, 1), [], [0, 1]))
+            enumerated_property(SystemConfig(3, 1), [], [0, 1], 0)
 
     def test_sampling_rejects_zero_samples(self):
         with pytest.raises(ValueError):

@@ -35,14 +35,7 @@ from repro.jobs import (
     select_scenarios,
     specs_to_payloads,
 )
-from repro.resilience import (
-    FaultPlan,
-    RetryPolicy,
-    TaskQuarantinedError,
-    call_with_retry,
-    is_transient_error,
-)
-from repro.resilience.retry import WorkerCrashError
+from repro.resilience import FaultPlan, RetryPolicy, TaskQuarantinedError
 from repro.store import PoisonEntry, RunStore, StoreRecovery
 
 SLICE = [
@@ -100,7 +93,7 @@ class TestFaultPlan:
 
 
 # ----------------------------------------------------------------------
-# Retry policy: deterministic backoff, transient classification
+# Retry policy: deterministic backoff
 # ----------------------------------------------------------------------
 class TestRetryPolicy:
     def test_backoff_is_deterministic_and_bounded(self):
@@ -109,39 +102,6 @@ class TestRetryPolicy:
         assert series == [policy.backoff(attempt, token=3) for attempt in range(1, 6)]
         assert all(0.0 <= delay <= 0.2 for delay in series)
         assert series != [policy.backoff(attempt, token=4) for attempt in range(1, 6)]
-
-    def test_classification(self):
-        assert is_transient_error(WorkerCrashError("gone"))
-        assert is_transient_error(OSError(28, "disk full"))
-        assert is_transient_error(sqlite3.OperationalError("database is locked"))
-        assert not is_transient_error(ValueError("bad input"))
-
-    def test_call_with_retry_absorbs_transient_failures(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise ConnectionError("transient")
-            return "ok"
-
-        retries = []
-        result = call_with_retry(
-            flaky, FAST_RETRY, sleep=lambda _: None, on_retry=lambda *a: retries.append(a)
-        )
-        assert result == "ok"
-        assert calls["n"] == 3 and len(retries) == 2
-
-    def test_call_with_retry_raises_deterministic_errors_immediately(self):
-        calls = {"n": 0}
-
-        def broken():
-            calls["n"] += 1
-            raise ValueError("deterministic")
-
-        with pytest.raises(ValueError):
-            call_with_retry(broken, FAST_RETRY, sleep=lambda _: None)
-        assert calls["n"] == 1
 
 
 # ----------------------------------------------------------------------

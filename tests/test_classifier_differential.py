@@ -13,7 +13,6 @@ hypothesis-drawn table properties, the enumeration unranking against the
 per-system memo.
 """
 
-import itertools
 import json
 import os
 import pathlib
@@ -40,15 +39,9 @@ from repro.core.input_config import (
     InputConfiguration,
     count_input_configurations,
     enumerate_input_configurations,
-    enumerate_minimal_configurations,
 )
 from repro.core.properties import standard_properties
-from repro.core.relations import similar, similar_configurations
-from repro.core.similarity_condition import (
-    check_similarity_condition,
-    similarity_intersection,
-    verify_lambda_function,
-)
+from repro.core.similarity_condition import check_similarity_condition
 from repro.core.solvability import classify, enumerated_property
 from repro.core.space import configuration_space
 from repro.core.system import SystemConfig
@@ -96,17 +89,17 @@ class TestNeighbourhoodMasks:
     def test_every_mask_is_the_similar_filter(self, system, domain):
         space = configuration_space(system, domain)
         assert space.minimal_configurations == tuple(
-            enumerate_minimal_configurations(system, domain)
+            reference.enumerate_minimal_configurations(system, domain)
         )
         assert space.configurations == tuple(enumerate_input_configurations(system, domain))
         assert space.everything == (1 << len(space.configurations)) - 1
-        # Every member of I, not only the minimal prefix: similar_configurations
+        # Every member of I, not only the minimal prefix: neighbourhood()
         # accepts any configuration.
         for index, config in enumerate(space.configurations):
             expected = sum(
                 1 << position
                 for position, candidate in enumerate(space.configurations)
-                if similar(config, candidate)
+                if reference.similar(config, candidate)
             )
             assert space.neighbourhood(config) == expected
             if index < space.minimal_count:
@@ -121,8 +114,8 @@ class TestNeighbourhoodMasks:
             InputConfiguration.from_mapping({7: 0, 8: 0, 9: 0}),  # nothing in common
             InputConfiguration.from_mapping({3: 1}),  # smaller than any member of I
         ):
-            expected = [candidate for candidate in everything if similar(foreign, candidate)]
-            assert list(similar_configurations(foreign, system, domain)) == expected
+            expected = [candidate for candidate in everything if reference.similar(foreign, candidate)]
+            assert list(configuration_space(system, domain).similar_to(foreign)) == expected
 
 
 class TestResultsMatchTheOracle:
@@ -131,35 +124,10 @@ class TestResultsMatchTheOracle:
         for prop in standard_properties(system, output_domain=list(domain)).values():
             assert_same_results(prop, system, domain)
 
-    @pytest.mark.parametrize("system, domain", SYSTEMS[:5], ids=SYSTEM_IDS[:5])
-    def test_verify_lambda_function(self, system, domain):
-        domain = list(domain)
-        for prop in standard_properties(system, output_domain=domain).values():
-            result = check_similarity_condition(prop, system, domain)
-            candidates = [lambda config: domain[0], lambda config: "not a value"]
-            if result.holds:
-                candidates.append(result.lambda_function())
-            for candidate in candidates:
-                assert verify_lambda_function(
-                    prop, candidate, system, domain
-                ) == reference.verify_lambda_function(prop, candidate, system, domain)
-
     @pytest.mark.parametrize("system, domain", SYSTEMS, ids=SYSTEM_IDS)
     def test_sampled_tables(self, system, domain):
         for prop in sampled_tables(system, domain, 40):
             assert_same_results(prop, system, domain)
-
-    @pytest.mark.parametrize("system, domain", SYSTEMS[:5], ids=SYSTEM_IDS[:5])
-    def test_similarity_intersection_of_one_configuration(self, system, domain):
-        domain = list(domain)
-        for prop in itertools.chain(
-            standard_properties(system, output_domain=domain).values(),
-            sampled_tables(system, domain, 3),
-        ):
-            for config in configuration_space(system, domain).configurations:
-                assert similarity_intersection(
-                    prop, config, system, domain, domain
-                ) == reference.similarity_intersection(prop, config, system, domain, domain)
 
     def test_output_domain_defaults_and_overrides(self):
         system, domain = SystemConfig(4, 1), [0, 1]
@@ -256,9 +224,9 @@ class TestPurityUnderTheMemo:
 # The counted metric: what one analyze_cold unit evaluates and constructs
 # ----------------------------------------------------------------------
 _COUNTING_SCRIPT = """
-import collections, json, sys
+import collections, json
 from repro.analysis import pipeline
-from repro.core import relations, validity
+from repro.core import validity
 from repro.core.input_config import InputConfiguration
 
 counts = collections.Counter()
@@ -269,15 +237,10 @@ def counted(owner, attribute, name):
         counts[name] += 1
         return original(*args, **kwargs)
     setattr(owner, attribute, wrapper)
-    return original
 
 counted(validity.ValidityProperty, "admissible_values", "admissible_values")
 counted(validity.TableValidity, "admissible_values", "admissible_values")
 counted(InputConfiguration, "__init__", "configurations")
-uncounted = counted(relations, "similar", "similar")
-for module in list(sys.modules.values()):  # modules that imported it by name
-    if module is not relations and getattr(module, "similar", None) is uncounted:
-        module.similar = relations.similar
 
 tasks = (
     pipeline.named_tasks([pipeline.DEFAULT_NAMED_SYSTEMS[index] for index in (0, 1, 3)])
@@ -319,8 +282,8 @@ class TestAnalyzeColdCounts:
             count_input_configurations(SystemConfig(n, t), 2)
             for n, t in ((2, 1), (3, 1), (4, 1), (5, 1))
         )
-        # val(c) once per configuration per task, no pairwise similar() call,
-        # and I constructed once per system, then not at all.
+        # val(c) once per configuration per task (there is no pairwise similar()
+        # in repro to call), and I constructed once per system, then not at all.
         assert first["cold"] == {"admissible_values": 2_400, "configurations": distinct_spaces}
         assert first["warm"] == {"admissible_values": 2_400}
         assert distinct_spaces <= 400

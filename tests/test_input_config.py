@@ -9,9 +9,7 @@ from repro.core import (
     ProcessProposal,
     SystemConfig,
     count_input_configurations,
-    enumerate_full_configurations,
     enumerate_input_configurations,
-    enumerate_minimal_configurations,
 )
 
 
@@ -150,8 +148,8 @@ class TestEnumeration:
 
     def test_minimal_and_full_slices(self):
         system = SystemConfig(n=4, t=1)
-        minimal = list(enumerate_minimal_configurations(system, [0, 1]))
-        full = list(enumerate_full_configurations(system, [0, 1]))
+        minimal = list(enumerate_input_configurations(system, [0, 1], sizes=[system.quorum]))
+        full = list(enumerate_input_configurations(system, [0, 1], sizes=[system.n]))
         assert all(config.size == 3 for config in minimal)
         assert all(config.size == 4 for config in full)
         assert len(minimal) == 4 * 2**3

@@ -3,13 +3,14 @@
 Every closed form must satisfy the similarity-condition requirement: for each
 vector (minimal configuration) the chosen value is admissible for every
 similar configuration.  We verify this both on hand-picked vectors and by the
-exhaustive ``verify_lambda_function`` check over small finite domains.
+oracle's exhaustive ``verify_lambda_function`` check over small finite domains.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_classifier import verify_lambda_function
 from repro.core import (
     ConvexHullValidity,
     CorrectProposalValidity,
@@ -29,7 +30,6 @@ from repro.core import (
     median_validity_lambda,
     standard_lambda_functions,
     strong_validity_lambda,
-    verify_lambda_function,
     weak_validity_lambda,
 )
 
@@ -58,6 +58,10 @@ class TestStrongValidityLambda:
 
     def test_exhaustive_verification_against_definition(self):
         assert verify_lambda_function(StrongValidity(BINARY), strong_validity_lambda(SYSTEM), SYSTEM, BINARY) is None
+        # The check does reject: {P1, P2, P3} unanimous for 1 is similar to this vector.
+        assert verify_lambda_function(StrongValidity(BINARY), constant_lambda(0), SYSTEM, BINARY) == vector(
+            {0: 0, 1: 1, 2: 1}
+        )
 
     def test_two_threshold_values_raise_when_n_le_3t(self):
         bad_system = SystemConfig(n=6, t=2)

@@ -40,6 +40,7 @@ from repro.experiments import (
 from repro.experiments.execute import TIMEOUT_ERROR_PREFIX
 from repro.experiments.runner import execute_with_timeout
 from repro.experiments.scenario import PROTOCOLS
+from repro.jobs.spec import specs_to_payloads
 from repro.store import (
     CorpusRecord,
     RunStore,
@@ -173,6 +174,11 @@ class TestFingerprints:
         assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == (
             "b1e309114d73ebbd155959e183026893601ccdd67a4f897cfa3b23879d640ad2"
         )
+        # And every payload string a SweepJob carries for it.
+        payloads = "\n".join(specs_to_payloads(default_matrix()))
+        assert hashlib.sha256(payloads.encode("utf-8")).hexdigest() == (
+            "ab9a589eb76e874e56131fd9d88d663b79c6c6bab79b70166f4798d3f29c003b"
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -188,6 +194,11 @@ class TestFingerprints:
         payload = spec_payload(spec)
         assert payload == reference
         assert json.dumps(payload, sort_keys=True) == json.dumps(reference, sort_keys=True)
+        # Already canonical: a second canonical_form pass changes nothing, so
+        # specs_to_payloads encodes spec_payload directly.
+        again = canonical_form(payload)
+        assert again == payload
+        assert json.dumps(again, sort_keys=True) == json.dumps(payload, sort_keys=True)
 
     def test_hashed_files_are_closed_under_repro_imports(self):
         # "code" in the content key must be everything that can change a

@@ -15,7 +15,7 @@ from repro.core import (
     WeakValidity,
     classify,
     count_validity_properties,
-    enumerate_validity_properties,
+    enumerated_property,
     is_solvable,
 )
 
@@ -100,7 +100,8 @@ class TestTheorem1OverEnumeratedProperties:
         # With n <= 3t, solvable == trivial, so every non-trivial property must be
         # classified unsolvable.  We check the contrapositive over a sample.
         system = SystemConfig(3, 1)
-        for prop in enumerate_validity_properties(system, [0, 1], [0, 1], max_properties=40):
+        for index in range(40):
+            prop = enumerated_property(system, [0, 1], [0, 1], index)
             result = classify(prop, system, [0, 1])
             if result.solvable:
                 assert result.trivial
@@ -111,12 +112,6 @@ class TestTheorem1OverEnumeratedProperties:
         system = SystemConfig(3, 1)
         # |I| = C(3,2)*2^2 + 2^3 = 20 configurations, 3 non-empty subsets of a binary domain.
         assert count_validity_properties(system, 2, 2) == 3**20
-
-    def test_enumeration_respects_max_properties(self):
-        system = SystemConfig(3, 1)
-        sample = list(enumerate_validity_properties(system, [0, 1], [0, 1], max_properties=7))
-        assert len(sample) == 7
-        assert all(isinstance(prop, TableValidity) for prop in sample)
 
 
 class TestTableValidity:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_classifier import similar
 from repro.core import (
     ConstantValidity,
     ConvexHullValidity,
@@ -15,11 +16,8 @@ from repro.core import (
     check_similarity_condition,
     check_triviality,
     enumerate_input_configurations,
-    enumerate_minimal_configurations,
     is_trivial,
     satisfies_similarity_condition,
-    similar,
-    similarity_intersection,
 )
 
 BINARY = [0, 1]
@@ -67,15 +65,15 @@ class TestTriviality:
 
 class TestSimilarityIntersection:
     def test_intersection_for_unanimous_configuration(self):
-        prop = StrongValidity(BINARY)
+        result = check_similarity_condition(StrongValidity(BINARY), SYSTEM_OK, BINARY)
         config = InputConfiguration.unanimous([0, 1, 2], 1)
-        intersection = similarity_intersection(prop, config, SYSTEM_OK, BINARY, BINARY)
-        assert intersection == frozenset({1})
+        assert result.admissible_intersections[config] == frozenset({1})
 
     def test_intersection_is_subset_of_own_admissible_set(self):
         prop = StrongValidity(BINARY)
-        for config in enumerate_minimal_configurations(SYSTEM_OK, BINARY):
-            intersection = similarity_intersection(prop, config, SYSTEM_OK, BINARY, BINARY)
+        result = check_similarity_condition(prop, SYSTEM_OK, BINARY)
+        assert len(result.admissible_intersections) == 4 * 2**3
+        for config, intersection in result.admissible_intersections.items():
             assert intersection <= prop.admissible_values(config, BINARY)
 
 

@@ -2,14 +2,13 @@
 
 import pytest
 
+from reference_classifier import similar
 from repro.core import (
     InputConfiguration,
-    CorrectProposalValidity,
     StrongValidity,
     SystemConfig,
     UniversalSpec,
-    universal_decision,
-    strong_validity_lambda,
+    check_similarity_condition,
 )
 
 SYSTEM = SystemConfig(n=4, t=1)
@@ -17,6 +16,12 @@ SYSTEM = SystemConfig(n=4, t=1)
 
 def vec(mapping):
     return InputConfiguration.from_mapping(mapping)
+
+
+def assert_lemma_8(spec, decided_vector, execution):
+    """The decided vector is similar to the execution, so ``Lambda`` of it is admissible there."""
+    assert similar(decided_vector, execution)
+    assert spec.validity.is_admissible(execution, spec.decide(decided_vector))
 
 
 class TestUniversalSpec:
@@ -36,29 +41,14 @@ class TestUniversalSpec:
     def test_decision_is_admissible_for_similar_execution(self):
         spec = UniversalSpec.for_standard_property(SYSTEM, "strong")
         execution = vec({0: "v", 1: "v", 2: "v", 3: "w"})
-        decided_vector = vec({0: "v", 1: "v", 2: "v"})
-        assert spec.decision_is_admissible(decided_vector, execution)
+        assert_lemma_8(spec, vec({0: "v", 1: "v", 2: "v"}), execution)
 
-    def test_decision_is_admissible_returns_false_for_dissimilar_vector(self):
-        spec = UniversalSpec.for_standard_property(SYSTEM, "strong")
-        execution = vec({0: "v", 1: "v", 2: "v", 3: "w"})
-        mismatched_vector = vec({0: "x", 1: "x", 2: "x"})
-        assert not spec.decision_is_admissible(mismatched_vector, execution)
-
-    def test_from_finite_domains_builds_enumerative_lambda(self):
-        spec = UniversalSpec.from_finite_domains(SYSTEM, StrongValidity([0, 1]), [0, 1])
-        unanimous = vec({0: 1, 1: 1, 2: 1})
-        assert spec.decide(unanimous) == 1
-
-    def test_from_finite_domains_rejects_unsolvable_property(self):
-        with pytest.raises(ValueError):
-            UniversalSpec.from_finite_domains(
-                SYSTEM, CorrectProposalValidity([0, 1, 2]), [0, 1, 2]
-            )
-
-    def test_universal_decision_helper(self):
-        lam = strong_validity_lambda(SYSTEM)
-        assert universal_decision(vec({0: 3, 1: 3, 2: 5}), lam) == 3
+    def test_spec_from_an_enumerated_lambda(self):
+        validity = StrongValidity([0, 1])
+        result = check_similarity_condition(validity, SYSTEM, [0, 1])
+        assert result.holds
+        spec = UniversalSpec(system=SYSTEM, validity=validity, decision_rule=result.lambda_function())
+        assert spec.decide(vec({0: 1, 1: 1, 2: 1})) == 1
 
     def test_every_standard_spec_produces_admissible_decisions(self):
         # End-to-end pure check of Lemma 8's validity argument for each named variant.
@@ -67,4 +57,4 @@ class TestUniversalSpec:
         decided_vector = vec({0: 1, 1: 1, 2: 2})
         for key in keys:
             spec = UniversalSpec.for_standard_property(SYSTEM, key)
-            assert spec.decision_is_admissible(decided_vector, execution), key
+            assert_lemma_8(spec, decided_vector, execution)
