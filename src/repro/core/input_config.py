@@ -53,7 +53,7 @@ class InputConfiguration:
     constraint against a concrete system.
     """
 
-    __slots__ = ("_assignment", "_pairs", "_processes")
+    __slots__ = ("_assignment", "_pairs", "_processes", "_hash")
 
     def __init__(self, pairs: Iterable[ProcessProposal]):
         assignment: Dict[int, Value] = {}
@@ -200,12 +200,26 @@ class InputConfiguration:
     # Equality / hashing / repr
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, InputConfiguration):
             return NotImplemented
         return self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash(self._pairs)
+        # Computed on first use and kept: the classifier hashes every
+        # configuration of I over and over, a protocol's vector rarely.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._pairs)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        # Rebuild from the pairs: the cached hash depends on the process's
+        # PYTHONHASHSEED (for str proposals) and must not cross a pickle.
+        return (type(self), (self._pairs,))
 
     def __repr__(self) -> str:
         body = ", ".join(f"(P{pair.process}, {pair.proposal!r})" for pair in self._pairs)

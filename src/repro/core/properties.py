@@ -27,10 +27,11 @@ more.  This module implements them all:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from abc import abstractmethod
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .input_config import InputConfiguration, Value
-from .ordering import canonical_key, canonical_sorted
+from .ordering import canonical_key
 from .system import SystemConfig
 from .validity import ValidityProperty
 
@@ -77,7 +78,52 @@ class CorrectProposalValidity(ValidityProperty):
         return value in config.distinct_proposals()
 
 
-class MedianValidity(ValidityProperty):
+class _RankValidity(ValidityProperty):
+    """A decision must lie between two ranks of the sorted correct proposals.
+
+    Subclasses give the rank arithmetic (:meth:`_ranks`); the canonical keys of
+    the two bounding proposals are computed once per configuration, however
+    many output values are then checked against them.
+    """
+
+    @abstractmethod
+    def _ranks(self, count: int) -> Optional[Tuple[int, int]]:
+        """The 0-based (low, high) ranks among ``count`` proposals, or ``None`` if unconstrained."""
+
+    def _bounds(
+        self, config: InputConfiguration, known: Dict[int, tuple]
+    ) -> Optional[Tuple[tuple, tuple]]:
+        """The canonical keys of the bounding proposals, or ``None`` if unconstrained.
+
+        ``known`` maps ``id(value)`` to the key of a value the caller holds;
+        a proposal that is one of those very objects is not keyed again.
+        """
+        keys = sorted(
+            known.get(id(proposal)) or canonical_key(proposal) for proposal in config.proposals()
+        )
+        ranks = self._ranks(len(keys))
+        if ranks is None:
+            return None
+        return keys[ranks[0]], keys[ranks[1]]
+
+    def is_admissible(self, config: InputConfiguration, value: Value) -> bool:
+        key = canonical_key(value)
+        bounds = self._bounds(config, {id(value): key})
+        return bounds is None or bounds[0] <= key <= bounds[1]
+
+    def admissible_values(
+        self, config: InputConfiguration, output_domain: Optional[Sequence[Value]] = None
+    ) -> FrozenSet[Value]:
+        # Proposals are usually the domain's own objects, so each is keyed once.
+        keyed = [(canonical_key(value), value) for value in self._finite_domain(output_domain)]
+        bounds = self._bounds(config, {id(value): key for key, value in keyed})
+        if bounds is None:
+            return frozenset(value for _, value in keyed)
+        low, high = bounds
+        return frozenset(value for key, value in keyed if low <= key <= high)
+
+
+class MedianValidity(_RankValidity):
     """The decision must lie within ``radius`` ranks of the median of the correct proposals.
 
     Stolz and Wattenhofer define median validity for synchronous consensus:
@@ -96,16 +142,12 @@ class MedianValidity(ValidityProperty):
         self.radius = radius
         self.output_domain = tuple(output_domain) if output_domain is not None else None
 
-    def is_admissible(self, config: InputConfiguration, value: Value) -> bool:
-        ordered = canonical_sorted(config.proposals())
-        median_index = (len(ordered) - 1) // 2
-        low = max(0, median_index - self.radius)
-        high = min(len(ordered) - 1, median_index + self.radius)
-        key = canonical_key(value)
-        return canonical_key(ordered[low]) <= key <= canonical_key(ordered[high])
+    def _ranks(self, count: int) -> Tuple[int, int]:
+        median_index = (count - 1) // 2
+        return max(0, median_index - self.radius), min(count - 1, median_index + self.radius)
 
 
-class IntervalValidity(ValidityProperty):
+class IntervalValidity(_RankValidity):
     """The decision must lie close in rank to the ``k``-th smallest correct proposal.
 
     Following Melnyk and Wattenhofer, the admissible values are those lying
@@ -124,29 +166,22 @@ class IntervalValidity(ValidityProperty):
         self.radius = radius
         self.output_domain = tuple(output_domain) if output_domain is not None else None
 
-    def is_admissible(self, config: InputConfiguration, value: Value) -> bool:
-        ordered = canonical_sorted(config.proposals())
+    def _ranks(self, count: int) -> Optional[Tuple[int, int]]:
         low_rank = max(1, self.k - self.radius)
-        high_rank = min(len(ordered), self.k + self.radius)
-        if low_rank > len(ordered):
-            return True
-        low_value = ordered[low_rank - 1]
-        high_value = ordered[high_rank - 1]
-        key = canonical_key(value)
-        return canonical_key(low_value) <= key <= canonical_key(high_value)
+        if low_rank > count:
+            return None
+        return low_rank - 1, min(count, self.k + self.radius) - 1
 
 
-class ConvexHullValidity(ValidityProperty):
+class ConvexHullValidity(_RankValidity):
     """The decision must lie between the minimum and maximum correct proposal."""
 
     def __init__(self, output_domain: Optional[Sequence[Value]] = None):
         self.name = "convex-hull-validity"
         self.output_domain = tuple(output_domain) if output_domain is not None else None
 
-    def is_admissible(self, config: InputConfiguration, value: Value) -> bool:
-        ordered = canonical_sorted(config.proposals())
-        key = canonical_key(value)
-        return canonical_key(ordered[0]) <= key <= canonical_key(ordered[-1])
+    def _ranks(self, count: int) -> Tuple[int, int]:
+        return 0, count - 1
 
 
 class ConstantValidity(ValidityProperty):

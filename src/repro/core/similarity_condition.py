@@ -130,14 +130,18 @@ def check_similarity_condition(
     result = SimilarityConditionResult(
         holds=True, minimal_configurations_checked=space.minimal_count
     )
+    # V_O in canonical order once, each value with the configurations that
+    # exclude it: an intersection is then read off in order, and Lambda is
+    # its first value.
+    excluding = [(value, ~evaluated.masks[value]) for value in canonical_sorted(evaluated.masks)]
     for config, neighbourhood in zip(space.minimal_configurations, space.neighbourhoods):
-        intersection = evaluated.admitted_throughout(neighbourhood)
-        result.admissible_intersections[config] = intersection
-        if not intersection:
+        admitted = [value for value, excluded in excluding if not neighbourhood & excluded]
+        result.admissible_intersections[config] = frozenset(admitted)
+        if not admitted:
             result.holds = False
             result.counterexample = config
         elif result.holds:
-            result.lambda_table[config] = canonical_sorted(intersection)[0]
+            result.lambda_table[config] = admitted[0]
     if not result.holds:
         result.lambda_table = {}
     return result

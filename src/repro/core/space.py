@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
 
 from .input_config import InputConfiguration, Value, enumerate_input_configurations
-from .ordering import canonical_key, canonical_sorted
+from .ordering import canonical_key
 from .system import SystemConfig
 from .validity import ValidityProperty
 
@@ -110,10 +110,15 @@ def configuration_space(system: SystemConfig, input_domain: Sequence[Value]) -> 
     """
     if not input_domain:
         raise ValueError("input domain must be non-empty")
-    domain = tuple(canonical_sorted(set(input_domain)))
-    # Equal values of different types (1, True, 1.0) hash alike but print
-    # differently; their canonical keys keep such domains in separate entries.
-    return _build_space(system, domain, tuple(canonical_key(value) for value in domain))
+    keyed = sorted(
+        ((canonical_key(value), value) for value in set(input_domain)), key=lambda pair: pair[0]
+    )
+    # One canonical key per value both orders the domain and keys the memo:
+    # equal values of different types (1, True, 1.0) hash alike but print
+    # differently, and their keys keep such domains in separate entries.
+    return _build_space(
+        system, tuple(value for _, value in keyed), tuple(key for key, _ in keyed)
+    )
 
 
 @functools.lru_cache(maxsize=16)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
 from .input_config import InputConfiguration, Value
 from .ordering import canonical_sorted
@@ -55,13 +55,18 @@ class ValidityProperty(ABC):
         Raises:
             ValueError: if no finite output domain is available.
         """
+        domain = self._finite_domain(output_domain)
+        return frozenset(value for value in domain if self.is_admissible(config, value))
+
+    def _finite_domain(self, output_domain: Optional[Sequence[Value]]) -> Sequence[Value]:
+        """``output_domain``, else the property's own; raises if neither is finite."""
         domain = output_domain if output_domain is not None else self.output_domain
         if domain is None:
             raise ValueError(
                 f"validity property {self.name!r} has no finite output domain; "
                 "pass output_domain explicitly"
             )
-        return frozenset(value for value in domain if self.is_admissible(config, value))
+        return domain
 
     def check_non_empty(
         self,
@@ -114,22 +119,25 @@ class TableValidity(ValidityProperty):
             if not values:
                 raise ValueError(f"validity property must be non-empty for every configuration; empty for {config}")
         self.output_domain = tuple(canonical_sorted(set(output_domain)))
+        self._domain = frozenset(self.output_domain)
         self.name = name
         self._default_all = default_all
 
     def is_admissible(self, config: InputConfiguration, value: Value) -> bool:
-        if config in self._table:
-            return value in self._table[config]
+        row = self._table.get(config)
+        if row is not None:
+            return value in row
         if self._default_all:
-            return value in set(self.output_domain)
+            return value in self._domain
         raise KeyError(f"configuration {config} not covered by table validity {self.name!r}")
 
     def admissible_values(
         self, config: InputConfiguration, output_domain: Optional[Sequence[Value]] = None
     ) -> FrozenSet[Value]:
-        domain = frozenset(output_domain if output_domain is not None else self.output_domain)
-        if config in self._table:
-            return self._table[config] & domain
+        domain = self._domain if output_domain is None else frozenset(output_domain)
+        row = self._table.get(config)
+        if row is not None:
+            return row if row <= domain else row & domain
         if self._default_all:
             return domain
         raise KeyError(f"configuration {config} not covered by table validity {self.name!r}")

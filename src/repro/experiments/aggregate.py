@@ -14,7 +14,7 @@ import json
 import math
 import pathlib
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Sequence, Union
 
 from .execute import RunResult
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 

@@ -224,23 +224,30 @@ class TestPurityUnderTheMemo:
 # The counted metric: what one analyze_cold unit evaluates and constructs
 # ----------------------------------------------------------------------
 _COUNTING_SCRIPT = """
-import collections, json
+import collections, importlib, inspect, json, pkgutil, sys
+import repro.core
 from repro.analysis import pipeline
-from repro.core import validity
-from repro.core.input_config import InputConfiguration
+from repro.core import ordering
+from repro.core.input_config import InputConfiguration, ProcessProposal
+
+counted = {
+    ordering.canonical_key.__code__: "canonical_key",
+    ordering.canonical_sorted.__code__: "canonical_sorted",
+    ProcessProposal.__hash__.__code__: "process_proposal_hash",
+    InputConfiguration.__init__.__code__: "configurations",
+}
+# val(c) is admissible_values on whichever class of repro.core defines it.
+for module in pkgutil.walk_packages(repro.core.__path__, "repro.core."):
+    members = vars(importlib.import_module(module.name)).values()
+    for owner in filter(inspect.isclass, members):
+        if "admissible_values" in vars(owner):
+            counted[vars(owner)["admissible_values"].__code__] = "admissible_values"
 
 counts = collections.Counter()
 
-def counted(owner, attribute, name):
-    original = vars(owner)[attribute]
-    def wrapper(*args, **kwargs):
-        counts[name] += 1
-        return original(*args, **kwargs)
-    setattr(owner, attribute, wrapper)
-
-counted(validity.ValidityProperty, "admissible_values", "admissible_values")
-counted(validity.TableValidity, "admissible_values", "admissible_values")
-counted(InputConfiguration, "__init__", "configurations")
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code in counted:
+        counts[counted[frame.f_code]] += 1
 
 tasks = (
     pipeline.named_tasks([pipeline.DEFAULT_NAMED_SYSTEMS[index] for index in (0, 1, 3)])
@@ -250,11 +257,16 @@ tasks = (
 passes = []
 for _ in range(2):
     counts.clear()
+    sys.setprofile(profile)
     verdicts = [pipeline.classify_task(task) for task in tasks]
+    sys.setprofile(None)
     passes.append(dict(counts))
 print(json.dumps({
     "tasks": len(tasks),
     "configurations_checked": sum(verdict.configurations_checked for verdict in verdicts),
+    "admissible_values_owners": sorted(
+        code.co_qualname for code, name in counted.items() if name == "admissible_values"
+    ),
     "cold": passes[0],
     "warm": passes[1],
 }))
@@ -278,13 +290,37 @@ class TestAnalyzeColdCounts:
         assert first == second
         assert first["tasks"] == 64
         assert first["configurations_checked"] == 2_400  # sum of |I| over the tasks
-        distinct_spaces = sum(
-            count_input_configurations(SystemConfig(n, t), 2)
-            for n, t in ((2, 1), (3, 1), (4, 1), (5, 1))
+        assert first["admissible_values_owners"] == [
+            "TableValidity.admissible_values",
+            "ValidityProperty.admissible_values",
+            "_RankValidity.admissible_values",
+        ]
+        systems = [SystemConfig(n, t) for n, t in ((2, 1), (3, 1), (4, 1), (5, 1))]
+        distinct_spaces = sum(count_input_configurations(system, 2) for system in systems)
+        pairs = sum(
+            config.size for system in systems for config in enumerate_input_configurations(system, (0, 1))
         )
         # val(c) once per configuration per task (there is no pairwise similar()
         # in repro to call), and I constructed once per system, then not at all.
-        assert first["cold"] == {"admissible_values": 2_400, "configurations": distinct_spaces}
-        assert first["warm"] == {"admissible_values": 2_400}
+        # A configuration hashes its pairs at most once, on first use, so the
+        # warm pass hashes none; a rank property keys each output value once
+        # per configuration (a proposal that is one of those values is not
+        # keyed again), and Lambda reads V_O sorted once per property.
+        assert first["cold"] == {
+            "admissible_values": 2_400,
+            "configurations": distinct_spaces,
+            "canonical_key": 1_534,
+            "canonical_sorted": 184,
+            "process_proposal_hash": 516,
+        }
+        assert first["warm"] == {
+            "admissible_values": 2_400,
+            "canonical_key": 1_526,
+            "canonical_sorted": 180,
+        }
+        assert "process_proposal_hash" not in first["warm"]
+        assert first["warm"]["canonical_key"] <= 3_440
+        assert first["warm"]["canonical_sorted"] <= 208
+        assert first["cold"]["process_proposal_hash"] <= pairs
         assert distinct_spaces <= 400
         assert DEFAULT_NAMED_SYSTEMS[3] == (5, 1, (0, 1))

@@ -18,6 +18,8 @@ from repro.core import (
     WeakValidity,
     standard_properties,
 )
+from repro.core.ordering import canonical_key, canonical_sorted
+from repro.core.space import configuration_space
 
 
 def cfg(mapping):
@@ -218,3 +220,72 @@ class TestPropertyInvariants:
         prop = CorrectProposalValidity()
         admissible = prop.admissible_values(config, output_domain=range(0, 5))
         assert admissible == config.distinct_proposals()
+
+
+# ----------------------------------------------------------------------
+# Rank properties: the per-configuration bounds against the definitions
+# ----------------------------------------------------------------------
+def rank_bounds_by_definition(prop, config):
+    """The bounding proposals of a rank property, straight from its docstring."""
+    ordered = canonical_sorted(config.proposals())
+    if isinstance(prop, MedianValidity):
+        median = (len(ordered) - 1) // 2
+        return ordered[max(0, median - prop.radius)], ordered[min(len(ordered) - 1, median + prop.radius)]
+    if isinstance(prop, IntervalValidity):
+        low_rank = max(1, prop.k - prop.radius)
+        if low_rank > len(ordered):
+            return None
+        return ordered[low_rank - 1], ordered[min(len(ordered), prop.k + prop.radius) - 1]
+    return ordered[0], ordered[-1]
+
+
+RANK_PROPERTIES = [
+    MedianValidity(radius=0),
+    MedianValidity(radius=1),
+    MedianValidity(radius=2),
+    IntervalValidity(k=1, radius=0),
+    IntervalValidity(k=2, radius=1),
+    IntervalValidity(k=5, radius=0),  # unconstrained below five proposals
+    ConvexHullValidity(),
+]
+
+
+class TestRankPropertyDifferential:
+    """``admissible_values(c, D)`` is the filter of ``is_admissible`` for every ``c`` in ``I``."""
+
+    @pytest.mark.parametrize("system", [SystemConfig(3, 1), SystemConfig(4, 1)], ids=str)
+    @pytest.mark.parametrize("domain", [(0, 1), (0, 1, 2.5, "a", "b")], ids=["binary", "mixed"])
+    @pytest.mark.parametrize("prop", RANK_PROPERTIES, ids=lambda prop: prop.name)
+    def test_admissible_values_filter_is_admissible(self, prop, system, domain):
+        for config in configuration_space(system, domain).configurations:
+            admitted = prop.admissible_values(config, domain)
+            assert admitted == frozenset(value for value in domain if prop.is_admissible(config, value))
+            bounds = rank_bounds_by_definition(prop, config)
+            if bounds is None:
+                assert admitted == frozenset(domain)
+            else:
+                low, high = map(canonical_key, bounds)
+                assert admitted == frozenset(
+                    value for value in domain if low <= canonical_key(value) <= high
+                )
+
+    def test_canonical_keys_decide_a_mixed_order(self):
+        # Type names order first: 2.5 (float) < 0, 1 (int) < "a", "b" (str).
+        config = cfg({0: 2.5, 1: 1, 2: "b"})
+        domain = (0, 1, 2.5, "a", "b")
+        assert ConvexHullValidity().admissible_values(config, domain) == frozenset(domain)
+        assert MedianValidity(radius=0).admissible_values(config, domain) == {1}
+        assert IntervalValidity(k=3, radius=0).admissible_values(config, domain) == {"b"}
+        assert IntervalValidity(k=1, radius=1).admissible_values(config, domain) == {2.5, 0, 1}
+
+    def test_equal_values_of_different_types_keep_their_own_keys(self):
+        # True, 1 and 1.0 (and 0.0, -0.0) are equal but order apart by their
+        # canonical keys: bool < float < int, and -0.0 < 0.0.
+        median = MedianValidity(radius=0)
+        config = cfg({0: True, 1: 1.0, 2: 1})
+        assert [type(v) for v in median.admissible_values(config, (1, True, 1.0))] == [float]
+        assert [median.is_admissible(config, v) for v in (1, True, 1.0)] == [False, False, True]
+        config = cfg({0: -0.0, 1: 0.0, 2: 0.0})
+        assert [repr(v) for v in median.admissible_values(config, (-0.0,))] == []
+        assert [repr(v) for v in median.admissible_values(config, (0.0,))] == ["0.0"]
+        assert not median.is_admissible(config, -0.0)
