@@ -1,5 +1,5 @@
-"""Experiment drivers: classification (Figure 1), complexity sweeps, lower-bound and
-partitioning adversaries, and the batch analysis pipeline bridging theory to sweeps."""
+"""Experiment drivers: classification (Figure 1), the growth-exponent fit, lower-bound
+and partitioning adversaries, and the batch analysis pipeline."""
 
 from .classification import (
     ClassificationCounts,
@@ -8,15 +8,7 @@ from .classification import (
     figure1_report,
     sample_validity_property_space,
 )
-from .complexity import (
-    ExecutionReport,
-    SweepResult,
-    compare_backends,
-    default_proposals,
-    fit_growth_exponent,
-    run_universal_execution,
-    sweep_universal_complexity,
-)
+from .complexity import fit_growth_exponent
 from .lower_bound import (
     CheapLeaderConsensus,
     CheapLeaderProcess,
@@ -70,13 +62,7 @@ __all__ = [
     "classify_standard_properties",
     "figure1_report",
     "sample_validity_property_space",
-    "ExecutionReport",
-    "SweepResult",
-    "compare_backends",
-    "default_proposals",
     "fit_growth_exponent",
-    "run_universal_execution",
-    "sweep_universal_complexity",
     "LowerBoundReport",
     "CheapLeaderConsensus",
     "CheapLeaderProcess",

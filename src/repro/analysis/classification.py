@@ -137,7 +137,7 @@ def sample_validity_property_space(
     counts = ClassificationCounts()
     for index in range(samples):
         table = {config: rng.choice(subsets) for config in configurations}
-        prop = TableValidity(table, output_domain, name=f"sampled-{index}", default_all=False)
+        prop = TableValidity(table, output_domain, name=f"sampled-{index}")
         counts.record(prop.name, classify(prop, system, input_domain, output_domain))
     return counts
 

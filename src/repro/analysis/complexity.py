@@ -1,198 +1,30 @@
-"""Complexity sweeps: message/word counts and latency of Universal across system sizes.
+"""Growth-exponent fit for the paper's complexity claims.
 
-These drivers regenerate the quantitative side of the paper's results:
+Theorem 5 (Algorithm 1's ``O(n^2)`` messages) and Appendix B (the gaps of
+Algorithms 3 and 6) are claims about how a count grows with ``n``.  The
+counts come from :func:`repro.experiments.execute_run` over a sweep of
+system sizes (``tests/test_paper_claims.py``); this module fits their shape.
 
-* Theorem 5 / Algorithm 1: Universal on the authenticated backend uses
-  ``O(n^2)`` messages — the sweep measures messages after GST as ``n`` grows
-  and fits the growth exponent.
-* Appendix B.2 / Algorithm 3: the non-authenticated backend is polynomially
-  more expensive — the same sweep exposes the gap.
-* Appendix B.3 / Algorithm 6: the compact backend trades latency for
-  ``O(n^2 log n)`` communication — word counts and latency are reported.
-
-Absolute numbers depend on the simulator, but the *shape* (growth exponents,
-orderings, crossovers) is what the paper claims and what
-``EXPERIMENTS.md`` records.
-
-Examples
---------
-
-The growth-exponent fit recovers exact power laws (a quadratic count fits
-to slope 2, a cubic to slope 3):
+The fit recovers exact power laws (a quadratic count fits to slope 2, a
+cubic to slope 3):
 
 >>> round(fit_growth_exponent([2, 4, 8], [4, 16, 64]), 6)
 2.0
 >>> round(fit_growth_exponent([10, 100], [1000, 1000000]), 6)
 3.0
 
-Sweeps use a deterministic, mildly heterogeneous proposal assignment:
+One size is no growth:
 
->>> from repro.core.system import SystemConfig
->>> default_proposals(SystemConfig(5, 1))
-{0: 0, 1: 1, 2: 2, 3: 0, 4: 1}
+>>> fit_growth_exponent([4, 4], [16, 16])
+Traceback (most recent call last):
+    ...
+ValueError: all sizes are identical; cannot fit a growth exponent
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
-
-from ..consensus.universal_protocol import universal_process_factory
-from ..core.input_config import InputConfiguration
-from ..core.system import SystemConfig
-from ..core.universal import UniversalSpec
-from ..sim.adversary import silent_factory
-from ..sim.network import DelayModel, SynchronousDelayModel
-from ..sim.simulation import Simulation
-
-
-@dataclass
-class ExecutionReport:
-    """Outcome and complexity metrics of one Universal execution."""
-
-    system: SystemConfig
-    backend: str
-    property_key: str
-    message_complexity: int
-    communication_complexity: int
-    total_messages: int
-    decision_latency: float
-    decisions: Dict[int, Any]
-    agreement: bool
-    all_decided: bool
-    validity_satisfied: bool
-
-    def summary_row(self) -> Dict[str, Any]:
-        return {
-            "n": self.system.n,
-            "t": self.system.t,
-            "backend": self.backend,
-            "property": self.property_key,
-            "messages": self.message_complexity,
-            "words": self.communication_complexity,
-            "latency": round(self.decision_latency, 2),
-            "agreement": self.agreement,
-            "valid": self.validity_satisfied,
-        }
-
-
-def default_proposals(system: SystemConfig, spread: int = 3) -> Dict[int, int]:
-    """A deterministic, mildly heterogeneous proposal assignment."""
-    return {pid: pid % spread for pid in range(system.n)}
-
-
-def run_universal_execution(
-    system: SystemConfig,
-    property_key: str = "strong",
-    backend: str = "authenticated",
-    proposals: Optional[Dict[int, Any]] = None,
-    faulty: Sequence[int] = (),
-    gst: float = 0.0,
-    delta: float = 1.0,
-    seed: int = 1,
-    spec: Optional[UniversalSpec] = None,
-    time_limit: float = 50_000.0,
-) -> ExecutionReport:
-    """Run one Universal execution and report its complexity and correctness."""
-    if spec is None:
-        spec = UniversalSpec.for_standard_property(system, property_key)
-    if proposals is None:
-        proposals = default_proposals(system)
-    delay = (
-        SynchronousDelayModel(delta=delta, seed=seed)
-        if gst == 0.0
-        else DelayModel(gst=gst, delta=delta, seed=seed)
-    )
-    simulation = Simulation(system, delay_model=delay)
-    simulation.populate(
-        universal_process_factory(spec, proposals, backend=backend),
-        faulty=faulty,
-        faulty_factory=silent_factory,
-    )
-    simulation.run_until_all_correct_decide(until=time_limit)
-
-    decisions = simulation.decisions()
-    execution_config = InputConfiguration.from_mapping(
-        {pid: proposals[pid] for pid in simulation.correct_processes}
-    )
-    validity_satisfied = all(
-        spec.validity.is_admissible(execution_config, value) for value in decisions.values()
-    )
-    return ExecutionReport(
-        system=system,
-        backend=backend,
-        property_key=property_key,
-        message_complexity=simulation.metrics.message_complexity,
-        communication_complexity=simulation.metrics.communication_complexity,
-        total_messages=simulation.metrics.total_messages,
-        decision_latency=simulation.metrics.decision_latency(),
-        decisions=decisions,
-        agreement=simulation.agreement_holds(),
-        all_decided=simulation.all_correct_decided(),
-        validity_satisfied=validity_satisfied,
-    )
-
-
-@dataclass
-class SweepResult:
-    """Result of a complexity sweep over system sizes."""
-
-    backend: str
-    property_key: str
-    rows: List[ExecutionReport] = field(default_factory=list)
-
-    def sizes(self) -> List[int]:
-        return [report.system.n for report in self.rows]
-
-    def messages(self) -> List[int]:
-        return [report.message_complexity for report in self.rows]
-
-    def words(self) -> List[int]:
-        return [report.communication_complexity for report in self.rows]
-
-    def latencies(self) -> List[float]:
-        return [report.decision_latency for report in self.rows]
-
-    def message_growth_exponent(self) -> float:
-        return fit_growth_exponent(self.sizes(), self.messages())
-
-    def word_growth_exponent(self) -> float:
-        return fit_growth_exponent(self.sizes(), self.words())
-
-    def table(self) -> List[Dict[str, Any]]:
-        return [report.summary_row() for report in self.rows]
-
-
-def sweep_universal_complexity(
-    sizes: Iterable[int],
-    backend: str = "authenticated",
-    property_key: str = "strong",
-    with_faults: bool = True,
-    seed: int = 1,
-    gst: float = 0.0,
-) -> SweepResult:
-    """Measure Universal's complexity for each system size in ``sizes``.
-
-    ``t`` is set to ``floor((n - 1) / 3)`` (optimal resilience) and, when
-    ``with_faults`` is true, the last ``t`` processes are silent Byzantine —
-    the worst case for the paper-style message counting, since correct
-    processes must still terminate without them.
-    """
-    result = SweepResult(backend=backend, property_key=property_key)
-    for n in sizes:
-        system = SystemConfig.with_optimal_resilience(n)
-        faulty = tuple(range(system.n - system.t, system.n)) if with_faults else ()
-        report = run_universal_execution(
-            system,
-            property_key=property_key,
-            backend=backend,
-            faulty=faulty,
-            seed=seed,
-            gst=gst,
-        )
-        result.rows.append(report)
-    return result
+from typing import Sequence
 
 
 def fit_growth_exponent(sizes: Sequence[int], counts: Sequence[float]) -> float:
@@ -211,16 +43,3 @@ def fit_growth_exponent(sizes: Sequence[int], counts: Sequence[float]) -> float:
     if denominator == 0:
         raise ValueError("all sizes are identical; cannot fit a growth exponent")
     return numerator / denominator
-
-
-def compare_backends(
-    sizes: Iterable[int],
-    backends: Sequence[str] = ("authenticated", "non-authenticated"),
-    property_key: str = "strong",
-    seed: int = 1,
-) -> Dict[str, SweepResult]:
-    """Run the same sweep on several vector-consensus backends."""
-    return {
-        backend: sweep_universal_complexity(sizes, backend=backend, property_key=property_key, seed=seed)
-        for backend in backends
-    }

@@ -225,7 +225,7 @@ def _sampled_property(
         config: rng.choice(subsets)
         for config in configuration_space(system, domain).configurations
     }
-    return TableValidity(table, domain, name=f"sampled-{seed}", default_all=False)
+    return TableValidity(table, domain, name=f"sampled-{seed}")
 
 
 # ----------------------------------------------------------------------

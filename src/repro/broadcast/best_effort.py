@@ -52,10 +52,6 @@ class BestEffortBroadcast(ProtocolModule):
         """Broadcast ``message`` to all ``n`` processes (including ourselves)."""
         self.broadcast(message)
 
-    def send_message(self, receiver: int, message: Any) -> None:
-        """Point-to-point variant, for protocols that reply to a single process."""
-        self.send(receiver, message)
-
     def on_message(self, sender: int, payload: Any) -> None:
         if self._on_deliver is not None:
             self._on_deliver(sender, payload)

@@ -32,10 +32,6 @@ class ConsensusModule(ProtocolModule):
         self.proposed_value: Optional[Any] = None
 
     # ------------------------------------------------------------------
-    def set_decision_callback(self, on_decide: DecisionCallback) -> None:
-        """Attach (or replace) the decision callback."""
-        self._on_decide = on_decide
-
     def propose(self, value: Any) -> None:
         """Propose a value.  A correct process proposes exactly once."""
         if self.proposed_value is not None:

@@ -10,7 +10,6 @@ from .input_config import (
 )
 from .lambda_functions import (
     LambdaUndefinedError,
-    constant_lambda,
     convex_hull_lambda,
     correct_proposal_lambda,
     free_validity_lambda,
@@ -38,18 +37,16 @@ from .similarity_condition import (
     LambdaFunction,
     SimilarityConditionResult,
     check_similarity_condition,
-    satisfies_similarity_condition,
 )
 from .solvability import (
     Classification,
     classify,
     count_validity_properties,
     enumerated_property,
-    is_solvable,
 )
 from .space import ConfigurationSpace, configuration_space
 from .system import SystemConfig
-from .triviality import TrivialityResult, check_triviality, is_trivial
+from .triviality import TrivialityResult, check_triviality
 from .universal import UniversalSpec
 from .validity import TableValidity, ValidityProperty
 
@@ -71,14 +68,11 @@ __all__ = [
     "VectorValidity",
     "standard_properties",
     "check_triviality",
-    "is_trivial",
     "TrivialityResult",
     "check_similarity_condition",
-    "satisfies_similarity_condition",
     "SimilarityConditionResult",
     "LambdaFunction",
     "classify",
-    "is_solvable",
     "Classification",
     "enumerated_property",
     "count_validity_properties",
@@ -94,7 +88,6 @@ __all__ = [
     "convex_hull_lambda",
     "median_validity_lambda",
     "interval_validity_lambda",
-    "constant_lambda",
     "free_validity_lambda",
     "identity_lambda",
     "LambdaUndefinedError",

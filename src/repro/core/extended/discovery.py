@@ -88,16 +88,6 @@ class DiscoveryModel:
         discovered = frozenset(value for value in self._discover(filtered) if self.valid_output(value))
         return discovered
 
-    def check_monotone(self, chains: Iterable[tuple]) -> bool:
-        """Verify the monotonicity requirement on sample chains ``(smaller, larger)``."""
-        for smaller, larger in chains:
-            small_set, large_set = frozenset(smaller), frozenset(larger)
-            if not small_set <= large_set:
-                raise ValueError("each chain element must be (subset, superset)")
-            if not self.discover(small_set) <= self.discover(large_set):
-                return False
-        return True
-
     # ------------------------------------------------------------------
     # The two execution assumptions of Appendix C.3
     # ------------------------------------------------------------------

@@ -7,10 +7,10 @@ configuration describes one execution's assignment of proposals to the
 processes that are correct in that execution.
 
 This module implements both notions as immutable value objects, together
-with the enumeration of the full set ``I`` of input configurations (and its
-slices ``I_x``) over a finite proposal domain, which the decision procedures
-in :mod:`repro.core.triviality` and
-:mod:`repro.core.similarity_condition` rely on.
+with the enumeration of the full set ``I`` of input configurations over a
+finite proposal domain, which the decision procedures in
+:mod:`repro.core.triviality` and :mod:`repro.core.similarity_condition` rely
+on.
 """
 
 from __future__ import annotations
@@ -101,14 +101,6 @@ class InputConfiguration:
         """Number of process-proposal pairs (the paper's ``x``)."""
         return len(self._pairs)
 
-    def proposal_of(self, process: int) -> Optional[Value]:
-        """Return the proposal of ``process``, or ``None`` if it is not included.
-
-        This mirrors the paper's ``c[i]`` notation (with ``None`` playing the
-        role of the paper's bottom symbol).
-        """
-        return self._assignment.get(process)
-
     def __getitem__(self, process: int) -> Value:
         try:
             return self._assignment[process]
@@ -136,48 +128,12 @@ class InputConfiguration:
         """Return a fresh ``process -> proposal`` dictionary."""
         return dict(self._assignment)
 
-    def multiplicity(self, value: Value) -> int:
-        """Number of processes proposing ``value`` in this configuration."""
-        return sum(1 for pair in self._pairs if pair.proposal == value)
-
-    def is_unanimous(self) -> bool:
-        """Return ``True`` iff all included processes propose the same value."""
-        return len(self.distinct_proposals()) == 1
-
     def unanimous_value(self) -> Optional[Value]:
         """Return the common proposal if the configuration is unanimous, else ``None``."""
         distinct = self.distinct_proposals()
         if len(distinct) == 1:
             return next(iter(distinct))
         return None
-
-    # ------------------------------------------------------------------
-    # Derived configurations
-    # ------------------------------------------------------------------
-    def restricted_to(self, processes: Iterable[int]) -> "InputConfiguration":
-        """Return the sub-configuration containing only the given processes."""
-        wanted = set(processes)
-        kept = {p: v for p, v in self._assignment.items() if p in wanted}
-        return InputConfiguration.from_mapping(kept)
-
-    def without(self, processes: Iterable[int]) -> "InputConfiguration":
-        """Return the configuration with the given processes removed."""
-        removed = set(processes)
-        kept = {p: v for p, v in self._assignment.items() if p not in removed}
-        return InputConfiguration.from_mapping(kept)
-
-    def extended_with(self, assignment: Mapping[int, Value]) -> "InputConfiguration":
-        """Return a configuration extended with additional process-proposal pairs.
-
-        Raises:
-            ValueError: if any added process is already present.
-        """
-        merged = dict(self._assignment)
-        for process, value in assignment.items():
-            if process in merged:
-                raise ValueError(f"process {process} already present in configuration")
-            merged[process] = value
-        return InputConfiguration.from_mapping(merged)
 
     # ------------------------------------------------------------------
     # Validation
@@ -187,14 +143,6 @@ class InputConfiguration:
         if not system.min_configuration_size <= self.size <= system.max_configuration_size:
             return False
         return all(0 <= process < system.n for process in self._processes)
-
-    def validate_for(self, system: SystemConfig) -> None:
-        """Raise :class:`ValueError` when :meth:`is_valid_for` fails."""
-        if not self.is_valid_for(system):
-            raise ValueError(
-                f"configuration with processes {sorted(self._processes)} is not a valid input "
-                f"configuration for n={system.n}, t={system.t}"
-            )
 
     # ------------------------------------------------------------------
     # Equality / hashing / repr
@@ -227,36 +175,26 @@ class InputConfiguration:
 
 
 # ----------------------------------------------------------------------
-# Enumeration of the input-configuration space I (and slices I_x)
+# Enumeration of the input-configuration space I
 # ----------------------------------------------------------------------
 def enumerate_input_configurations(
-    system: SystemConfig,
-    input_domain: Sequence[Value],
-    sizes: Optional[Iterable[int]] = None,
+    system: SystemConfig, input_domain: Sequence[Value]
 ) -> Iterator[InputConfiguration]:
     """Enumerate the set ``I`` of input configurations over a finite domain.
 
     Args:
         system: The system parameters (``n``, ``t``).
         input_domain: The finite proposal domain ``V_I`` to enumerate over.
-        sizes: Optional subset of sizes to enumerate; defaults to the paper's
-            full range ``n - t <= x <= n``.
 
     Yields:
-        Every input configuration with the requested sizes, in a
-        deterministic order (process subsets in lexicographic order, values
-        in canonical order).
+        Every input configuration of every size ``n - t <= x <= n``, in a
+        deterministic order (sizes ascending, process subsets in
+        lexicographic order, values in canonical order).
     """
     if not input_domain:
         raise ValueError("input domain must be non-empty")
     domain = canonical_sorted(set(input_domain))
-    requested_sizes = list(sizes) if sizes is not None else list(system.valid_configuration_sizes())
-    for size in requested_sizes:
-        if not system.min_configuration_size <= size <= system.max_configuration_size:
-            raise ValueError(
-                f"size {size} outside the valid range "
-                f"[{system.min_configuration_size}, {system.max_configuration_size}]"
-            )
+    for size in system.valid_configuration_sizes():
         for process_subset in itertools.combinations(range(system.n), size):
             for values in itertools.product(domain, repeat=size):
                 yield InputConfiguration(

@@ -186,15 +186,6 @@ def interval_validity_lambda(
     return lambda_fn
 
 
-def constant_lambda(constant: Value) -> LambdaFunction:
-    """``Lambda`` for a trivial (constant) validity property."""
-
-    def lambda_fn(vector: InputConfiguration) -> Value:
-        return constant
-
-    return lambda_fn
-
-
 def free_validity_lambda() -> LambdaFunction:
     """``Lambda`` for Free Validity: any proposal of the vector is admissible."""
 

@@ -145,13 +145,3 @@ def check_similarity_condition(
     if not result.holds:
         result.lambda_table = {}
     return result
-
-
-def satisfies_similarity_condition(
-    prop: ValidityProperty,
-    system: SystemConfig,
-    input_domain: Sequence[Value],
-    output_domain: Optional[Sequence[Value]] = None,
-) -> bool:
-    """Shorthand for ``check_similarity_condition(...).holds``."""
-    return check_similarity_condition(prop, system, input_domain, output_domain).holds

@@ -138,16 +138,6 @@ def classify(
     )
 
 
-def is_solvable(
-    prop: ValidityProperty,
-    system: SystemConfig,
-    input_domain: Sequence[Value],
-    output_domain: Optional[Sequence[Value]] = None,
-) -> bool:
-    """Shorthand for ``classify(...).solvable``."""
-    return classify(prop, system, input_domain, output_domain).solvable
-
-
 # ----------------------------------------------------------------------
 # Exhaustive enumeration of validity properties (Figure 1 experiment)
 # ----------------------------------------------------------------------
@@ -181,7 +171,7 @@ def enumerated_property(
         rank, digit = divmod(rank, len(subsets))
         digits.append(subsets[digit])
     table = dict(zip(configurations, reversed(digits)))
-    return TableValidity(table, output_domain, name=f"enumerated-{index + 1}", default_all=False)
+    return TableValidity(table, output_domain, name=f"enumerated-{index + 1}")
 
 
 def count_validity_properties(system: SystemConfig, input_domain_size: int, output_domain_size: int) -> int:

@@ -56,16 +56,6 @@ class SystemConfig:
         """Largest number of process-proposal pairs in an input configuration."""
         return self.n
 
-    @property
-    def byzantine_quorum_intersection(self) -> int:
-        """Guaranteed number of correct processes in the intersection of two quorums.
-
-        Two ``n - t`` quorums intersect in at least ``n - 2t`` processes, of
-        which at least ``n - 3t`` are correct.  For ``n > 3t`` this is
-        positive, which is exactly why quorum-intersection arguments work.
-        """
-        return self.n - 3 * self.t
-
     def tolerates_byzantine_faults(self) -> bool:
         """Return ``True`` iff ``n > 3t`` (the classical resilience bound).
 

@@ -28,12 +28,6 @@ False
 >>> result = check_triviality(FreeValidity(), system, [0, 1])
 >>> (result.trivial, result.witness, sorted(result.always_admissible))
 (True, 0, [0, 1])
-
-For a trivial property the Theorem 2 procedure returns the canonical
-always-admissible value:
-
->>> result.always_admissible_procedure()
-0
 """
 
 from __future__ import annotations
@@ -67,19 +61,6 @@ class TrivialityResult:
     always_admissible: FrozenSet[Value]
     witness: Optional[Value]
     configurations_checked: int
-
-    def always_admissible_procedure(self) -> Value:
-        """The finite procedure promised by Theorem 2 for trivial properties.
-
-        Returns:
-            The canonical always-admissible value.
-
-        Raises:
-            ValueError: if the property is non-trivial.
-        """
-        if not self.trivial or self.witness is None:
-            raise ValueError("the validity property is non-trivial: no always-admissible value exists")
-        return self.witness
 
 
 def check_triviality(
@@ -117,13 +98,3 @@ def check_triviality(
         witness=witness,
         configurations_checked=len(space.configurations),
     )
-
-
-def is_trivial(
-    prop: ValidityProperty,
-    system: SystemConfig,
-    input_domain: Sequence[Value],
-    output_domain: Optional[Sequence[Value]] = None,
-) -> bool:
-    """Shorthand for ``check_triviality(...).trivial``."""
-    return check_triviality(prop, system, input_domain, output_domain).trivial

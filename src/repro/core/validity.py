@@ -68,21 +68,6 @@ class ValidityProperty(ABC):
             )
         return domain
 
-    def check_non_empty(
-        self,
-        configurations: Iterable[InputConfiguration],
-        output_domain: Optional[Sequence[Value]] = None,
-    ) -> Optional[InputConfiguration]:
-        """Verify the formalism's well-formedness requirement ``val(c) != {}``.
-
-        Returns the first configuration with an empty admissible set, or
-        ``None`` if every configuration has at least one admissible value.
-        """
-        for config in configurations:
-            if not self.admissible_values(config, output_domain):
-                return config
-        return None
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -100,7 +85,6 @@ class TableValidity(ValidityProperty):
         table: Mapping[InputConfiguration, Iterable[Value]],
         output_domain: Sequence[Value],
         name: str = "table-validity",
-        default_all: bool = True,
     ):
         """Create a table-backed validity property.
 
@@ -108,9 +92,9 @@ class TableValidity(ValidityProperty):
             table: Mapping from input configurations to admissible values.
             output_domain: The finite output domain ``V_O``.
             name: Display name.
-            default_all: When ``True`` (default), configurations missing from
-                the table admit every output value; when ``False``, a lookup
-                of a missing configuration raises ``KeyError``.
+
+        A lookup of a configuration missing from the table raises
+        ``KeyError``.
         """
         self._table: Dict[InputConfiguration, FrozenSet[Value]] = {
             config: frozenset(values) for config, values in table.items()
@@ -121,14 +105,11 @@ class TableValidity(ValidityProperty):
         self.output_domain = tuple(canonical_sorted(set(output_domain)))
         self._domain = frozenset(self.output_domain)
         self.name = name
-        self._default_all = default_all
 
     def is_admissible(self, config: InputConfiguration, value: Value) -> bool:
         row = self._table.get(config)
         if row is not None:
             return value in row
-        if self._default_all:
-            return value in self._domain
         raise KeyError(f"configuration {config} not covered by table validity {self.name!r}")
 
     def admissible_values(
@@ -138,8 +119,6 @@ class TableValidity(ValidityProperty):
         row = self._table.get(config)
         if row is not None:
             return row if row <= domain else row & domain
-        if self._default_all:
-            return domain
         raise KeyError(f"configuration {config} not covered by table validity {self.name!r}")
 
     @property

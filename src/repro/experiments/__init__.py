@@ -32,7 +32,6 @@ from .aggregate import (
     aggregate,
     check_baseline,
     diff_against_baseline,
-    growth_exponent,
     load_baseline,
     results_to_json,
     summaries_to_json,
@@ -88,5 +87,4 @@ __all__ = [
     "summaries_to_json",
     "summaries_to_payload",
     "results_to_json",
-    "growth_exponent",
 ]

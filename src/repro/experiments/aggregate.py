@@ -261,13 +261,6 @@ def check_baseline(
     return diff_against_baseline(summaries, load_baseline(path), relative_tolerance)
 
 
-def growth_exponent(sizes: Sequence[int], counts: Sequence[float]) -> float:
-    """Least-squares slope of ``log(count)`` vs ``log(n)`` (shared with analysis)."""
-    from ..analysis.complexity import fit_growth_exponent
-
-    return fit_growth_exponent(sizes, counts)
-
-
 def results_to_json(results: Sequence[RunResult]) -> str:
     """Canonical JSON for raw run records (used by the CLI ``--output``)."""
     return json.dumps([result.to_dict() for result in results], sort_keys=True, separators=(",", ":"))

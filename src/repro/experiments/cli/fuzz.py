@@ -79,7 +79,6 @@ def add_parser(subparsers) -> None:
         help="with --store: exit non-zero unless the whole campaign was served from the "
         "store (CI uses this to prove a warm re-fuzz executes nothing)",
     )
-    fuzz.add_argument("--no-shrink", action="store_true", help="report violations unshrunk")
     fuzz.add_argument("--quiet", action="store_true", help="suppress per-round progress lines")
 
 
@@ -95,7 +94,6 @@ def command_fuzz(args: argparse.Namespace) -> int:
         base_payloads=specs_to_payloads(bases),
         budget=args.budget,
         fuzz_seed=args.seed,
-        shrink=not args.no_shrink,
     )
     on_event = None
     if not args.quiet:

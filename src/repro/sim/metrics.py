@@ -151,10 +151,6 @@ class MetricsCollector:
             return 0.0
         return max(time for time, _ in self.decisions.values())
 
-    def decided_values(self) -> Dict[int, Any]:
-        """Mapping from process to decided value."""
-        return {process: value for process, (_, value) in self.decisions.items()}
-
     def summary(self) -> Dict[str, Any]:
         """A plain-dictionary summary used by benchmarks and examples."""
         return {

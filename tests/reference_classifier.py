@@ -16,7 +16,7 @@ fingerprints, because nothing in the system uses it: the production
 procedures are the bitmask reductions, and the differential suite asserts
 they return equal result objects, field by field, dict order included.  From
 ``repro`` it imports only value and result types, the enumeration of ``I``
-and the canonical order of values: what both sides share by design (the
+(it walks ``I_{n-t}`` itself) and the canonical order of values: what both sides share by design (the
 dict orders and the ``Lambda`` choice are defined over them), not what the
 suite compares.
 
@@ -68,10 +68,15 @@ def compatible(first: InputConfiguration, second: InputConfiguration, t: int) ->
 def enumerate_minimal_configurations(
     system: SystemConfig, input_domain: Sequence[Value]
 ) -> Iterator[InputConfiguration]:
-    """``I_{n-t}``: the configurations with exactly ``n - t`` pairs, in enumeration order."""
-    yield from enumerate_input_configurations(
-        system, input_domain, sizes=[system.min_configuration_size]
-    )
+    """``I_{n-t}``: the configurations with exactly ``n - t`` pairs, in enumeration order.
+
+    Process subsets in lexicographic order, values in canonical order: the
+    order in which ``I`` starts.
+    """
+    domain = canonical_sorted(set(input_domain))
+    for processes in itertools.combinations(range(system.n), system.min_configuration_size):
+        for values in itertools.product(domain, repeat=len(processes)):
+            yield InputConfiguration.from_mapping(dict(zip(processes, values)))
 
 
 def similarity_intersection(
@@ -179,6 +184,4 @@ def enumerate_validity_properties(
             return
         table = dict(zip(configurations, assignment))
         produced += 1
-        yield TableValidity(
-            table, output_domain, name=f"enumerated-{produced}", default_all=False
-        )
+        yield TableValidity(table, output_domain, name=f"enumerated-{produced}")

@@ -1,4 +1,4 @@
-"""Tests for the experiment drivers (classification, complexity, lower bound, partitioning)."""
+"""Tests for the experiment drivers (classification, growth fit, lower bound, partitioning)."""
 
 import pytest
 
@@ -9,9 +9,7 @@ from repro.analysis import (
     fit_growth_exponent,
     run_lower_bound_experiment,
     run_partitioning_attack,
-    run_universal_execution,
     sample_validity_property_space,
-    sweep_universal_complexity,
 )
 from repro.core import SystemConfig
 
@@ -59,24 +57,6 @@ class TestComplexityExperiment:
             fit_growth_exponent([4], [16])
         with pytest.raises(ValueError):
             fit_growth_exponent([4, 4], [16, 16])
-
-    def test_run_universal_execution_report(self):
-        report = run_universal_execution(SystemConfig(4, 1), property_key="strong", seed=2)
-        assert report.agreement and report.all_decided and report.validity_satisfied
-        assert report.message_complexity > 0
-        assert report.communication_complexity >= report.message_complexity
-        row = report.summary_row()
-        assert row["n"] == 4 and row["valid"]
-
-    def test_sweep_produces_monotone_message_counts(self):
-        sweep = sweep_universal_complexity([4, 7], seed=2)
-        assert sweep.sizes() == [4, 7]
-        assert sweep.messages()[1] > sweep.messages()[0]
-        assert all(report.agreement for report in sweep.rows)
-
-    def test_sweep_growth_exponent_is_subcubic(self):
-        sweep = sweep_universal_complexity([4, 7, 10], seed=2)
-        assert sweep.message_growth_exponent() < 3.0
 
 
 class TestLowerBoundExperiment:

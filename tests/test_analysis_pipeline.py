@@ -304,6 +304,18 @@ class TestAnalyzeCli:
         assert main(argv + ["--check-baseline", str(baseline)]) == 1
         assert "REGRESSION" in capsys.readouterr().err
 
+    def test_analyze_cross_checks_against_a_run_store(self, tmp_path, capsys):
+        store_path = tmp_path / "runs.db"
+        assert main(["run", "--seeds", "1", "--store", str(store_path), "--quiet"]) == 0
+        argv = ["analyze", "--family", "named", "--cross-check-against"]
+        assert main(argv + [str(store_path)]) == 0
+        output = capsys.readouterr().out
+        assert f"cross-check vs {store_path}: 67 scenarios consistent" in output
+        assert "0 divergences" in output
+        missing = tmp_path / "missing.db"
+        assert main(argv + [str(missing)]) == 2
+        assert f"error: cross-check reference {missing} does not exist" in capsys.readouterr().err
+
     def test_analyze_rejects_contradictory_flags(self, capsys):
         assert main(["analyze", "--require-cached"]) == 2
         assert main(["analyze", "--rerun"]) == 2

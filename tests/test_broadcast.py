@@ -55,7 +55,7 @@ class TestBestEffortBroadcast:
             def on_start(self):
                 super().on_start()
                 if self.pid == 0:
-                    self.beb.send_message(2, "direct")
+                    self.beb.send(2, "direct")
 
         sim = run_simulation(lambda pid, s: OneToOne(pid, s))
         assert (0, "direct") in sim.processes[2].delivered

@@ -64,7 +64,7 @@ def sampled_tables(system, domain, count, seed=2023):
     subsets = non_empty_subsets(domain)
     for index in range(count):
         table = {config: rng.choice(subsets) for config in configurations}
-        yield TableValidity(table, domain, name=f"table-{index}", default_all=False)
+        yield TableValidity(table, domain, name=f"table-{index}")
 
 
 def assert_same_results(prop, system, domain):
@@ -153,7 +153,7 @@ class TestResultsMatchTheOracle:
                 max_size=len(configurations),
             )
         )
-        prop = TableValidity(dict(zip(configurations, choices)), domain, default_all=False)
+        prop = TableValidity(dict(zip(configurations, choices)), domain)
         assert_same_results(prop, system, domain)
 
 

@@ -47,13 +47,9 @@ class TestInputConfigurationBasics:
         assert len(config) == 3
         assert config.processes == frozenset({0, 2, 3})
         assert config[0] == "x"
-        assert config.proposal_of(2) == "y"
-        assert config.proposal_of(1) is None
         assert 0 in config and 1 not in config
         assert config.proposals() == ("x", "y", "x")
         assert config.distinct_proposals() == frozenset({"x", "y"})
-        assert config.multiplicity("x") == 2
-        assert config.multiplicity("z") == 0
 
     def test_getitem_raises_for_missing_process(self):
         config = make_config({0: "x"})
@@ -61,14 +57,12 @@ class TestInputConfigurationBasics:
             config[5]
 
     def test_unanimity(self):
-        assert make_config({0: 1, 1: 1, 2: 1}).is_unanimous()
         assert make_config({0: 1, 1: 1, 2: 1}).unanimous_value() == 1
-        assert not make_config({0: 1, 1: 2}).is_unanimous()
         assert make_config({0: 1, 1: 2}).unanimous_value() is None
 
     def test_unanimous_constructor(self):
         config = InputConfiguration.unanimous([0, 1, 4], "v")
-        assert config.is_unanimous()
+        assert config.unanimous_value() == "v"
         assert config.processes == frozenset({0, 1, 4})
 
     def test_equality_and_hash(self):
@@ -82,32 +76,6 @@ class TestInputConfigurationBasics:
 
     def test_repr_mentions_processes(self):
         assert "P0" in repr(make_config({0: 1}))
-
-
-class TestDerivedConfigurations:
-    def test_restricted_to(self):
-        config = make_config({0: "a", 1: "b", 2: "c"})
-        restricted = config.restricted_to([0, 2])
-        assert restricted.processes == frozenset({0, 2})
-        assert restricted[0] == "a"
-        # A one-shot iterable is consumed once, not once per process.
-        assert config.restricted_to(p for p in (0, 2)) == restricted
-
-    def test_without(self):
-        config = make_config({0: "a", 1: "b", 2: "c"})
-        assert config.without([1]).processes == frozenset({0, 2})
-
-    def test_without_everything_raises(self):
-        config = make_config({0: "a"})
-        with pytest.raises(ValueError):
-            config.without([0])
-
-    def test_extended_with(self):
-        config = make_config({0: "a"})
-        extended = config.extended_with({1: "b"})
-        assert extended.processes == frozenset({0, 1})
-        with pytest.raises(ValueError):
-            config.extended_with({0: "z"})
 
     def test_as_mapping_returns_copy(self):
         config = make_config({0: "a"})
@@ -127,12 +95,6 @@ class TestValidation:
         system = SystemConfig(n=4, t=1)
         assert not make_config({0: 1, 1: 1, 7: 1}).is_valid_for(system)
 
-    def test_validate_for_raises(self):
-        system = SystemConfig(n=4, t=1)
-        with pytest.raises(ValueError):
-            make_config({0: 1}).validate_for(system)
-        make_config({0: 1, 1: 1, 2: 1}).validate_for(system)
-
 
 class TestEnumeration:
     def test_counts_match_closed_form(self):
@@ -148,22 +110,17 @@ class TestEnumeration:
 
     def test_minimal_and_full_slices(self):
         system = SystemConfig(n=4, t=1)
-        minimal = list(enumerate_input_configurations(system, [0, 1], sizes=[system.quorum]))
-        full = list(enumerate_input_configurations(system, [0, 1], sizes=[system.n]))
+        configs = list(enumerate_input_configurations(system, [0, 1]))
+        # Sizes ascend, so I_{n-t} is a prefix of I and I_n its suffix.
+        minimal, full = configs[: 4 * 2**3], configs[4 * 2**3 :]
         assert all(config.size == 3 for config in minimal)
         assert all(config.size == 4 for config in full)
-        assert len(minimal) == 4 * 2**3
         assert len(full) == 2**4
 
     def test_rejects_empty_domain(self):
         system = SystemConfig(n=4, t=1)
         with pytest.raises(ValueError):
             list(enumerate_input_configurations(system, []))
-
-    def test_rejects_out_of_range_sizes(self):
-        system = SystemConfig(n=4, t=1)
-        with pytest.raises(ValueError):
-            list(enumerate_input_configurations(system, [0, 1], sizes=[2]))
 
     def test_enumeration_is_deterministic(self):
         system = SystemConfig(n=4, t=1)
@@ -184,15 +141,5 @@ def configurations(draw, max_n=6, values=st.integers(min_value=0, max_value=3)):
 class TestInputConfigurationProperties:
     @given(configurations())
     @settings(max_examples=100)
-    def test_multiplicities_sum_to_size(self, config):
-        assert sum(config.multiplicity(v) for v in config.distinct_proposals()) == config.size
-
-    @given(configurations())
-    @settings(max_examples=100)
     def test_roundtrip_through_mapping(self, config):
         assert InputConfiguration.from_mapping(config.as_mapping()) == config
-
-    @given(configurations())
-    @settings(max_examples=100)
-    def test_restriction_to_own_processes_is_identity(self, config):
-        assert config.restricted_to(config.processes) == config

@@ -21,7 +21,6 @@ from repro.core import (
     StrongValidity,
     SystemConfig,
     WeakValidity,
-    constant_lambda,
     convex_hull_lambda,
     correct_proposal_lambda,
     free_validity_lambda,
@@ -59,7 +58,7 @@ class TestStrongValidityLambda:
     def test_exhaustive_verification_against_definition(self):
         assert verify_lambda_function(StrongValidity(BINARY), strong_validity_lambda(SYSTEM), SYSTEM, BINARY) is None
         # The check does reject: {P1, P2, P3} unanimous for 1 is similar to this vector.
-        assert verify_lambda_function(StrongValidity(BINARY), constant_lambda(0), SYSTEM, BINARY) == vector(
+        assert verify_lambda_function(StrongValidity(BINARY), lambda config: 0, SYSTEM, BINARY) == vector(
             {0: 0, 1: 1, 2: 1}
         )
 
@@ -144,10 +143,6 @@ class TestMedianAndIntervalLambdas:
 
 
 class TestTrivialAndIdentityLambdas:
-    def test_constant_lambda(self):
-        lam = constant_lambda("fixed")
-        assert lam(vector({0: 1, 1: 2, 2: 3})) == "fixed"
-
     def test_free_lambda_returns_a_proposal(self):
         lam = free_validity_lambda()
         assert lam(vector({0: 5, 1: 7, 2: 5})) in {5, 7}

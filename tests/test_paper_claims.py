@@ -15,8 +15,8 @@ the CLI measures for the same scenario.
 """
 
 from repro.analysis import (
-    compare_backends,
     figure1_report,
+    fit_growth_exponent,
     run_lower_bound_experiment,
     run_partitioning_attack,
 )
@@ -44,7 +44,6 @@ from repro.experiments import (
     DEFAULT_SEED,
     Runner,
     aggregate,
-    growth_exponent,
     make_scenario,
     sweep_seeds,
 )
@@ -174,7 +173,7 @@ def _thm5_sweep(property_key, sizes):
 
 def test_theorem5_universal_messages_grow_quadratically():
     messages = [result.message_complexity for result in _thm5_sweep("strong", THM5_SIZES)]
-    exponent = growth_exponent(THM5_SIZES, messages)
+    exponent = fit_growth_exponent(THM5_SIZES, messages)
     # Quadratic shape: the fitted exponent stays clearly below cubic and above linear.
     assert 1.2 < exponent < 2.8
     # Monotone in n.
@@ -184,26 +183,39 @@ def test_theorem5_universal_messages_grow_quadratically():
 def test_theorem5_other_validity_properties_same_cost_shape():
     for key in ("weak", "convex-hull"):
         messages = [result.message_complexity for result in _thm5_sweep(key, THM5_SIZES[:3])]
-        assert growth_exponent(THM5_SIZES[:3], messages) < 2.8, key
+        assert fit_growth_exponent(THM5_SIZES[:3], messages) < 2.8, key
 
 
 # ----------------------------------------------------------------------
 # Algorithm 3: the non-authenticated variant is polynomially more expensive
 # ----------------------------------------------------------------------
 def test_algorithm3_costs_more_than_authenticated_and_the_gap_widens():
-    results = compare_backends((4, 7), ("authenticated", "non-authenticated"), "strong", 1)
-    auth, non_auth = results["authenticated"], results["non-authenticated"]
-    for sweep in results.values():
-        assert all(
-            report.agreement and report.all_decided and report.validity_satisfied
-            for report in sweep.rows
-        )
-    ratios = [na / max(1, a) for a, na in zip(auth.messages(), non_auth.messages())]
+    sizes = (4, 7)
+    auth, non_auth = (
+        [
+            result.message_complexity
+            for result in _run_all_ok(
+                [
+                    make_scenario(
+                        f"universal-{backend}",
+                        adversary="silent",
+                        delay="synchronous",
+                        n=n,
+                        t=(n - 1) // 3,
+                        name=f"alg3:n={n}:{backend}",
+                    )
+                    for n in sizes
+                ]
+            )
+        ]
+        for backend in ("authenticated", "non-authenticated")
+    )
+    ratios = [na / max(1, a) for a, na in zip(auth, non_auth)]
     # Strictly more expensive, and the gap widens with n.
     assert all(ratio > 2 for ratio in ratios)
     assert ratios[-1] > ratios[0]
     # Its growth is also steeper than the authenticated one's.
-    assert non_auth.message_growth_exponent() > auth.message_growth_exponent()
+    assert fit_growth_exponent(sizes, non_auth) > fit_growth_exponent(sizes, auth)
 
 
 # ----------------------------------------------------------------------
@@ -228,8 +240,8 @@ def test_algorithm6_words_grow_no_faster_than_algorithm1():
         for backend in ("authenticated", "compact")
     }
     auth, compact = by_backend["authenticated"], by_backend["compact"]
-    auth_exponent = growth_exponent(sizes, [run.communication_complexity for run in auth])
-    compact_exponent = growth_exponent(sizes, [run.communication_complexity for run in compact])
+    auth_exponent = fit_growth_exponent(sizes, [run.communication_complexity for run in auth])
+    compact_exponent = fit_growth_exponent(sizes, [run.communication_complexity for run in compact])
     assert compact_exponent <= auth_exponent + 0.3
     # Algorithm 1 ships full vectors, so its words per message grow with n.
     auth_payload = [run.communication_complexity / max(1, run.message_complexity) for run in auth]

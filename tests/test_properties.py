@@ -184,7 +184,7 @@ class TestStandardPropertiesFactory:
         props = standard_properties(SYSTEM, output_domain=[0, 1, 2])
         sample = [cfg({0: 0, 1: 1, 2: 2}), cfg({0: 1, 1: 1, 2: 1, 3: 1})]
         for prop in props.values():
-            assert prop.check_non_empty(sample) is None
+            assert all(prop.admissible_values(config) for config in sample)
 
 
 proposals = st.dictionaries(

@@ -1,8 +1,11 @@
-"""The public surface holds together: every re-export resolves, every example runs.
+"""The public surface holds together: every re-export resolves, every example runs,
+and the documentation names only what exists.
 
 A stale ``__all__`` entry breaks only ``from repro.x import *`` (a plain
-import does not read ``__all__``), and nothing else in the suite runs the
-scripts under ``examples/``, so a deletion could break either unnoticed.
+import does not read ``__all__``), nothing else in the suite runs the
+scripts under ``examples/``, and a doc that still names a removed ``repro.``
+symbol or repo path reads fine, so a deletion could break any of them
+unnoticed.
 """
 
 import importlib
@@ -33,3 +36,15 @@ def test_example_runs(script):
         [sys.executable, str(script)], cwd=REPO, capture_output=True, text=True, timeout=300
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
+
+
+def test_docs_name_only_what_exists():
+    docs = ["README.md", "docs/ARCHITECTURE.md"]
+    completed = subprocess.run(
+        [sys.executable, "tools/check_docs_links.py", *docs],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stdout[-2000:] + completed.stderr[-2000:]

@@ -16,7 +16,6 @@ from repro.core import (
     classify,
     count_validity_properties,
     enumerated_property,
-    is_solvable,
 )
 
 BINARY = [0, 1]
@@ -26,34 +25,34 @@ class TestClassifierKnownResults:
     """The classifier must reproduce the solvability results known from the literature."""
 
     def test_strong_validity_solvable_iff_n_gt_3t(self):
-        assert is_solvable(StrongValidity(BINARY), SystemConfig(4, 1), BINARY)
-        assert not is_solvable(StrongValidity(BINARY), SystemConfig(3, 1), BINARY)
-        assert not is_solvable(StrongValidity(BINARY), SystemConfig(6, 2), BINARY)
+        assert classify(StrongValidity(BINARY), SystemConfig(4, 1), BINARY).solvable
+        assert not classify(StrongValidity(BINARY), SystemConfig(3, 1), BINARY).solvable
+        assert not classify(StrongValidity(BINARY), SystemConfig(6, 2), BINARY).solvable
 
     def test_weak_validity_solvable_iff_n_gt_3t(self):
-        assert is_solvable(WeakValidity(SystemConfig(4, 1), BINARY), SystemConfig(4, 1), BINARY)
-        assert not is_solvable(WeakValidity(SystemConfig(3, 1), BINARY), SystemConfig(3, 1), BINARY)
+        assert classify(WeakValidity(SystemConfig(4, 1), BINARY), SystemConfig(4, 1), BINARY).solvable
+        assert not classify(WeakValidity(SystemConfig(3, 1), BINARY), SystemConfig(3, 1), BINARY).solvable
 
     def test_trivial_properties_solvable_even_when_n_le_3t(self):
         system = SystemConfig(3, 1)
-        assert is_solvable(ConstantValidity(0, BINARY), system, BINARY)
-        assert is_solvable(FreeValidity(BINARY), system, BINARY)
+        assert classify(ConstantValidity(0, BINARY), system, BINARY).solvable
+        assert classify(FreeValidity(BINARY), system, BINARY).solvable
 
     def test_correct_proposal_reproduces_fitzi_garay_threshold(self):
         """Strong consensus (Correct-Proposal Validity) is solvable iff n > (|V|+1)t."""
         system = SystemConfig(4, 1)
-        assert is_solvable(CorrectProposalValidity([0, 1]), system, [0, 1])
-        assert not is_solvable(CorrectProposalValidity([0, 1, 2]), system, [0, 1, 2])
+        assert classify(CorrectProposalValidity([0, 1]), system, [0, 1]).solvable
+        assert not classify(CorrectProposalValidity([0, 1, 2]), system, [0, 1, 2]).solvable
         larger = SystemConfig(5, 1)
-        assert is_solvable(CorrectProposalValidity([0, 1, 2]), larger, [0, 1, 2])
+        assert classify(CorrectProposalValidity([0, 1, 2]), larger, [0, 1, 2]).solvable
 
     def test_convex_hull_solvable_with_n_gt_3t(self):
-        assert is_solvable(ConvexHullValidity([0, 1, 2]), SystemConfig(4, 1), [0, 1, 2])
+        assert classify(ConvexHullValidity([0, 1, 2]), SystemConfig(4, 1), [0, 1, 2]).solvable
 
     def test_median_validity_radius_zero_unsolvable(self):
         # Pinning the exact median cannot tolerate a Byzantine reshuffle of the
         # similarity neighbourhood: it fails C_S.
-        assert not is_solvable(MedianValidity(0, [0, 1, 2]), SystemConfig(4, 1), [0, 1, 2])
+        assert not classify(MedianValidity(0, [0, 1, 2]), SystemConfig(4, 1), [0, 1, 2]).solvable
 
 
 class TestClassificationStructure:
@@ -120,11 +119,12 @@ class TestTableValidity:
         with pytest.raises(ValueError):
             TableValidity({config: set()}, output_domain=BINARY)
 
-    def test_default_all_behaviour(self):
+    def test_missing_configuration_raises(self):
         config = InputConfiguration.from_mapping({0: 0, 1: 0, 2: 0})
         other = InputConfiguration.from_mapping({0: 1, 1: 1, 2: 1})
-        prop = TableValidity({config: {0}}, output_domain=BINARY, default_all=True)
-        assert prop.admissible_values(other) == frozenset(BINARY)
-        strict = TableValidity({config: {0}}, output_domain=BINARY, default_all=False)
+        prop = TableValidity({config: {0}}, output_domain=BINARY)
+        assert prop.admissible_values(config) == frozenset({0})
         with pytest.raises(KeyError):
-            strict.admissible_values(other)
+            prop.admissible_values(other)
+        with pytest.raises(KeyError):
+            prop.is_admissible(other, 0)

@@ -55,11 +55,6 @@ class TestDerivedQuantities:
         assert not SystemConfig(n=6, t=2).tolerates_byzantine_faults()
         assert SystemConfig(n=7, t=2).tolerates_byzantine_faults()
 
-    def test_quorum_intersection(self):
-        assert SystemConfig(n=4, t=1).byzantine_quorum_intersection == 1
-        assert SystemConfig(n=10, t=3).byzantine_quorum_intersection == 1
-        assert SystemConfig(n=6, t=2).byzantine_quorum_intersection == 0
-
 
 class TestConstructors:
     def test_with_optimal_resilience(self):

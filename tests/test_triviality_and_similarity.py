@@ -16,8 +16,6 @@ from repro.core import (
     check_similarity_condition,
     check_triviality,
     enumerate_input_configurations,
-    is_trivial,
-    satisfies_similarity_condition,
 )
 
 BINARY = [0, 1]
@@ -31,7 +29,6 @@ class TestTriviality:
         assert result.trivial
         assert result.witness == 0
         assert result.always_admissible == frozenset({0})
-        assert result.always_admissible_procedure() == 0
 
     def test_free_validity_is_trivial(self):
         result = check_triviality(FreeValidity(BINARY), SYSTEM_OK, BINARY)
@@ -42,14 +39,12 @@ class TestTriviality:
         result = check_triviality(StrongValidity(BINARY), SYSTEM_OK, BINARY)
         assert not result.trivial
         assert result.witness is None
-        with pytest.raises(ValueError):
-            result.always_admissible_procedure()
 
     def test_weak_validity_is_non_trivial(self):
-        assert not is_trivial(WeakValidity(SYSTEM_OK, BINARY), SYSTEM_OK, BINARY)
+        assert not check_triviality(WeakValidity(SYSTEM_OK, BINARY), SYSTEM_OK, BINARY).trivial
 
     def test_correct_proposal_is_non_trivial(self):
-        assert not is_trivial(CorrectProposalValidity(BINARY), SYSTEM_OK, BINARY)
+        assert not check_triviality(CorrectProposalValidity(BINARY), SYSTEM_OK, BINARY).trivial
 
     def test_configuration_count_reported(self):
         result = check_triviality(FreeValidity(BINARY), SYSTEM_OK, BINARY)
@@ -87,7 +82,7 @@ class TestSimilarityCondition:
     def test_weak_validity_satisfies_cs_even_when_n_le_3t(self):
         # The paper notes C_S is necessary for all n, t but not sufficient for n <= 3t:
         # Weak Validity satisfies C_S yet is unsolvable with n = 3t.
-        assert satisfies_similarity_condition(WeakValidity(SYSTEM_WEAK, BINARY), SYSTEM_WEAK, BINARY)
+        assert check_similarity_condition(WeakValidity(SYSTEM_WEAK, BINARY), SYSTEM_WEAK, BINARY).holds
 
     def test_correct_proposal_fails_cs_with_large_domain(self):
         domain = [0, 1, 2]
@@ -99,7 +94,7 @@ class TestSimilarityCondition:
             result.lambda_function()
 
     def test_correct_proposal_satisfies_cs_with_binary_domain(self):
-        assert satisfies_similarity_condition(CorrectProposalValidity(BINARY), SYSTEM_OK, BINARY)
+        assert check_similarity_condition(CorrectProposalValidity(BINARY), SYSTEM_OK, BINARY).holds
 
     def test_lambda_values_are_admissible_for_all_similar_configurations(self):
         prop = StrongValidity(BINARY)
@@ -121,7 +116,7 @@ class TestSimilarityCondition:
 
     def test_convex_hull_satisfies_cs(self):
         domain = [0, 1, 2]
-        assert satisfies_similarity_condition(ConvexHullValidity(domain), SYSTEM_OK, domain)
+        assert check_similarity_condition(ConvexHullValidity(domain), SYSTEM_OK, domain).holds
 
     def test_table_validity_with_forced_conflict_fails_cs(self):
         # Build a pathological property: two similar minimal configurations with
@@ -129,7 +124,8 @@ class TestSimilarityCondition:
         system = SystemConfig(n=4, t=1)
         base = InputConfiguration.from_mapping({0: 0, 1: 0, 2: 0})
         overlapping = InputConfiguration.from_mapping({0: 0, 1: 0, 3: 0})
-        table = {base: {0}, overlapping: {1}}
-        prop = TableValidity(table, output_domain=BINARY, name="conflict", default_all=True)
+        table = {config: BINARY for config in enumerate_input_configurations(system, BINARY)}
+        table.update({base: {0}, overlapping: {1}})
+        prop = TableValidity(table, output_domain=BINARY, name="conflict")
         result = check_similarity_condition(prop, system, BINARY)
         assert not result.holds
