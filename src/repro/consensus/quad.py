@@ -23,8 +23,10 @@ here views advance on drift-free local timers only.  That keeps views in
 step after GST only if every process starts its views together: a process
 enters view 1 when its own proposal arrives, so a pre-GST skew in proposal
 times (which the Universal stacks inherit from their vector layer) stays a
-skew in views.  ROADMAP item 1 records the schedules that show it and the
-fix.
+skew in views.  A correct process prepares, locks and commit-votes only in
+its current view (ROADMAP item 1(a)), so a message held back from an earlier
+view cannot split the decision; liveness under a pre-GST view skew stays
+with item 1(b), the synchronizer.
 """
 
 from __future__ import annotations
@@ -311,7 +313,9 @@ class Quad(ConsensusModule):
     def _on_precommit(
         self, sender: int, view: int, value: Any, proof: Any, certificate: PrepareCertificate
     ) -> None:
-        if sender != self.leader_of(view) or certificate.view != view:
+        # Only in the current view: a precommit held back from an earlier
+        # view must not lock an old value or commit-vote for it.
+        if view != self.view or sender != self.leader_of(view) or certificate.view != view:
             return
         if certificate.value_digest != digest(value):
             return

@@ -9,6 +9,8 @@ from repro.consensus import (
     UniversalProcess,
     universal_process_factory,
 )
+from repro.experiments import execute_run, make_scenario
+from repro.experiments.scenario import DELAY_MODELS
 from repro.sim import (
     DelayModel,
     Envelope,
@@ -257,6 +259,53 @@ class TestQuadMalformedPayloads:
         quad.on_message(0, ("decide", 9, "other", ("ok", "other"), None))
         quad.on_message(0, ("propose", quad.view, "other", ("ok", "other"), None))
         assert not calls and quad.decided_value == decided
+
+
+class HeldLinksDelayModel(DelayModel):
+    """Every message takes a delay drawn from ``[min_delay, delta]``, one per receiver.
+
+    On a held directed link the delay counts from GST instead of from the
+    send, so a message sent there before GST arrives just after it.  Every
+    schedule is inside the partial-synchrony contract.
+    """
+
+    def __init__(self, held, seed):
+        super().__init__(gst=20.0, delta=1.0, seed=seed)
+        self.held = held
+
+    def _candidate_delays(self, sender, receivers, send_time):
+        late = max(send_time, self.gst)
+        span = self.delta - self.min_delay
+        draw = self._rng.random
+        return [
+            (late if (sender, receiver) in self.held else send_time) + self.min_delay + draw() * span
+            for receiver in receivers
+        ]
+
+
+class TestQuadStaleView:
+    """A correct process locks and commit-votes only in its current view.
+
+    Before the guard, a precommit held back from an earlier view reached a
+    process that had moved on: it locked on the old value and voted to
+    commit it, and two values were decided.  Under the first held set
+    {0, 1} decided v1 and {2, 3} decided v2; under the second, with process 3
+    crashed, {0, 1} decided v1 and 2 decided v0.
+    """
+
+    @pytest.mark.parametrize(
+        "adversary, held",
+        [("none", {(0, 1), (1, 2), (2, 0)}), ("crash", {(1, 0), (2, 1)})],
+        ids=["none", "crash"],
+    )
+    def test_late_precommit_from_an_old_view_breaks_no_agreement(self, monkeypatch, adversary, held):
+        monkeypatch.setitem(
+            DELAY_MODELS, "held-links", lambda spec, seed: HeldLinksDelayModel(held, seed)
+        )
+        spec = make_scenario("quad", adversary=adversary, delay="held-links", n=4, t=1, name="held")
+        result = execute_run(spec, 2023)
+        assert result.agreement, result.decisions
+        assert result.ok, (result.error, result.violations)
 
 
 # ----------------------------------------------------------------------
