@@ -154,17 +154,18 @@ class TestTheorem4LowerBound:
 THM5_SIZES = (4, 7, 10, 13)
 
 
-def _thm5_sweep(property_key, sizes):
+def _size_sweep(backend, sizes, property_key="strong"):
+    """Universal on one backend over ``sizes``: silent faults, synchronous network, t = (n - 1) // 3."""
     return _run_all_ok(
         [
             make_scenario(
-                "universal-authenticated",
+                f"universal-{backend}",
                 adversary="silent",
                 delay="synchronous",
                 n=n,
                 t=(n - 1) // 3,
                 property_key=property_key,
-                name=f"thm5:{property_key}:n={n}",
+                name=f"{backend}:{property_key}:n={n}",
             )
             for n in sizes
         ]
@@ -172,7 +173,7 @@ def _thm5_sweep(property_key, sizes):
 
 
 def test_theorem5_universal_messages_grow_quadratically():
-    messages = [result.message_complexity for result in _thm5_sweep("strong", THM5_SIZES)]
+    messages = [result.message_complexity for result in _size_sweep("authenticated", THM5_SIZES)]
     exponent = fit_growth_exponent(THM5_SIZES, messages)
     # Quadratic shape: the fitted exponent stays clearly below cubic and above linear.
     assert 1.2 < exponent < 2.8
@@ -182,7 +183,7 @@ def test_theorem5_universal_messages_grow_quadratically():
 
 def test_theorem5_other_validity_properties_same_cost_shape():
     for key in ("weak", "convex-hull"):
-        messages = [result.message_complexity for result in _thm5_sweep(key, THM5_SIZES[:3])]
+        messages = [result.message_complexity for result in _size_sweep("authenticated", THM5_SIZES[:3], key)]
         assert fit_growth_exponent(THM5_SIZES[:3], messages) < 2.8, key
 
 
@@ -192,22 +193,7 @@ def test_theorem5_other_validity_properties_same_cost_shape():
 def test_algorithm3_costs_more_than_authenticated_and_the_gap_widens():
     sizes = (4, 7)
     auth, non_auth = (
-        [
-            result.message_complexity
-            for result in _run_all_ok(
-                [
-                    make_scenario(
-                        f"universal-{backend}",
-                        adversary="silent",
-                        delay="synchronous",
-                        n=n,
-                        t=(n - 1) // 3,
-                        name=f"alg3:n={n}:{backend}",
-                    )
-                    for n in sizes
-                ]
-            )
-        ]
+        [result.message_complexity for result in _size_sweep(backend, sizes)]
         for backend in ("authenticated", "non-authenticated")
     )
     ratios = [na / max(1, a) for a, na in zip(auth, non_auth)]
@@ -223,23 +209,7 @@ def test_algorithm3_costs_more_than_authenticated_and_the_gap_widens():
 # ----------------------------------------------------------------------
 def test_algorithm6_words_grow_no_faster_than_algorithm1():
     sizes = (4, 7, 10)
-    by_backend = {
-        backend: _run_all_ok(
-            [
-                make_scenario(
-                    f"universal-{backend}",
-                    adversary="silent",
-                    delay="synchronous",
-                    n=n,
-                    t=(n - 1) // 3,
-                    name=f"alg6:n={n}:{backend}",
-                )
-                for n in sizes
-            ]
-        )
-        for backend in ("authenticated", "compact")
-    }
-    auth, compact = by_backend["authenticated"], by_backend["compact"]
+    auth, compact = (_size_sweep(backend, sizes) for backend in ("authenticated", "compact"))
     auth_exponent = fit_growth_exponent(sizes, [run.communication_complexity for run in auth])
     compact_exponent = fit_growth_exponent(sizes, [run.communication_complexity for run in compact])
     assert compact_exponent <= auth_exponent + 0.3
