@@ -12,6 +12,7 @@ from repro.analysis import (
     sample_validity_property_space,
 )
 from repro.core import SystemConfig
+from repro.experiments import Runner, make_scenario
 
 
 class TestClassificationExperiment:
@@ -57,6 +58,25 @@ class TestComplexityExperiment:
             fit_growth_exponent([4], [16])
         with pytest.raises(ValueError):
             fit_growth_exponent([4, 4], [16, 16])
+
+    def test_fit_growth_exponent_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            fit_growth_exponent([4, 8, 16], [16, 64])
+
+    def test_fit_growth_exponent_reads_zero_counts_as_one(self):
+        # A run that sends nothing must not take log(0).
+        assert fit_growth_exponent([4, 8], [0, 0]) == 0.0
+        assert abs(fit_growth_exponent([4, 8], [0, 8]) - 3.0) < 1e-9
+
+    def test_universal_run_reports_its_costs(self):
+        (result,) = Runner().run(
+            [make_scenario("universal-authenticated", adversary="none", delay="synchronous")],
+            seeds=(2,),
+        )
+        assert result.ok, (result.error, result.violations)
+        assert result.agreement and result.completed and result.validity_ok
+        assert result.message_complexity > 0
+        assert result.communication_complexity >= result.message_complexity
 
 
 class TestLowerBoundExperiment:

@@ -292,6 +292,12 @@ class TestFuzzCLI:
         assert run_cli("fuzz", "--budget", "4", "--quiet", "--base", "quad+splitbrain+stalled") == 0
         assert "4 candidates" in capsys.readouterr().out
 
+    def test_no_shrink_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("fuzz", "--budget", "4", "--no-shrink")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-shrink" in capsys.readouterr().err
+
     def test_unknown_base_is_a_clean_error(self, capsys):
         assert run_cli("fuzz", "--budget", "4", "--base", "no-such-scenario") == 2
         assert "unknown fuzz base" in capsys.readouterr().err

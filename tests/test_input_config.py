@@ -95,6 +95,14 @@ class TestValidation:
         system = SystemConfig(n=4, t=1)
         assert not make_config({0: 1, 1: 1, 7: 1}).is_valid_for(system)
 
+    def test_enumerated_configurations_are_valid_only_for_their_system(self):
+        system = SystemConfig(n=5, t=1)
+        configs = list(enumerate_input_configurations(system, [0, 1]))
+        assert all(config.is_valid_for(system) for config in configs)
+        # A larger t admits smaller configurations; a smaller n drops process 4.
+        assert all(config.is_valid_for(SystemConfig(n=5, t=2)) for config in configs)
+        assert not all(config.is_valid_for(SystemConfig(n=4, t=1)) for config in configs)
+
 
 class TestEnumeration:
     def test_counts_match_closed_form(self):
@@ -116,6 +124,18 @@ class TestEnumeration:
         assert all(config.size == 3 for config in minimal)
         assert all(config.size == 4 for config in full)
         assert len(full) == 2**4
+
+    def test_sizes_ascend_from_quorum_to_n(self):
+        system = SystemConfig(n=5, t=2)
+        sizes = [config.size for config in enumerate_input_configurations(system, [0, 1])]
+        assert sizes == sorted(sizes)
+        assert sorted(set(sizes)) == list(system.valid_configuration_sizes())
+
+    def test_duplicate_domain_values_are_enumerated_once(self):
+        system = SystemConfig(n=4, t=1)
+        assert list(enumerate_input_configurations(system, [1, 0, 1])) == list(
+            enumerate_input_configurations(system, [0, 1])
+        )
 
     def test_rejects_empty_domain(self):
         system = SystemConfig(n=4, t=1)
@@ -139,6 +159,22 @@ def configurations(draw, max_n=6, values=st.integers(min_value=0, max_value=3)):
 
 
 class TestInputConfigurationProperties:
+    @given(configurations())
+    @settings(max_examples=100)
+    def test_multiplicities_sum_to_size(self, config):
+        proposals = config.proposals()
+        assert sum(proposals.count(v) for v in config.distinct_proposals()) == config.size
+
+    @given(configurations())
+    @settings(max_examples=100)
+    def test_unanimous_value_is_the_only_distinct_proposal(self, config):
+        distinct = config.distinct_proposals()
+        if len(distinct) == 1:
+            assert config.unanimous_value() in distinct
+            assert config == InputConfiguration.unanimous(config.processes, config.unanimous_value())
+        else:
+            assert config.unanimous_value() is None
+
     @given(configurations())
     @settings(max_examples=100)
     def test_roundtrip_through_mapping(self, config):

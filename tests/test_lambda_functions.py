@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from reference_classifier import verify_lambda_function
 from repro.core import (
+    ConstantValidity,
     ConvexHullValidity,
     CorrectProposalValidity,
     InputConfiguration,
@@ -143,6 +144,11 @@ class TestMedianAndIntervalLambdas:
 
 
 class TestTrivialAndIdentityLambdas:
+    def test_a_constant_is_a_lambda_only_for_its_own_constant(self):
+        prop = ConstantValidity(0, BINARY)
+        assert verify_lambda_function(prop, lambda config: 0, SYSTEM, BINARY) is None
+        assert verify_lambda_function(prop, lambda config: 1, SYSTEM, BINARY) is not None
+
     def test_free_lambda_returns_a_proposal(self):
         lam = free_validity_lambda()
         assert lam(vector({0: 5, 1: 7, 2: 5})) in {5, 7}

@@ -55,6 +55,15 @@ class TestDerivedQuantities:
         assert not SystemConfig(n=6, t=2).tolerates_byzantine_faults()
         assert SystemConfig(n=7, t=2).tolerates_byzantine_faults()
 
+    def test_quorums_share_a_correct_process_iff_n_gt_3t(self):
+        # Two quorums of n - t overlap in 2(n - t) - n processes; at least one
+        # of them is correct exactly when the overlap exceeds t.
+        for n in range(2, 14):
+            for t in range(1, n):
+                system = SystemConfig(n=n, t=t)
+                overlap = 2 * system.quorum - system.n
+                assert (overlap > system.t) == system.tolerates_byzantine_faults(), (n, t)
+
 
 class TestConstructors:
     def test_with_optimal_resilience(self):
