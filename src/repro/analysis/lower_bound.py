@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..consensus.universal_protocol import universal_process_factory
 from ..core.system import SystemConfig
@@ -106,19 +106,23 @@ class CheapLeaderProcess(Process):
         self.protocol.start()
 
 
-def _isolation_schedule(victim: int, release_time: float):
-    """Adversarial scheduling: all messages to/from the victim are delayed until ``release_time``.
+class _IsolationDelayModel(DelayModel):
+    """The default draws, except every message to or from ``victim`` sent before GST arrives at ``gst + 0.5``.
 
-    The partial-synchrony contract is preserved by setting GST at (or after)
-    the release time.
+    The victim is isolated exactly until its timeout has long fired; with the
+    release at GST the schedule stays inside partial synchrony.
     """
 
-    def hook(sender: int, receiver: int, send_time: float, default: float) -> Optional[float]:
-        if victim in (sender, receiver) and send_time < release_time:
-            return release_time + 0.5
-        return None
+    def __init__(self, victim: int, gst: float, seed: int):
+        super().__init__(gst=gst, delta=1.0, seed=seed)
+        self.victim = victim
 
-    return hook
+    def _candidate_delays(self, sender: int, receivers: Sequence[int], send_time: float) -> List[float]:
+        times = super()._candidate_delays(sender, receivers, send_time)
+        if send_time >= self.gst:
+            return times
+        late, victim = self.gst + 0.5, self.victim
+        return [late if victim in (sender, receiver) else time for receiver, time in zip(receivers, times)]
 
 
 @dataclass
@@ -163,25 +167,13 @@ def run_lower_bound_experiment(
     proposals = {pid: ("L" if pid == CheapLeaderConsensus.LEADER else f"own-{pid}") for pid in range(system.n)}
 
     # --- Strawman protocol under the isolation adversary -----------------
-    cheap_delay = DelayModel(
-        gst=release_time,
-        delta=1.0,
-        seed=seed,
-        schedule_hook=_isolation_schedule(chosen_victim, release_time),
-    )
-    cheap_sim = Simulation(system, delay_model=cheap_delay)
+    cheap_sim = Simulation(system, delay_model=_IsolationDelayModel(chosen_victim, release_time, seed))
     cheap_sim.populate(lambda pid, s: CheapLeaderProcess(pid, s, proposals[pid], timeout=timeout))
     cheap_sim.run_until_all_correct_decide(until=release_time * 3)
 
     # --- Universal under the same adversarial scheduling -----------------
     spec = UniversalSpec.for_standard_property(system, property_key)
-    universal_delay = DelayModel(
-        gst=release_time,
-        delta=1.0,
-        seed=seed,
-        schedule_hook=_isolation_schedule(chosen_victim, release_time),
-    )
-    universal_sim = Simulation(system, delay_model=universal_delay)
+    universal_sim = Simulation(system, delay_model=_IsolationDelayModel(chosen_victim, release_time, seed))
     universal_sim.populate(universal_process_factory(spec, {pid: proposals[pid] for pid in range(system.n)}))
     universal_sim.run_until_all_correct_decide(until=release_time * 30)
 

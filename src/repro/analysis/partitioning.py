@@ -49,7 +49,7 @@ from ..consensus.universal_protocol import UniversalProcess
 from ..core.system import SystemConfig
 from ..core.universal import UniversalSpec
 from ..sim.events import Envelope, TimerExpiry
-from ..sim.network import PartitionDelayModel
+from ..sim.network import HeldLinksDelayModel
 from ..sim.process import Process
 from ..sim.simulation import Simulation
 
@@ -208,8 +208,11 @@ def run_partitioning_attack(
     group_a = set(correct[:half])
     group_c = set(correct[half:])
 
-    delay_model = PartitionDelayModel(
-        group_a=group_a, group_c=group_c, release_time=release_time, delta=1.0, seed=seed
+    delay_model = HeldLinksDelayModel(
+        held=[link for a in group_a for c in group_c for link in ((a, c), (c, a))],
+        release=release_time,
+        delta=1.0,
+        seed=seed,
     )
     simulation = Simulation(system, delay_model=delay_model)
     for pid in sorted(group_a):

@@ -44,10 +44,6 @@ class BestEffortBroadcast(ProtocolModule):
         super().__init__(process, name, parent)
         self._on_deliver = on_deliver
 
-    def set_deliver_callback(self, on_deliver: DeliverCallback) -> None:
-        """Attach (or replace) the delivery callback."""
-        self._on_deliver = on_deliver
-
     def broadcast_message(self, message: Any) -> None:
         """Broadcast ``message`` to all ``n`` processes (including ourselves)."""
         self.broadcast(message)

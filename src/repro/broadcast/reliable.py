@@ -63,9 +63,6 @@ class ByzantineReliableBroadcast(ProtocolModule):
         self._payloads: Dict[Tuple[int, str], Any] = {}
         self._digests: Dict[int, Tuple[Any, str]] = {}  # id(message) -> (message, digest(message))
 
-    def set_deliver_callback(self, on_deliver: DeliverCallback) -> None:
-        self._on_deliver = on_deliver
-
     # ------------------------------------------------------------------
     def broadcast_message(self, message: Any) -> None:
         """Reliably broadcast ``message`` with this process as the origin."""

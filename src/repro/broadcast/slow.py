@@ -36,9 +36,6 @@ class SlowBroadcast(ProtocolModule):
         delta = process.simulation.delay_model.delta
         self.wait_between_sends = delta * self.n * self.pid
 
-    def set_deliver_callback(self, on_deliver: DeliverCallback) -> None:
-        self._on_deliver = on_deliver
-
     # ------------------------------------------------------------------
     def broadcast_message(self, payload: Any) -> None:
         """Start the slow broadcast of ``payload``."""

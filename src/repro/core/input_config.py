@@ -49,8 +49,7 @@ class InputConfiguration:
     :class:`~repro.core.system.SystemConfig`: protocols produce and consume
     configurations of exactly ``n - t`` pairs (vector-consensus decisions),
     while the formalism also manipulates configurations of every size between
-    ``n - t`` and ``n``.  Use :meth:`is_valid_for` to check the paper's size
-    constraint against a concrete system.
+    ``n - t`` and ``n``.
     """
 
     __slots__ = ("_assignment", "_pairs", "_processes", "_hash")
@@ -77,11 +76,6 @@ class InputConfiguration:
     def from_mapping(cls, assignment: Mapping[int, Value]) -> "InputConfiguration":
         """Build a configuration from a ``process -> proposal`` mapping."""
         return cls(ProcessProposal(process, value) for process, value in assignment.items())
-
-    @classmethod
-    def unanimous(cls, processes: Iterable[int], value: Value) -> "InputConfiguration":
-        """Build a configuration in which every listed process proposes ``value``."""
-        return cls(ProcessProposal(process, value) for process in processes)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -134,15 +128,6 @@ class InputConfiguration:
         if len(distinct) == 1:
             return next(iter(distinct))
         return None
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-    def is_valid_for(self, system: SystemConfig) -> bool:
-        """Check the paper's constraints: size in ``[n - t, n]`` and indices in range."""
-        if not system.min_configuration_size <= self.size <= system.max_configuration_size:
-            return False
-        return all(0 <= process < system.n for process in self._processes)
 
     # ------------------------------------------------------------------
     # Equality / hashing / repr

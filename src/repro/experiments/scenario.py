@@ -41,9 +41,8 @@ from ..sim.adversary import (
 )
 from ..sim.network import (
     DelayModel,
+    HeldLinksDelayModel,
     JitteredDelayModel,
-    PartitionDelayModel,
-    StalledDelayModel,
     SynchronousDelayModel,
 )
 from ..sim.process import Process
@@ -429,10 +428,9 @@ def _build_partition(spec: ScenarioSpec, seed: int) -> DelayModel:
     the regime where the network heals exactly when partial synchrony kicks in.
     """
     half = spec.n // 2
-    return PartitionDelayModel(
-        group_a=set(range(half)),
-        group_c=set(range(half, spec.n)),
-        release_time=spec.param("release_time", 5.0),
+    return HeldLinksDelayModel(
+        held=[link for a in range(half) for c in range(half, spec.n) for link in ((a, c), (c, a))],
+        release=spec.param("release_time", 5.0),
         delta=spec.param("delta", 1.0),
         seed=seed,
         gst=spec.param("gst"),
@@ -456,9 +454,10 @@ def _build_stalled(spec: ScenarioSpec, seed: int) -> DelayModel:
     The scheduling companion of the split-brain adversary: correct-to-correct
     traffic stalls while the Byzantine leader talks to everyone promptly.
     """
-    return StalledDelayModel(
-        favoured=set(range(spec.n - spec.t, spec.n)),
-        stall_until=spec.param("stall_until", 120.0),
+    correct = range(spec.n - spec.t)
+    return HeldLinksDelayModel(
+        held=[(x, y) for x in correct for y in correct],
+        release=spec.param("stall_until", 120.0),
         delta=spec.param("delta", 1.0),
         seed=seed,
     )

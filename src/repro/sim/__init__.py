@@ -15,9 +15,8 @@ from .events import Envelope, Event, TimerExpiry
 from .metrics import MetricsCollector, word_size
 from .network import (
     DelayModel,
+    HeldLinksDelayModel,
     JitteredDelayModel,
-    PartitionDelayModel,
-    StalledDelayModel,
     SynchronousDelayModel,
 )
 from .process import Process, ProtocolModule
@@ -33,9 +32,8 @@ __all__ = [
     "TimerExpiry",
     "DelayModel",
     "SynchronousDelayModel",
-    "PartitionDelayModel",
+    "HeldLinksDelayModel",
     "JitteredDelayModel",
-    "StalledDelayModel",
     "MetricsCollector",
     "word_size",
     "SilentProcess",

@@ -194,8 +194,9 @@ class QuadSplitBrainLeader(Process):
     argument): the first corrupted process leads view ``n - t + 1`` under
     Quad's round-robin assignment.  Correct replicas advance views on
     synchronized local timers, so they all sit in that view during a known
-    window.  Under a :class:`~repro.sim.network.StalledDelayModel` that
-    favours the corrupted processes, the leader
+    window.  Under the ``stalled`` schedule — a
+    :class:`~repro.sim.network.HeldLinksDelayModel` that holds the links among
+    the correct processes while the corrupted ones talk promptly — the leader
 
     1. sends *conflicting* ``PROPOSE`` messages to two disjoint halves of the
        correct processes (each value carries a proof the protocol's

@@ -28,45 +28,35 @@ receiver of the send in order.  Concrete network behaviours are
 receiver of a send, in one loop that draws each receiver's delay in receiver
 order — so a broadcast consumes the random stream exactly as ``n``
 one-receiver sends would.  The base class then clamps every candidate to the
-contract.  The optional ``schedule_hook`` gives per-message adversarial
-control on top of any candidate distribution (it too is clamped for correct
-senders); it is called once per receiver, in receiver order, after the
-send's candidates are drawn, so a hook must not draw from the model's own
-random stream.  Both the lower-bound and triviality experiments rely on it
-to delay specific link groups until after a chosen time.
+contract.
 
 Shipped candidate models:
 
 * :class:`DelayModel` — uniform jitter in ``[min_delay, delta]`` after GST and
   uniform in the full contract window before GST;
 * :class:`SynchronousDelayModel` — GST = 0 (synchronous from the start);
-* :class:`PartitionDelayModel` — two process groups do not hear from each
-  other until a release time (the Lemma 2 partitioning argument);
+* :class:`HeldLinksDelayModel` — chosen directed links are held until a
+  release time while every other link is prompt: the ``partition`` schedule
+  of Lemma 2 holds the links between two groups, the ``stalled`` schedule
+  behind the split-brain attack at ``n <= 3t`` holds the links among the
+  correct processes;
 * :class:`JitteredDelayModel` — heavy-tailed (Pareto) jitter before GST,
-  modelling an unstable network that calms down at GST;
-* :class:`StalledDelayModel` — traffic among non-favoured processes stalls
-  until a release time while the favoured (Byzantine) processes communicate
-  promptly in both directions — the scheduling behind the split-brain attack
-  at ``n <= 3t``.
+  modelling an unstable network that calms down at GST.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence
-
-ScheduleHook = Callable[[int, int, float, float], Optional[float]]
-"""Adversarial override: ``(sender, receiver, send_time, candidate_delivery) -> delivery or None``."""
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 class DelayModel:
     """Computes delivery times under partial synchrony.
 
     ``delivery_times`` is **final**: it asks :meth:`_candidate_delays` for
-    one candidate delivery time per receiver (then the ``schedule_hook``, if
-    any) and clamps the results to the partial-synchrony contract for
-    correct senders, so no subclass or hook can accidentally violate the
-    model.  Subclasses express network behaviours by overriding
+    one candidate delivery time per receiver and clamps the results to the
+    partial-synchrony contract for correct senders, so no subclass can
+    accidentally violate the model.  Subclasses express network behaviours by overriding
     :meth:`_candidate_delays` only.
 
     Args:
@@ -75,9 +65,6 @@ class DelayModel:
         min_delay: Minimum link latency (must be positive so that causality
             is preserved and the event loop always makes progress).
         seed: Seed for the deterministic pseudo-random delays.
-        schedule_hook: Optional adversarial override consulted for every
-            message; it may return an explicit delivery time, which is then
-            clamped to the partial-synchrony contract for correct senders.
     """
 
     def __init__(
@@ -86,7 +73,6 @@ class DelayModel:
         delta: float = 1.0,
         min_delay: float = 0.1,
         seed: int = 0,
-        schedule_hook: Optional[ScheduleHook] = None,
     ):
         if delta <= 0:
             raise ValueError("delta must be positive")
@@ -97,7 +83,6 @@ class DelayModel:
         self.gst = gst
         self.delta = delta
         self.min_delay = min_delay
-        self.schedule_hook = schedule_hook
         self._rng = random.Random(seed)
 
     def __init_subclass__(cls, **kwargs):
@@ -122,16 +107,10 @@ class DelayModel:
         One delay is drawn per receiver, in receiver order.  Messages from
         correct senders always respect the partial-synchrony contract;
         messages from Byzantine senders may be delayed arbitrarily by the
-        candidate model or the hook (they carry no guarantee in the model)
+        candidate model (they carry no guarantee in the model)
         but never below the ``min_delay`` causality floor.
         """
         times = self._candidate_delays(sender, receivers, send_time)
-        hook = self.schedule_hook
-        if hook is not None:
-            for index, receiver in enumerate(receivers):
-                override = hook(sender, receiver, send_time, times[index])
-                if override is not None:
-                    times[index] = override
         # The clamps, per receiver; min()/max() skip a pass that would change nothing.
         earliest = send_time + self.min_delay
         if times and min(times) < earliest:
@@ -171,125 +150,58 @@ class DelayModel:
 class SynchronousDelayModel(DelayModel):
     """A network that is synchronous from the very beginning (GST = 0).
 
-    Used by the lower-bound experiment (the adversary of Theorem 4 operates
-    in a fully synchronous execution) and as the fast path for complexity
-    sweeps.
+    The ``synchronous`` scenario delay model, and the fast path for
+    complexity sweeps.
     """
 
-    def __init__(self, delta: float = 1.0, min_delay: float = 0.1, seed: int = 0,
-                 schedule_hook: Optional[ScheduleHook] = None):
-        super().__init__(gst=0.0, delta=delta, min_delay=min_delay, seed=seed, schedule_hook=schedule_hook)
+    def __init__(self, delta: float = 1.0, min_delay: float = 0.1, seed: int = 0):
+        super().__init__(gst=0.0, delta=delta, min_delay=min_delay, seed=seed)
 
 
-class PartitionDelayModel(DelayModel):
-    """Delays all communication between two process groups until a release time.
+class HeldLinksDelayModel(DelayModel):
+    """Holds chosen directed links until ``release``; every other link is prompt.
 
-    This is the scheduling used by the classical partitioning argument
-    (Lemma 2 of the paper): groups ``A`` and ``C`` do not hear from each
-    other until after both sides have decided.  The release time is also used
-    as the GST unless an explicit one is given.  Either way the base class
-    clamps correct-sender deliveries to the contract, so passing an explicit
-    ``gst < release_time`` shortens the partition for correct senders instead
-    of silently violating partial synchrony (Byzantine cross-group messages
-    stay delayed until release).
+    Before ``release`` a message on a held ``(sender, receiver)`` link draws
+    its delay from ``[min_delay, delta]`` counted from ``release``, and every
+    other message draws the same span counted from its send — one draw per
+    receiver, in receiver order.  From ``release`` on, every link is prompt.
+    This is the adversary's pre-GST freedom of partial synchrony, and the
+    schedule of both the Lemma 2 partition (hold the links between two
+    groups until both have decided) and the split-brain stall (hold the
+    links among the correct processes).
+
+    ``release`` doubles as the GST unless an explicit ``gst`` is given.
+    Either way the base class clamps correct-sender deliveries to the
+    contract, so an explicit ``gst < release`` shortens the hold for correct
+    senders instead of silently violating partial synchrony (a Byzantine
+    sender's held messages still wait for ``release``).
     """
 
     def __init__(
         self,
-        group_a: set,
-        group_c: set,
-        release_time: float,
+        held: Iterable[Tuple[int, int]],
+        release: float,
         delta: float = 1.0,
         min_delay: float = 0.1,
         seed: int = 0,
         gst: Optional[float] = None,
-        schedule_hook: Optional[ScheduleHook] = None,
     ):
-        self.group_a = frozenset(group_a)
-        self.group_c = frozenset(group_c)
-        if self.group_a & self.group_c:
-            raise ValueError("partitioned groups must be disjoint")
-        self.release_time = release_time
+        index: dict = {}
+        for sender, receiver in held:
+            index.setdefault(sender, set()).add(receiver)
+        self._held = {sender: frozenset(receivers) for sender, receivers in index.items()}
+        self.release = release
         super().__init__(
-            gst=release_time if gst is None else gst,
-            delta=delta,
-            min_delay=min_delay,
-            seed=seed,
-            schedule_hook=schedule_hook,
+            gst=release if gst is None else gst, delta=delta, min_delay=min_delay, seed=seed
         )
 
     def _candidate_delays(self, sender: int, receivers: Sequence[int], send_time: float) -> List[float]:
-        # A message crosses when it goes from one group to the other.  Within a
-        # group (or involving processes outside both groups) the adversary
-        # chooses prompt, synchronous-looking delays even before GST: this is
-        # exactly the scheduling freedom the partitioning argument exploits.
-        if send_time >= self.release_time:
-            other: frozenset = frozenset()
-        elif sender in self.group_a:
-            other = self.group_c
-        elif sender in self.group_c:
-            other = self.group_a
-        else:
-            other = frozenset()
+        held = self._held.get(sender, ()) if send_time < self.release else ()
         prompt = send_time + self.min_delay
-        released = self.release_time + self.min_delay
+        released = self.release + self.min_delay
         span = self.delta - self.min_delay
         random = self._rng.random
-        return [(released if receiver in other else prompt) + random() * span for receiver in receivers]
-
-
-class StalledDelayModel(DelayModel):
-    """Stalls traffic among non-favoured processes until ``stall_until``.
-
-    The adversarial scheduling behind the split-brain attack on leader-based
-    consensus at ``n <= 3t``: messages between *non-favoured* processes
-    (typically the correct ones) are held back until ``stall_until``, while
-    any message with a favoured sender **or** receiver — the adversary's own
-    traffic in both directions — is delivered promptly.  A Byzantine leader
-    can therefore run private vote-collection conversations with disjoint
-    groups of correct processes faster than those groups can compare notes.
-
-    ``stall_until`` doubles as the GST, so the stall is exactly the pre-GST
-    scheduling freedom the partial-synchrony model grants: the base-class
-    clamp still bounds every correct-sender delivery by
-    ``max(send, gst) + delta``, and after ``stall_until`` the network behaves
-    like the default prompt model.
-    """
-
-    def __init__(
-        self,
-        favoured: set,
-        stall_until: float,
-        delta: float = 1.0,
-        min_delay: float = 0.1,
-        seed: int = 0,
-        schedule_hook: Optional[ScheduleHook] = None,
-    ):
-        self.favoured = frozenset(favoured)
-        self.stall_until = stall_until
-        super().__init__(
-            gst=stall_until,
-            delta=delta,
-            min_delay=min_delay,
-            seed=seed,
-            schedule_hook=schedule_hook,
-        )
-
-    def _candidate_delays(self, sender: int, receivers: Sequence[int], send_time: float) -> List[float]:
-        # Every message draws a prompt delay; a stalled one (no favoured end,
-        # before stall_until) draws a second, after the stall, and keeps that.
-        early = send_time + self.min_delay
-        span = self.delta - self.min_delay
-        random = self._rng.random
-        if send_time >= self.stall_until or sender in self.favoured:
-            return [early + random() * span for _ in receivers]
-        stalled = self.stall_until + self.min_delay
-        favoured = self.favoured
-        times = []
-        for receiver in receivers:
-            prompt = early + random() * span
-            times.append(prompt if receiver in favoured else stalled + random() * span)
-        return times
+        return [(released if receiver in held else prompt) + random() * span for receiver in receivers]
 
 
 class JitteredDelayModel(DelayModel):
@@ -317,11 +229,10 @@ class JitteredDelayModel(DelayModel):
         seed: int = 0,
         alpha: float = 1.5,
         jitter_scale: Optional[float] = None,
-        schedule_hook: Optional[ScheduleHook] = None,
     ):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        super().__init__(gst=gst, delta=delta, min_delay=min_delay, seed=seed, schedule_hook=schedule_hook)
+        super().__init__(gst=gst, delta=delta, min_delay=min_delay, seed=seed)
         self.alpha = alpha
         self.jitter_scale = delta if jitter_scale is None else jitter_scale
 

@@ -61,15 +61,14 @@ class TestBestEffortBroadcast:
         assert (0, "direct") in sim.processes[2].delivered
         assert (0, "direct") not in sim.processes[1].delivered
 
-    def test_callback_can_be_attached_later(self):
-        class LateCallback(Process):
+    def test_callback_given_at_construction_sees_every_delivery(self):
+        class CallbackProcess(Process):
             def on_start(self):
-                self.beb = BestEffortBroadcast(self)
                 self.got = []
-                self.beb.set_deliver_callback(lambda s, m: self.got.append(m))
+                self.beb = BestEffortBroadcast(self, on_deliver=lambda s, m: self.got.append(m))
                 self.beb.broadcast_message("x")
 
-        sim = run_simulation(lambda pid, s: LateCallback(pid, s))
+        sim = run_simulation(lambda pid, s: CallbackProcess(pid, s))
         assert sim.processes[0].got == ["x"] * 4 or len(sim.processes[0].got) == 4
 
 

@@ -14,6 +14,7 @@ from repro.experiments.scenario import DELAY_MODELS
 from repro.sim import (
     DelayModel,
     Envelope,
+    HeldLinksDelayModel,
     Process,
     Simulation,
     SynchronousDelayModel,
@@ -261,28 +262,6 @@ class TestQuadMalformedPayloads:
         assert not calls and quad.decided_value == decided
 
 
-class HeldLinksDelayModel(DelayModel):
-    """Every message takes a delay drawn from ``[min_delay, delta]``, one per receiver.
-
-    On a held directed link the delay counts from GST instead of from the
-    send, so a message sent there before GST arrives just after it.  Every
-    schedule is inside the partial-synchrony contract.
-    """
-
-    def __init__(self, held, seed):
-        super().__init__(gst=20.0, delta=1.0, seed=seed)
-        self.held = held
-
-    def _candidate_delays(self, sender, receivers, send_time):
-        late = max(send_time, self.gst)
-        span = self.delta - self.min_delay
-        draw = self._rng.random
-        return [
-            (late if (sender, receiver) in self.held else send_time) + self.min_delay + draw() * span
-            for receiver in receivers
-        ]
-
-
 class TestQuadStaleView:
     """A correct process locks and commit-votes only in its current view.
 
@@ -300,7 +279,9 @@ class TestQuadStaleView:
     )
     def test_late_precommit_from_an_old_view_breaks_no_agreement(self, monkeypatch, adversary, held):
         monkeypatch.setitem(
-            DELAY_MODELS, "held-links", lambda spec, seed: HeldLinksDelayModel(held, seed)
+            DELAY_MODELS,
+            "held-links",
+            lambda spec, seed: HeldLinksDelayModel(held, release=20.0, seed=seed),
         )
         spec = make_scenario("quad", adversary=adversary, delay="held-links", n=4, t=1, name="held")
         result = execute_run(spec, 2023)

@@ -6,11 +6,11 @@ every message from a correct sender is delivered within::
     send_time + min_delay  <=  delivery  <=  max(send_time, gst) + delta
 
 These tests sweep every registered delay model under a family of adversarial
-``schedule_hook``s and assert the bound holds for every correct-sender
-delivery — including the regression case that motivated the refactor
-(``PartitionDelayModel`` with an explicit ``gst`` before the release time,
+``_candidate_delays`` overrides and assert the bound holds for every
+correct-sender delivery — including the regression case that motivated the
+refactor (a partition with an explicit ``gst`` before the release time,
 which previously let cross-group messages from correct senders land after
-``GST + delta``, and ignored ``schedule_hook`` entirely).
+``GST + delta``).
 """
 
 import random
@@ -18,13 +18,14 @@ import random
 import pytest
 
 from repro.experiments import DELAY_MODELS, make_scenario
-from repro.sim import DelayModel, JitteredDelayModel, PartitionDelayModel
+from repro.sim import DelayModel, HeldLinksDelayModel, JitteredDelayModel
 
 SEEDS = (0, 2023, 77)
 
-# Adversarial schedule hooks: each tries to push deliveries outside the
-# contract window in a different way.
-HOOKS = {
+# Adversarial candidate shapes, ``(sender, receiver, send_time, candidate) ->
+# delivery or None``: each tries to push deliveries outside the contract
+# window in a different way.
+SHAPES = {
     "none": None,
     "huge": lambda s, r, t, d: 1_000_000.0,
     "negative": lambda s, r, t, d: -5.0,
@@ -32,6 +33,24 @@ HOOKS = {
     "nudge": lambda s, r, t, d: d + 0.4,
     "selective": lambda s, r, t, d: 900.0 if (s + r) % 2 == 0 else None,
 }
+
+
+def override_candidates(model: DelayModel, shape) -> DelayModel:
+    """Override ``model``'s ``_candidate_delays``: its own draws, then ``shape`` per receiver."""
+    if shape is None:
+        return model
+    draw = model._candidate_delays
+
+    def candidates(sender, receivers, send_time):
+        times = draw(sender, receivers, send_time)
+        for index, receiver in enumerate(receivers):
+            override = shape(sender, receiver, send_time, times[index])
+            if override is not None:
+                times[index] = override
+        return times
+
+    model._candidate_delays = candidates
+    return model
 
 
 def contract_holds(model: DelayModel, sender: int, receiver: int, send_time: float) -> None:
@@ -45,12 +64,11 @@ def contract_holds(model: DelayModel, sender: int, receiver: int, send_time: flo
 
 
 @pytest.mark.parametrize("delay_key", sorted(DELAY_MODELS))
-@pytest.mark.parametrize("hook_key", sorted(HOOKS))
-def test_registered_models_respect_contract_under_adversarial_hooks(delay_key, hook_key):
+@pytest.mark.parametrize("shape_key", sorted(SHAPES))
+def test_registered_models_respect_contract_under_adversarial_candidates(delay_key, shape_key):
     spec = make_scenario("binary", delay=delay_key, n=7, t=2)
     for seed in SEEDS:
-        model = DELAY_MODELS[delay_key](spec, seed)
-        model.schedule_hook = HOOKS[hook_key]
+        model = override_candidates(DELAY_MODELS[delay_key](spec, seed), SHAPES[shape_key])
         sampler = random.Random(seed * 31 + 7)
         for _ in range(200):
             sender = sampler.randrange(spec.n)
@@ -60,10 +78,15 @@ def test_registered_models_respect_contract_under_adversarial_hooks(delay_key, h
 
 
 def test_byzantine_senders_keep_causality_floor_but_no_upper_bound():
-    model = DelayModel(gst=0.0, delta=2.0, min_delay=0.5, seed=1, schedule_hook=lambda s, r, t, d: 1_000.0)
+    model = override_candidates(DelayModel(gst=0.0, delta=2.0, min_delay=0.5, seed=1), lambda s, r, t, d: 1_000.0)
     assert model.delivery_time(0, 1, 5.0, sender_correct=False) == 1_000.0
-    model.schedule_hook = lambda s, r, t, d: -100.0
+    model = override_candidates(DelayModel(gst=0.0, delta=2.0, min_delay=0.5, seed=1), lambda s, r, t, d: -100.0)
     assert model.delivery_time(0, 1, 5.0, sender_correct=False) == 5.5
+
+
+def test_an_override_can_delay_but_not_violate_contract():
+    model = override_candidates(DelayModel(gst=0.0, delta=2.0, min_delay=0.5, seed=1), lambda s, r, t, d: 1_000.0)
+    assert model.delivery_time(0, 1, 5.0, sender_correct=True) == 7.0  # clamped to send + delta
 
 
 def test_delivery_time_is_final():
@@ -83,15 +106,14 @@ def test_delivery_times_is_final():
 
 
 @pytest.mark.parametrize("delay_key", sorted(DELAY_MODELS))
-@pytest.mark.parametrize("hook_key", ["none", "selective", "zero"])
-def test_one_call_for_all_receivers_equals_one_call_per_receiver(delay_key, hook_key):
+@pytest.mark.parametrize("shape_key", ["none", "selective", "zero"])
+def test_one_call_for_all_receivers_equals_one_call_per_receiver(delay_key, shape_key):
     # The simulator asks for a whole send's delays at once; a same-seed twin
     # asked once per receiver must see the same times and stay in step.
     spec = make_scenario("binary", delay=delay_key, n=7, t=2)
     for seed in SEEDS:
-        batched = DELAY_MODELS[delay_key](spec, seed)
-        single = DELAY_MODELS[delay_key](spec, seed)
-        batched.schedule_hook = single.schedule_hook = HOOKS[hook_key]
+        batched = override_candidates(DELAY_MODELS[delay_key](spec, seed), SHAPES[shape_key])
+        single = override_candidates(DELAY_MODELS[delay_key](spec, seed), SHAPES[shape_key])
         gst = batched.gst
         send_times = (0.0, gst / 2, gst, gst + 0.3, gst + 4.0)
         for send_time in send_times:
@@ -120,8 +142,8 @@ class TestPartitionModelRegression:
     def test_explicit_gst_before_release_cannot_violate_contract(self):
         # Regression: an explicit gst < release_time used to let cross-group
         # messages from correct senders land after max(send, gst) + delta.
-        model = PartitionDelayModel(
-            group_a={0}, group_c={2}, release_time=50.0, delta=1.0, min_delay=0.1, seed=1, gst=2.0
+        model = HeldLinksDelayModel(
+            held={(0, 2), (2, 0)}, release=50.0, delta=1.0, min_delay=0.1, seed=1, gst=2.0
         )
         for send_time in (0.0, 1.0, 3.0, 49.0):
             contract_holds(model, 0, 2, send_time)
@@ -130,25 +152,10 @@ class TestPartitionModelRegression:
         assert model.delivery_time(0, 2, 1.0, sender_correct=False) > 50.0
 
     def test_partition_still_blocks_until_release_when_gst_is_release(self):
-        model = PartitionDelayModel(group_a={0}, group_c={2}, release_time=50.0, delta=1.0, seed=1)
+        model = HeldLinksDelayModel(held={(0, 2), (2, 0)}, release=50.0, delta=1.0, seed=1)
         assert model.delivery_time(0, 2, 1.0, True) > 50.0
         assert model.delivery_time(0, 1, 1.0, True) < 50.0
         contract_holds(model, 0, 2, 1.0)
-
-    def test_partition_model_honours_schedule_hook(self):
-        # Regression: schedule_hook used to be silently ignored.
-        seen = []
-
-        def hook(sender, receiver, send_time, candidate):
-            seen.append((sender, receiver, send_time, candidate))
-            return 7.0
-
-        model = PartitionDelayModel(
-            group_a={0}, group_c={2}, release_time=5.0, delta=1.0, seed=1, schedule_hook=hook
-        )
-        assert model.delivery_time(0, 1, 1.0, sender_correct=True) == 6.0  # clamped to gst + delta
-        assert model.delivery_time(0, 1, 6.5, sender_correct=True) == 7.0  # within contract
-        assert len(seen) == 2
 
 
 class TestJitteredModel:

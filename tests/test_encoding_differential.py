@@ -105,13 +105,13 @@ def test_no_stale_hit_when_an_id_is_reused():
     # would hand the block to one of the fresh tuples, and an id-keyed slot
     # would answer for it with the dropped configuration's bytes.
     for index in range(100):
-        value = InputConfiguration.unanimous(range(10), index)
+        value = InputConfiguration.from_mapping(dict.fromkeys(range(10), index))
         assert stable_encode(value) == reference.stable_encode(value)
         remembered = id(value.pairs)
         del value
         if index % 10 == 0:
             gc.collect()
-        fresh = [InputConfiguration.unanimous(range(10), (index, k)) for k in range(8)]
+        fresh = [InputConfiguration.from_mapping(dict.fromkeys(range(10), (index, k))) for k in range(8)]
         assert remembered not in {id(config.pairs) for config in fresh}
         for config in fresh:
             assert stable_encode(config) == reference.stable_encode(config)

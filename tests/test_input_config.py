@@ -60,11 +60,6 @@ class TestInputConfigurationBasics:
         assert make_config({0: 1, 1: 1, 2: 1}).unanimous_value() == 1
         assert make_config({0: 1, 1: 2}).unanimous_value() is None
 
-    def test_unanimous_constructor(self):
-        config = InputConfiguration.unanimous([0, 1, 4], "v")
-        assert config.unanimous_value() == "v"
-        assert config.processes == frozenset({0, 1, 4})
-
     def test_equality_and_hash(self):
         a = make_config({0: 1, 1: 2})
         b = InputConfiguration([ProcessProposal(1, 2), ProcessProposal(0, 1)])
@@ -84,24 +79,20 @@ class TestInputConfigurationBasics:
         assert 5 not in config
 
 
+def fits(config, system):
+    """The paper's constraints: size in ``[n - t, n]`` and process indices below ``n``."""
+    in_size = system.min_configuration_size <= config.size <= system.max_configuration_size
+    return in_size and all(0 <= process < system.n for process in config.processes)
+
+
 class TestValidation:
-    def test_is_valid_for_size_bounds(self):
-        system = SystemConfig(n=4, t=1)
-        assert make_config({0: 1, 1: 1, 2: 1}).is_valid_for(system)
-        assert make_config({0: 1, 1: 1, 2: 1, 3: 1}).is_valid_for(system)
-        assert not make_config({0: 1, 1: 1}).is_valid_for(system)
-
-    def test_is_valid_for_process_range(self):
-        system = SystemConfig(n=4, t=1)
-        assert not make_config({0: 1, 1: 1, 7: 1}).is_valid_for(system)
-
     def test_enumerated_configurations_are_valid_only_for_their_system(self):
         system = SystemConfig(n=5, t=1)
         configs = list(enumerate_input_configurations(system, [0, 1]))
-        assert all(config.is_valid_for(system) for config in configs)
+        assert all(fits(config, system) for config in configs)
         # A larger t admits smaller configurations; a smaller n drops process 4.
-        assert all(config.is_valid_for(SystemConfig(n=5, t=2)) for config in configs)
-        assert not all(config.is_valid_for(SystemConfig(n=4, t=1)) for config in configs)
+        assert all(fits(config, SystemConfig(n=5, t=2)) for config in configs)
+        assert not all(fits(config, SystemConfig(n=4, t=1)) for config in configs)
 
 
 class TestEnumeration:
@@ -171,7 +162,7 @@ class TestInputConfigurationProperties:
         distinct = config.distinct_proposals()
         if len(distinct) == 1:
             assert config.unanimous_value() in distinct
-            assert config == InputConfiguration.unanimous(config.processes, config.unanimous_value())
+            assert config == InputConfiguration.from_mapping(dict.fromkeys(config.processes, config.unanimous_value()))
         else:
             assert config.unanimous_value() is None
 

@@ -121,7 +121,7 @@ class TestSimilarityEnumeration:
 
     def test_unanimous_config_similar_to_all_unanimous_supersets(self):
         system = SystemConfig(n=4, t=1)
-        config = InputConfiguration.unanimous([0, 1, 2], "v")
+        config = InputConfiguration.from_mapping(dict.fromkeys([0, 1, 2], "v"))
         sims = set(configuration_space(system, ["v", "w"]).similar_to(config))
-        assert InputConfiguration.unanimous([0, 1, 2, 3], "v") in sims
-        assert InputConfiguration.unanimous([1, 2, 3], "v") in sims
+        assert InputConfiguration.from_mapping(dict.fromkeys([0, 1, 2, 3], "v")) in sims
+        assert InputConfiguration.from_mapping(dict.fromkeys([1, 2, 3], "v")) in sims

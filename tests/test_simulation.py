@@ -6,7 +6,7 @@ from repro.core import SystemConfig
 from repro.sim import (
     DelayModel,
     Envelope,
-    PartitionDelayModel,
+    HeldLinksDelayModel,
     Process,
     ProtocolModule,
     Simulation,
@@ -76,23 +76,11 @@ class TestDelayModel:
         with pytest.raises(ValueError):
             DelayModel(gst=-1.0)
 
-    def test_schedule_hook_can_delay_but_not_violate_contract(self):
-        hook = lambda sender, receiver, send_time, default: 1_000.0
-        model = DelayModel(gst=0.0, delta=2.0, min_delay=0.5, seed=1, schedule_hook=hook)
-        delivery = model.delivery_time(0, 1, 5.0, sender_correct=True)
-        assert delivery <= 7.0
-        byzantine_delivery = model.delivery_time(0, 1, 5.0, sender_correct=False)
-        assert byzantine_delivery == 1_000.0
-
     def test_partition_model_delays_cross_group_messages(self):
-        model = PartitionDelayModel(group_a={0}, group_c={2}, release_time=50.0, delta=1.0, seed=1)
+        model = HeldLinksDelayModel(held={(0, 2), (2, 0)}, release=50.0, delta=1.0, seed=1)
         assert model.delivery_time(0, 2, 1.0, True) > 50.0
         assert model.delivery_time(2, 0, 1.0, True) > 50.0
         assert model.delivery_time(0, 1, 1.0, True) < 50.0
-
-    def test_partition_groups_must_be_disjoint(self):
-        with pytest.raises(ValueError):
-            PartitionDelayModel(group_a={0}, group_c={0}, release_time=1.0)
 
 
 class TestSimulationBasics:

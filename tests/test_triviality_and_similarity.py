@@ -61,7 +61,7 @@ class TestTriviality:
 class TestSimilarityIntersection:
     def test_intersection_for_unanimous_configuration(self):
         result = check_similarity_condition(StrongValidity(BINARY), SYSTEM_OK, BINARY)
-        config = InputConfiguration.unanimous([0, 1, 2], 1)
+        config = InputConfiguration.from_mapping(dict.fromkeys([0, 1, 2], 1))
         assert result.admissible_intersections[config] == frozenset({1})
 
     def test_intersection_is_subset_of_own_admissible_set(self):
@@ -110,7 +110,7 @@ class TestSimilarityCondition:
     def test_lambda_function_rejects_unknown_configuration(self):
         result = check_similarity_condition(StrongValidity(BINARY), SYSTEM_OK, BINARY)
         lambda_fn = result.lambda_function()
-        oversized = InputConfiguration.unanimous([0, 1, 2, 3], 0)
+        oversized = InputConfiguration.from_mapping(dict.fromkeys([0, 1, 2, 3], 0))
         with pytest.raises(KeyError):
             lambda_fn(oversized)
 
