@@ -107,9 +107,10 @@ class CheapLeaderProcess(Process):
 
 
 class _IsolationDelayModel(DelayModel):
-    """The default draws, except every message to or from ``victim`` sent before GST arrives at ``gst + 0.5``.
+    """Theorem 4's isolation adversary: the default draws, but the victim is cut off until GST.
 
-    The victim is isolated exactly until its timeout has long fired; with the
+    Every message to or from ``victim`` sent before GST arrives at
+    ``gst + 0.5``, long after the victim's timeout has fired; with the
     release at GST the schedule stays inside partial synchrony.
     """
 

@@ -56,8 +56,8 @@ class DelayModel:
     ``delivery_times`` is **final**: it asks :meth:`_candidate_delays` for
     one candidate delivery time per receiver and clamps the results to the
     partial-synchrony contract for correct senders, so no subclass can
-    accidentally violate the model.  Subclasses express network behaviours by overriding
-    :meth:`_candidate_delays` only.
+    accidentally violate the model.  Subclasses express network behaviours
+    by overriding :meth:`_candidate_delays` only.
 
     Args:
         gst: The Global Stabilization Time of the execution.
@@ -107,8 +107,8 @@ class DelayModel:
         One delay is drawn per receiver, in receiver order.  Messages from
         correct senders always respect the partial-synchrony contract;
         messages from Byzantine senders may be delayed arbitrarily by the
-        candidate model (they carry no guarantee in the model)
-        but never below the ``min_delay`` causality floor.
+        candidate model (they carry no guarantee in the model) but never
+        below the ``min_delay`` causality floor.
         """
         times = self._candidate_delays(sender, receivers, send_time)
         # The clamps, per receiver; min()/max() skip a pass that would change nothing.

@@ -77,16 +77,18 @@ def test_registered_models_respect_contract_under_adversarial_candidates(delay_k
             contract_holds(model, sender, receiver, send_time)
 
 
+def every_candidate(delivery) -> DelayModel:
+    return override_candidates(DelayModel(gst=0.0, delta=2.0, min_delay=0.5, seed=1), lambda s, r, t, d: delivery)
+
+
 def test_byzantine_senders_keep_causality_floor_but_no_upper_bound():
-    model = override_candidates(DelayModel(gst=0.0, delta=2.0, min_delay=0.5, seed=1), lambda s, r, t, d: 1_000.0)
-    assert model.delivery_time(0, 1, 5.0, sender_correct=False) == 1_000.0
-    model = override_candidates(DelayModel(gst=0.0, delta=2.0, min_delay=0.5, seed=1), lambda s, r, t, d: -100.0)
-    assert model.delivery_time(0, 1, 5.0, sender_correct=False) == 5.5
+    assert every_candidate(1_000.0).delivery_time(0, 1, 5.0, sender_correct=False) == 1_000.0
+    assert every_candidate(-100.0).delivery_time(0, 1, 5.0, sender_correct=False) == 5.5
 
 
 def test_an_override_can_delay_but_not_violate_contract():
-    model = override_candidates(DelayModel(gst=0.0, delta=2.0, min_delay=0.5, seed=1), lambda s, r, t, d: 1_000.0)
-    assert model.delivery_time(0, 1, 5.0, sender_correct=True) == 7.0  # clamped to send + delta
+    # Clamped to send + delta for a correct sender.
+    assert every_candidate(1_000.0).delivery_time(0, 1, 5.0, sender_correct=True) == 7.0
 
 
 def test_delivery_time_is_final():
