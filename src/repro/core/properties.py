@@ -39,6 +39,8 @@ from .validity import ValidityProperty
 class StrongValidity(ValidityProperty):
     """If all correct processes propose ``v``, only ``v`` can be decided."""
 
+    anonymous = True
+
     def __init__(self, output_domain: Optional[Sequence[Value]] = None):
         self.name = "strong-validity"
         self.output_domain = tuple(output_domain) if output_domain is not None else None
@@ -52,6 +54,8 @@ class StrongValidity(ValidityProperty):
 
 class WeakValidity(ValidityProperty):
     """If all ``n`` processes are correct and propose ``v``, ``v`` must be decided."""
+
+    anonymous = True
 
     def __init__(self, system: SystemConfig, output_domain: Optional[Sequence[Value]] = None):
         self.name = "weak-validity"
@@ -70,6 +74,8 @@ class WeakValidity(ValidityProperty):
 class CorrectProposalValidity(ValidityProperty):
     """A decided value must have been proposed by a correct process."""
 
+    anonymous = True
+
     def __init__(self, output_domain: Optional[Sequence[Value]] = None):
         self.name = "correct-proposal-validity"
         self.output_domain = tuple(output_domain) if output_domain is not None else None
@@ -85,6 +91,8 @@ class _RankValidity(ValidityProperty):
     the two bounding proposals are computed once per configuration, however
     many output values are then checked against them.
     """
+
+    anonymous = True
 
     @abstractmethod
     def _ranks(self, count: int) -> Optional[Tuple[int, int]]:
@@ -187,6 +195,8 @@ class ConvexHullValidity(_RankValidity):
 class ConstantValidity(ValidityProperty):
     """Only one fixed value is ever admissible (the canonical trivial property)."""
 
+    anonymous = True
+
     def __init__(self, constant: Value, output_domain: Optional[Sequence[Value]] = None):
         self.name = f"constant-validity({constant!r})"
         self.constant = constant
@@ -201,6 +211,8 @@ class ConstantValidity(ValidityProperty):
 
 class FreeValidity(ValidityProperty):
     """Every output value is always admissible (consensus without validity)."""
+
+    anonymous = True
 
     def __init__(self, output_domain: Optional[Sequence[Value]] = None):
         self.name = "free-validity"

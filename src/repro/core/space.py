@@ -22,10 +22,12 @@ over the processes ``p`` of ``c``: some shared process agrees, and no shared
 process disagrees — ``O(n)`` big-integer operations per configuration.
 
 A property enters only through :func:`evaluate_property`, which evaluates
-``val(c)`` once per configuration into an :class:`AdmissibilityTable` (one
-mask per output value).  "``v`` is admissible throughout a region of ``I``"
-is then one AND: triviality asks it of the whole space, the similarity
-condition of each neighbourhood.
+``val(c)`` into an :class:`AdmissibilityTable` (one mask per output value):
+once per proposal multiset for an anonymous property (one whose ``val(c)``
+reads only how many processes propose each value; every named property of
+the paper is one), once per configuration for any other.  "``v`` is
+admissible throughout a region of ``I``" is then one AND: triviality asks it
+of the whole space, the similarity condition of each neighbourhood.
 
 >>> from repro.core.system import SystemConfig
 >>> space = configuration_space(SystemConfig(3, 1), [0, 1])
@@ -35,13 +37,15 @@ condition of each neighbourhood.
 [InputConfiguration[(P0, 0), (P1, 0)], InputConfiguration[(P0, 0), (P2, 0)]]
 >>> bin(space.neighbourhoods[0])
 '0b11001100110001'
+>>> len(space.multisets)
+7
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .input_config import InputConfiguration, Value, enumerate_input_configurations
 from .ordering import canonical_key
@@ -61,12 +65,15 @@ class ConfigurationSpace:
             which puts the minimal configurations first; bit ``i`` of every
             mask stands for ``configurations[i]``.
         neighbourhoods: ``sim(c)`` as a mask, for each minimal configuration.
+        multisets: ``I`` grouped by proposal multiset, as ``(first
+            configuration, mask of the group)`` pairs in enumeration order.
     """
 
     system: SystemConfig
     domain: Tuple[Value, ...]
     configurations: Tuple[InputConfiguration, ...]
     neighbourhoods: Tuple[int, ...]
+    multisets: Tuple[Tuple[InputConfiguration, int], ...]
     _containing: Dict[int, int]
     _proposing: Dict[Tuple[int, Value], int]
 
@@ -130,11 +137,16 @@ def _build_space(
     proposing: Dict[Tuple[int, Value], int] = {
         (process, value): 0 for process in system.processes for value in domain
     }
+    position = {value: index for index, value in enumerate(domain)}
+    multisets: Dict[Tuple[int, ...], List] = {}
     for index, config in enumerate(configurations):
         bit = 1 << index
+        counts = [0] * len(domain)
         for pair in config.pairs:
             containing[pair.process] |= bit
             proposing[pair.process, pair.proposal] |= bit
+            counts[position[pair.proposal]] += 1
+        multisets.setdefault(tuple(counts), [config, 0])[1] |= bit
     return ConfigurationSpace(
         system=system,
         domain=domain,
@@ -144,6 +156,7 @@ def _build_space(
             for config in configurations
             if config.size == system.quorum
         ),
+        multisets=tuple((config, mask) for config, mask in multisets.values()),
         _containing=containing,
         _proposing=proposing,
     )
@@ -191,20 +204,24 @@ def evaluate_property(
     input_domain: Sequence[Value],
     output_domain: Optional[Sequence[Value]] = None,
 ) -> AdmissibilityTable:
-    """Evaluate ``val(c)`` once for every ``c`` in ``I``.
+    """Evaluate ``val(c)`` over all of ``I``.
 
+    An anonymous property is evaluated once per proposal multiset, on the
+    first configuration of each, and any other once per configuration.
     ``output_domain`` defaults to the property's own domain, or to
     ``input_domain`` when it has none.
     """
     domain = output_domain if output_domain is not None else prop.output_domain
-    if domain is None:
-        domain = input_domain
+    # One tuple for the whole evaluation: a table property remembers its set by identity.
+    domain = tuple(domain if domain is not None else input_domain)
     space = configuration_space(system, input_domain)
     masks: Dict[Value, int] = dict.fromkeys(domain, 0)
-    for index, config in enumerate(space.configurations):
+    groups = space.multisets if prop.anonymous else (
+        (config, 1 << index) for index, config in enumerate(space.configurations)
+    )
+    for config, group in groups:
         admissible = prop.admissible_values(config, domain)
-        bit = 1 << index
         for value in masks:
             if value in admissible:
-                masks[value] |= bit
+                masks[value] |= group
     return AdmissibilityTable(space=space, masks=masks)

@@ -33,10 +33,17 @@ class ValidityProperty(ABC):
             :meth:`admissible_values` can be called without an explicit
             domain argument and the property can be fed to the decision
             procedures (triviality, similarity condition, classification).
+        anonymous: ``True`` iff ``val(c)`` depends only on the multiset of
+            ``c``'s proposals (and so on its size), not on which process
+            proposed what; :func:`~repro.core.space.evaluate_property` then
+            evaluates it once per proposal multiset instead of once per
+            configuration.  A subclass that reads process identities must
+            leave it ``False``.
     """
 
     name: str = "validity"
     output_domain: Optional[Sequence[Value]] = None
+    anonymous: bool = False
 
     @abstractmethod
     def is_admissible(self, config: InputConfiguration, value: Value) -> bool:
@@ -104,6 +111,10 @@ class TableValidity(ValidityProperty):
                 raise ValueError(f"validity property must be non-empty for every configuration; empty for {config}")
         self.output_domain = tuple(canonical_sorted(set(output_domain)))
         self._domain = frozenset(self.output_domain)
+        # The last tuple domain read, as ``(domain, frozenset(domain))``.  A hit
+        # requires ``is``, and the strong reference keeps the tuple's id from
+        # being reused.
+        self._last_domain = (self.output_domain, self._domain)
         self.name = name
 
     def is_admissible(self, config: InputConfiguration, value: Value) -> bool:
@@ -115,7 +126,15 @@ class TableValidity(ValidityProperty):
     def admissible_values(
         self, config: InputConfiguration, output_domain: Optional[Sequence[Value]] = None
     ) -> FrozenSet[Value]:
-        domain = self._domain if output_domain is None else frozenset(output_domain)
+        if output_domain is None:
+            domain = self._domain
+        else:
+            last, domain = self._last_domain
+            if last is not output_domain:
+                domain = frozenset(output_domain)
+                # Only a tuple is remembered: a list may change under the same id.
+                if type(output_domain) is tuple:
+                    self._last_domain = (output_domain, domain)
         row = self._table.get(config)
         if row is not None:
             return row if row <= domain else row & domain

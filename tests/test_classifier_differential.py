@@ -3,7 +3,8 @@
 :mod:`repro.core.triviality` and :mod:`repro.core.similarity_condition` are
 reductions over the shared :class:`~repro.core.space.ConfigurationSpace`
 (``I`` enumerated once per system, every ``sim(c)`` a bitmask, ``val(c)``
-evaluated once per configuration).  The procedures they replaced are retained
+evaluated once per proposal multiset for an anonymous property and once per
+configuration otherwise).  The procedures they replaced are retained
 beside this file as ``reference_classifier.py``, and this suite pins the
 production path to them: every neighbourhood mask against the pairwise
 ``similar()`` filter, every result object field by field (dict iteration
@@ -13,9 +14,13 @@ hypothesis-drawn table properties, the enumeration unranking against the
 per-system memo.
 """
 
+import collections
+import importlib
+import inspect
 import json
 import os
 import pathlib
+import pkgutil
 import random
 import subprocess
 import sys
@@ -25,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_classifier as reference
+import repro.core
 from repro.analysis.pipeline import (
     DEFAULT_NAMED_SYSTEMS,
     AnalysisError,
@@ -35,18 +41,24 @@ from repro.analysis.pipeline import (
     named_tasks,
     sampled_tasks,
 )
+from repro.core import validity
 from repro.core.input_config import (
     InputConfiguration,
     count_input_configurations,
     enumerate_input_configurations,
 )
-from repro.core.properties import standard_properties
+from repro.core.properties import (
+    ConstantValidity,
+    IntervalValidity,
+    MedianValidity,
+    standard_properties,
+)
 from repro.core.similarity_condition import check_similarity_condition
 from repro.core.solvability import classify, enumerated_property
-from repro.core.space import configuration_space
+from repro.core.space import configuration_space, evaluate_property
 from repro.core.system import SystemConfig
 from repro.core.triviality import check_triviality
-from repro.core.validity import TableValidity, non_empty_subsets
+from repro.core.validity import TableValidity, ValidityProperty, non_empty_subsets
 
 ORACLE_BUDGET = 150_000
 SYSTEMS = [
@@ -221,6 +233,148 @@ class TestPurityUnderTheMemo:
 
 
 # ----------------------------------------------------------------------
+# The anonymity contract: val(c) evaluated once per proposal multiset
+# ----------------------------------------------------------------------
+def declared_anonymous():
+    """Every class of ``repro.core`` that itself declares ``anonymous = True``."""
+    found = set()
+    for module in pkgutil.walk_packages(repro.core.__path__, "repro.core."):
+        for owner in vars(importlib.import_module(module.name)).values():
+            if inspect.isclass(owner) and vars(owner).get("anonymous") is True:
+                found.add(owner)
+    return sorted(found, key=lambda owner: owner.__qualname__)
+
+
+def contract_properties(system, domain):
+    """The named properties, plus rank and constant corners they do not reach."""
+    return list(standard_properties(system, output_domain=list(domain)).values()) + [
+        MedianValidity(radius=0, output_domain=domain),
+        IntervalValidity(k=1, radius=0, output_domain=domain),
+        IntervalValidity(k=system.n, radius=0, output_domain=domain),
+        ConstantValidity(constant=domain[-1], output_domain=domain),
+    ]
+
+
+def anonymity_violations(prop, system, domain):
+    """Where ``prop`` breaks the contract its ``anonymous = True`` claims.
+
+    Two checks: ``val(c)`` is equal throughout every multiset group, and the
+    grouped evaluation yields the masks of a per-configuration one.
+    """
+    space = configuration_space(system, domain)
+    violations = []
+    for first, mask in space.multisets:
+        expected = prop.admissible_values(first, domain)
+        violations.extend(
+            config for config in space.select(mask)
+            if prop.admissible_values(config, domain) != expected
+        )
+    per_configuration = {
+        value: sum(
+            1 << index
+            for index, config in enumerate(space.configurations)
+            if value in prop.admissible_values(config, domain)
+        )
+        for value in domain
+    }
+    if evaluate_property(prop, system, domain).masks != per_configuration:
+        violations.append("masks")
+    return violations
+
+
+class TestAnonymousProperties:
+    SPACES = [(SystemConfig(n, t), domain) for n, t, domain in DEFAULT_NAMED_SYSTEMS]
+    SPACE_IDS = [f"n{system.n}-t{system.t}-d{len(domain)}" for system, domain in SPACES]
+
+    class ProcessZeroValidity(ValidityProperty):
+        """Only P0's proposal, when P0 is correct — which reads a process identity."""
+
+        anonymous = True  # wrongly
+        name = "process-zero-validity"
+
+        def is_admissible(self, config, value):
+            return 0 not in config or config[0] == value
+
+    def test_the_named_systems_include_the_wide_and_the_ternary_space(self):
+        assert (4, 1, (0, 1, 2)) in DEFAULT_NAMED_SYSTEMS
+        assert (6, 2, (0, 1)) in DEFAULT_NAMED_SYSTEMS
+
+    @pytest.mark.parametrize("system, domain", SPACES, ids=SPACE_IDS)
+    def test_multisets_partition_the_space(self, system, domain):
+        space = configuration_space(system, domain)
+        seen, union = set(), 0
+        for first, mask in space.multisets:
+            members = list(space.select(mask))
+            assert members[0] is first
+            multiset = collections.Counter(first.proposals())
+            assert all(collections.Counter(config.proposals()) == multiset for config in members)
+            assert frozenset(multiset.items()) not in seen
+            seen.add(frozenset(multiset.items()))
+            assert not union & mask
+            union |= mask
+        assert union == space.everything
+
+    @pytest.mark.parametrize("system, domain", SPACES, ids=SPACE_IDS)
+    def test_every_declared_class_keeps_the_contract(self, system, domain):
+        declared = declared_anonymous()
+        assert [owner.__name__ for owner in declared] == [
+            "ConstantValidity",
+            "CorrectProposalValidity",
+            "FreeValidity",
+            "StrongValidity",
+            "WeakValidity",
+            "_RankValidity",
+        ]
+        properties = contract_properties(system, domain)
+        for owner in declared:
+            assert any(isinstance(prop, owner) for prop in properties), owner
+        for prop in properties:
+            assert prop.anonymous, prop
+            assert anonymity_violations(prop, system, domain) == [], prop
+
+    @pytest.mark.parametrize("system, domain", SPACES, ids=SPACE_IDS)
+    def test_a_property_reading_a_process_is_rejected(self, system, domain):
+        violations = anonymity_violations(self.ProcessZeroValidity(), system, domain)
+        # Both checks fire: a group with unequal val(c), and the wrong masks.
+        assert violations[:-1] and violations[-1] == "masks"
+
+
+class TestTableDomainMemo:
+    def test_one_domain_set_per_evaluation(self, monkeypatch):
+        system, domain = SystemConfig(3, 1), [0, 1]
+        prop = next(sampled_tables(system, domain, 1))
+        built = []
+
+        def counting_frozenset(*args):
+            built.append(args)
+            return frozenset(*args)
+
+        monkeypatch.setattr(validity, "frozenset", counting_frozenset, raising=False)
+        # classify_task hands over a list of its own, and each evaluation copies
+        # it into a new tuple: one build per evaluation, not per configuration.
+        first = evaluate_property(prop, system, domain, domain)
+        assert len(built) == 1
+        assert evaluate_property(prop, system, domain, domain).masks == first.masks
+        assert len(built) == 2
+        # The property's own domain is one tuple for good.
+        assert evaluate_property(prop, system, domain).masks == first.masks
+        assert evaluate_property(prop, system, domain).masks == first.masks
+        assert len(built) == 3
+
+    def test_a_list_is_never_remembered(self):
+        system = SystemConfig(3, 1)
+        config = configuration_space(system, [0, 1]).configurations[0]
+        prop = TableValidity({config: {0, 1}}, [0, 1])
+        domain = [0, 1]
+        assert prop.admissible_values(config, domain) == {0, 1}
+        domain.remove(1)
+        assert prop.admissible_values(config, domain) == {0}
+        fixed = (1,)
+        assert prop.admissible_values(config, fixed) == prop.admissible_values(config, fixed) == {1}
+        assert prop._last_domain[0] is fixed
+
+
+# ----------------------------------------------------------------------
 # The counted metric: what one analyze_cold unit evaluates and constructs
 # ----------------------------------------------------------------------
 _COUNTING_SCRIPT = """
@@ -300,22 +454,28 @@ class TestAnalyzeColdCounts:
         pairs = sum(
             config.size for system in systems for config in enumerate_input_configurations(system, (0, 1))
         )
-        # val(c) once per configuration per task (there is no pairwise similar()
-        # in repro to call), and I constructed once per system, then not at all.
-        # A configuration hashes its pairs at most once, on first use, so the
-        # warm pass hashes none; a rank property keys each output value once
-        # per configuration (a proposal that is one of those values is not
+        # val(c) once per proposal multiset for each of the 24 named tasks
+        # (27 multisets over the three systems: 216) and once per configuration
+        # for each of the 40 table tasks (960); there is no pairwise similar()
+        # in repro to call, and I is constructed once per system, then not at
+        # all.  A configuration hashes its pairs at most once, on first use, so
+        # the warm pass hashes none; a rank property keys each output value
+        # once per multiset (a proposal that is one of those values is not
         # keyed again), and Lambda reads V_O sorted once per property.
+        multisets = sum(
+            len(configuration_space(system, (0, 1)).multisets) for system in systems[1:]
+        )
+        assert multisets == 27
         assert first["cold"] == {
-            "admissible_values": 2_400,
+            "admissible_values": 8 * multisets + 960,
             "configurations": distinct_spaces,
-            "canonical_key": 1_534,
+            "canonical_key": 616,
             "canonical_sorted": 184,
             "process_proposal_hash": 516,
         }
         assert first["warm"] == {
-            "admissible_values": 2_400,
-            "canonical_key": 1_526,
+            "admissible_values": 1_176,
+            "canonical_key": 608,
             "canonical_sorted": 180,
         }
         assert "process_proposal_hash" not in first["warm"]

@@ -4,12 +4,15 @@ Both impossibility experiments are pre-GST schedules run through the
 simulator, so any change to how a delay model draws or holds a message
 shows up here as a moved message count or decision.  The figures are the
 ones the experiments have always reported; a schedule refactor must leave
-every one of them in place.
+every one of them in place.  The Lemma 2 report carries decisions only, so
+the simulation behind it is recorded and its message count and last
+decision time are pinned as well: a change to the held-links draws that
+leaves both sides' decisions alone still moves them.
 """
 
 import pytest
 
-from repro.analysis import run_lower_bound_experiment, run_partitioning_attack
+from repro.analysis import partitioning, run_lower_bound_experiment, run_partitioning_attack
 from repro.core import SystemConfig
 
 
@@ -57,30 +60,61 @@ def test_theorem4_cheap_decisions_are_pinned(n, expected):
     assert run_lower_bound_experiment(n=n).cheap_decisions == expected
 
 
+@pytest.fixture
+def recorded_simulations(monkeypatch):
+    """Every ``Simulation`` that ``run_partitioning_attack`` builds, in order."""
+    built = []
+
+    class RecordedSimulation(partitioning.Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(partitioning, "Simulation", RecordedSimulation)
+    return built
+
+
 @pytest.mark.parametrize(
-    "kwargs, groups, decisions_a, decisions_c, violated",
+    "kwargs, groups, decisions_a, decisions_c, violated, messages, latency",
     [
-        (dict(t=2), ((0, 1), (2, 3), (4, 5)), {0: 0, 1: 0}, {2: 1, 3: 1}, True),
+        (
+            dict(t=2),
+            ((0, 1), (2, 3), (4, 5)),
+            {0: 0, 1: 0},
+            {2: 1, 3: 1},
+            True,
+            140,
+            20.827673980012865,
+        ),
         (
             dict(t=2, system=SystemConfig(7, 2)),
             ((0, 1), (2, 3, 4), (5, 6)),
             {0: 1, 1: 1},
             {2: 1, 3: 1, 4: 1},
             False,
+            149,
+            400.58409343613283,
         ),
-        (dict(t=1, seed=2), ((0,), (1,), (2,)), {0: 0}, {1: 1}, True),
+        (dict(t=1, seed=2), ((0,), (1,), (2,)), {0: 0}, {1: 1}, True, 51, 13.072596954014001),
         (
             dict(t=2, system=SystemConfig(7, 2), seed=2),
             ((0, 1), (2, 3, 4), (5, 6)),
             {0: 1, 1: 1},
             {2: 1, 3: 1, 4: 1},
             False,
+            142,
+            400.28943104482613,
         ),
     ],
     ids=["n=6", "n=7", "n=3-seed2", "n=7-seed2"],
 )
-def test_lemma2_report_is_pinned(kwargs, groups, decisions_a, decisions_c, violated):
+def test_lemma2_report_is_pinned(
+    recorded_simulations, kwargs, groups, decisions_a, decisions_c, violated, messages, latency
+):
     report = run_partitioning_attack(**kwargs)
+    (simulation,) = recorded_simulations
+    assert simulation.metrics.total_messages == messages
+    assert simulation.metrics.decision_latency() == latency
     assert (report.group_a, report.group_c, report.byzantine_group) == groups
     assert report.decisions_a == decisions_a
     assert report.decisions_c == decisions_c

@@ -32,6 +32,8 @@ from repro.core import (
     WeakValidity,
     check_similarity_condition,
     classify,
+    count_validity_properties,
+    enumerated_property,
 )
 from repro.core.extended import (
     ClientWallet,
@@ -81,6 +83,21 @@ class TestFigure1Classification:
         for row in report.named_rows():
             if row["solvable"]:
                 assert row["trivial"], row
+
+    def test_theorem1_over_every_property_of_the_smallest_system(self):
+        # (2, 1) over {0, 1}: |I| = 8, so 3^8 properties.  A value admissible
+        # everywhere leaves 2 choices per configuration: 2^8 for each of the two
+        # values, minus the one property admitting both everywhere.
+        system, domain = SystemConfig(2, 1), [0, 1]
+        total = count_validity_properties(system, 2, 2)
+        assert total == 6_561
+        solvable = trivial = 0
+        for index in range(total):
+            verdict = classify(enumerated_property(system, domain, domain, index), system, domain)
+            assert verdict.trivial or not verdict.solvable, verdict.property_name
+            solvable += verdict.solvable
+            trivial += verdict.trivial
+        assert solvable == trivial == 2 * 2**8 - 1
 
 
 # ----------------------------------------------------------------------
