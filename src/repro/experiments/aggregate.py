@@ -76,6 +76,18 @@ class ScenarioSummary:
         return asdict(self)
 
 
+SUMMARY_OK = "ok"
+"""Rendered status of a scenario summary whose every run passed."""
+
+SUMMARY_FAIL = "FAIL"
+"""Rendered status of a scenario summary with errors or violations."""
+
+
+def summary_status(ok: bool) -> str:
+    """The rendered status cell for a scenario summary (live sweep and store report)."""
+    return SUMMARY_OK if ok else SUMMARY_FAIL
+
+
 class _ScenarioAccumulator:
     """Streaming per-scenario fold: counters plus the metric value lists.
 

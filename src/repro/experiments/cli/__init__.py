@@ -69,9 +69,13 @@ from typing import Optional, Sequence
 import sys
 
 from ...jobs.spec import DEFAULT_FUZZ_BASES
-from ...jobs.status import EXIT_EMPTY_SLICE, EXIT_INTERRUPTED
 from . import analyze, compare, fuzz, report, run, stats
-from .common import DEFAULT_MATRIX_BASELINE, DEFAULT_VERDICT_BASELINE
+from .common import (
+    DEFAULT_MATRIX_BASELINE,
+    DEFAULT_VERDICT_BASELINE,
+    EXIT_EMPTY_SLICE,
+    EXIT_INTERRUPTED,
+)
 from .listing import command_list
 from .validators import parse_seeds
 

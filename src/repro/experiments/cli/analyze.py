@@ -7,11 +7,12 @@ import pathlib
 import sys
 
 from ...jobs import AnalyzeJob, ExecutionSession, JobSpecError
-from ...jobs.status import EXIT_FAILURE, EXIT_OK
 from ...store.store import StoreFormatError
 from .common import (
     DEFAULT_MATRIX_BASELINE,
     DEFAULT_VERDICT_BASELINE,
+    EXIT_FAILURE,
+    EXIT_OK,
     add_observability_arguments,
     add_parallelism_arguments,
     add_resilience_arguments,

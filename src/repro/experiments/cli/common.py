@@ -1,8 +1,9 @@
-"""Shared CLI plumbing: failure rendering, slice arguments, default paths.
+"""Shared CLI plumbing: exit codes, failure rendering, slice arguments, paths.
 
-Every command module renders configuration errors and empty slices through
-:func:`fail` / :func:`fail_empty`, so the ``error:`` / ``empty slice:``
-prefixes and the exit codes (from :mod:`repro.jobs.status`) are defined in
+The process exit codes are flat constants here — the CLI contract, usable
+directly as a CI gate.  Every command module renders configuration errors
+and empty slices through :func:`fail` / :func:`fail_empty`, so the
+``error:`` / ``empty slice:`` prefixes and their exit codes are defined in
 exactly one place.
 """
 
@@ -12,8 +13,26 @@ import argparse
 import pathlib
 import sys
 
-from ...jobs.status import EXIT_CONFIG, EXIT_EMPTY_SLICE
 from ..scenario import ADVERSARIES, DELAY_MODELS, PROTOCOLS
+
+EXIT_OK = 0
+"""Success: the job completed cleanly."""
+
+EXIT_FAILURE = 1
+"""Failures: failing runs, regressions, divergences, require-cached misses."""
+
+EXIT_CONFIG = 2
+"""Configuration error: the request itself was invalid."""
+
+EXIT_EMPTY_SLICE = 3
+"""``report``/``compare`` matched no (current-code) records — distinct from
+:data:`EXIT_CONFIG` so CI can tell "you asked for nothing" from "you asked
+wrongly"."""
+
+EXIT_INTERRUPTED = 130
+"""The job was interrupted (Ctrl-C / SIGINT): the session tore down its pool
+and flushed the records completed so far, then the CLI exited with the
+conventional ``128 + SIGINT`` code so shells and CI see a signal death."""
 
 DEFAULT_VERDICT_BASELINE = pathlib.Path("benchmarks/baselines/analysis_verdicts.json")
 """The committed analysis-verdict baseline (``analyze --check-baseline`` default)."""

@@ -10,10 +10,9 @@ import argparse
 import pathlib
 import sys
 
-from ...jobs.status import EXIT_FAILURE, EXIT_OK
 from ...store.query import EmptySliceError, compare_with_reference
 from ...store.store import RunStore, StoreFormatError
-from .common import fail, fail_empty
+from .common import EXIT_FAILURE, EXIT_OK, fail, fail_empty
 
 
 def add_parser(subparsers) -> None:

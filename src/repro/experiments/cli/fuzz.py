@@ -9,17 +9,22 @@ import sys
 
 from ...jobs import (
     DEFAULT_FUZZ_BASES,
-    EVENT_LOG,
     ExecutionSession,
     FuzzJob,
     JobSpecError,
     resolve_fuzz_bases,
     specs_to_payloads,
 )
-from ...jobs.status import EXIT_FAILURE, exit_code_for
 from ...store.store import StoreFormatError
 from ..runner import DEFAULT_SEED
-from .common import add_observability_arguments, add_parallelism_arguments, add_resilience_arguments, fail
+from .common import (
+    EXIT_FAILURE,
+    EXIT_OK,
+    add_observability_arguments,
+    add_parallelism_arguments,
+    add_resilience_arguments,
+    fail,
+)
 from .validators import positive_float, positive_int
 
 
@@ -95,13 +100,6 @@ def command_fuzz(args: argparse.Namespace) -> int:
         budget=args.budget,
         fuzz_seed=args.seed,
     )
-    on_event = None
-    if not args.quiet:
-
-        def on_event(event):
-            if event.kind == EVENT_LOG:
-                print(event.message)
-
     try:
         with ExecutionSession(
             parallel=args.parallel,
@@ -112,7 +110,7 @@ def command_fuzz(args: argparse.Namespace) -> int:
             fail_fast=args.fail_fast,
             trace_path=args.trace,
         ) as session:
-            outcome = session.submit(job, on_event=on_event)
+            outcome = session.submit(job, log=None if args.quiet else print)
     except StoreFormatError as exc:
         return fail(str(exc))
     except ValueError as exc:
@@ -139,7 +137,7 @@ def command_fuzz(args: argparse.Namespace) -> int:
             + "; ".join(counterexample["violations"])
         )
 
-    exit_code = exit_code_for(outcome.status)
+    exit_code = EXIT_OK if outcome.ok else EXIT_FAILURE
     if args.store is not None:
         stats = outcome.store_stats
         print(

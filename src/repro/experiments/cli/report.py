@@ -10,9 +10,8 @@ import argparse
 import pathlib
 
 from ...jobs import SweepJob
-from ...jobs.status import EXIT_OK
 from ...store.store import RunStore, StoreFormatError
-from .common import add_slice_arguments, fail, fail_empty
+from .common import EXIT_OK, add_slice_arguments, fail, fail_empty
 
 
 def add_parser(subparsers) -> None:

@@ -15,12 +15,19 @@ import sys
 from typing import List, Optional, Tuple
 
 from ...jobs import ExecutionSession, SweepJob, select_scenarios, specs_to_payloads
-from ...jobs.status import EXIT_FAILURE, exit_code_for, summary_status
 from ...store.store import StoreFormatError
-from ..aggregate import check_baseline, results_to_json, summaries_to_payload, write_baseline
+from ..aggregate import (
+    check_baseline,
+    results_to_json,
+    summaries_to_payload,
+    summary_status,
+    write_baseline,
+)
 from ..runner import DEFAULT_SEED
 from ..scenario import ScenarioSpec
 from .common import (
+    EXIT_FAILURE,
+    EXIT_OK,
     add_observability_arguments,
     add_parallelism_arguments,
     add_resilience_arguments,
@@ -172,7 +179,7 @@ def command_run(args: argparse.Namespace) -> int:
         args.output.write_text(results_to_json(outcome.records) + "\n")
         print(f"wrote {len(outcome.records)} run records to {args.output}")
 
-    exit_code = exit_code_for(outcome.status)
+    exit_code = EXIT_OK if outcome.ok else EXIT_FAILURE
     if args.store is not None:
         stats = outcome.store_stats
         executed = outcome.run_count - stats["hits"]

@@ -3,7 +3,7 @@
 Two sources, one renderer.  Without ``--store`` the command renders the
 *live* process-local registry (:data:`repro.obs.registry.METRICS`) — useful
 when embedding the CLI in a larger process or driving it from tests.  With
-``--store DB`` it loads a persisted ``telemetry`` snapshot (the executor
+``--store DB`` it loads a persisted ``telemetry`` snapshot (the session
 writes one per successful ``run``/``analyze``/``fuzz`` job) and renders the
 registry state captured at the end of that job, plus the job-attributable
 counter deltas and the supervision stats that rode along.
@@ -21,10 +21,9 @@ import datetime
 import json
 import pathlib
 
-from ...jobs.status import EXIT_OK
 from ...obs.registry import METRICS, render_markdown, render_prometheus, render_text
 from ...store.store import RunStore, StoreFormatError
-from .common import fail, fail_empty
+from .common import EXIT_OK, fail, fail_empty
 
 
 def add_parser(subparsers) -> None:

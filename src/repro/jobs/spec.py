@@ -37,7 +37,7 @@ class JobSpecError(ValueError):
     """The job specification itself is invalid (a configuration error).
 
     Raised at spec construction or resolution time — before any kernel has
-    run — so the CLI maps it to :data:`~repro.jobs.status.EXIT_CONFIG`.
+    run — so the CLI maps it to :data:`~repro.experiments.cli.common.EXIT_CONFIG`.
     """
 
 
@@ -164,7 +164,6 @@ class FuzzJob:
     budget: int = 200
     fuzz_seed: int = DEFAULT_SEED
     base_seed: int = DEFAULT_SEED
-    shrink: bool = True
 
     def __post_init__(self) -> None:
         _as_tuple(self, "base_payloads", self.base_payloads)

@@ -1,11 +1,12 @@
 """The process-local metrics registry: named counters, gauges and timers.
 
-Every hot subsystem (runner dispatch, supervision, the run store, the job
-executor, the fuzz engine) registers named instruments here and bumps them
-as work flows through.  The registry is **descriptive, never load-bearing**:
-its numbers are observations about an execution, and nothing in the library
-reads them back to make a decision — disabling the registry entirely (see
-:func:`set_enabled`) changes no record, baseline or verdict byte.
+Every hot subsystem (runner dispatch, supervision, the run store, the
+execution session, the fuzz engine) registers named instruments here and
+bumps them as work flows through.  The registry is **descriptive, never
+load-bearing**: its numbers are observations about an execution, and
+nothing in the library reads them back to make a decision — disabling the
+registry entirely (see :func:`set_enabled`) changes no record, baseline or
+verdict byte.
 
 Design constraints, in order:
 

@@ -10,7 +10,7 @@ text handle).  Records come in three kinds:
     job → phase → task hierarchy without timestamps.
 
 ``event``
-    A point-in-time fact (a task finishing, a job status transition),
+    A point-in-time fact (a run finishing, a log line from a job),
     attributed to the innermost open span.
 
 Every record carries a ``sequence`` number that is strictly monotonic for

@@ -2,8 +2,7 @@
 
 The repo reproduces Byzantine-fault-tolerant consensus results; this
 package makes the *harness that runs those experiments* tolerate faults of
-its own.  Three pieces, threaded through the runner, session, executor and
-store:
+its own.  Three pieces, threaded through the runner, session and store:
 
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy`: bounded attempts
   and seeded jittered backoff, the policy shape both retry loops (the

@@ -19,8 +19,8 @@ from ..experiments.aggregate import (
     diff_against_baseline,
     load_baseline,
     summaries_to_payload,
+    summary_status,
 )
-from ..jobs.status import summary_status
 from .store import RunStore, is_run_store
 
 

@@ -146,7 +146,7 @@ class PoisonEntry:
 class TelemetrySnapshot:
     """One persisted telemetry snapshot (a row of the ``telemetry`` table).
 
-    ``snapshot`` is the JSON payload the executor persisted at the end of a
+    ``snapshot`` is the JSON payload the session persisted at the end of a
     job: the process-local metrics registry, the job's own counter deltas,
     the store/supervision stats.  Descriptive only — nothing reads a
     snapshot to make an execution decision.
@@ -695,7 +695,7 @@ class RunStore:
 
         Returns True when everything committed.  On total failure, raises
         :class:`StoreFlushError` (default) or returns False — the pending
-        records stay buffered either way.  This is the flush the executor's
+        records stay buffered either way.  This is the flush the session's
         error paths use: salvaging completed records is best-effort there,
         and a second failure must not mask the original job error.
         """

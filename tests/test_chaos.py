@@ -27,14 +27,8 @@ import pytest
 from repro.experiments.cli import main as cli_main
 from repro.experiments.runner import POISON_ERROR_PREFIX, Runner
 from repro.experiments.scenario import default_matrix, find_scenarios
-from repro.jobs import (
-    EXIT_CONFIG,
-    EXIT_INTERRUPTED,
-    ExecutionSession,
-    SweepJob,
-    select_scenarios,
-    specs_to_payloads,
-)
+from repro.experiments.cli.common import EXIT_CONFIG, EXIT_INTERRUPTED
+from repro.jobs import ExecutionSession, SweepJob, select_scenarios, specs_to_payloads
 from repro.resilience import FaultPlan, RetryPolicy, TaskQuarantinedError
 from repro.store import PoisonEntry, RunStore, StoreRecovery
 
@@ -485,7 +479,7 @@ def test_sigkilled_sweep_resumes_missing_runs_only(tmp_path, monkeypatch, capsys
 
 
 # ----------------------------------------------------------------------
-# Session/executor integration: quarantine surfaces in the outcome
+# Session integration: quarantine surfaces in the outcome
 # ----------------------------------------------------------------------
 class TestSessionChaos:
     def test_sweep_outcome_reports_quarantine_and_supervision(self, tmp_path):
@@ -496,11 +490,14 @@ class TestSessionChaos:
             outcome = session.submit(
                 SweepJob(specs_to_payloads(select_scenarios(SLICE)), collect_records=True)
             )
-        assert outcome.status == "Error"
+        assert not outcome.ok
         assert len(outcome.quarantined) == 1
         assert outcome.quarantined[0].error.startswith(POISON_ERROR_PREFIX)
         assert outcome.supervision["quarantined"] == 1
         assert outcome.supervision["dispatched"] >= len(SLICE)
+        # The persisted telemetry snapshot names the failed job's status.
+        with RunStore(tmp_path / "runs.db") as store:
+            assert store.get_telemetry(label="sweep").snapshot["status"] == "Error"
 
     def test_fail_fast_stops_after_first_failure(self, tmp_path, monkeypatch):
         # Quarantine the first dispatched task; fail-fast must cut the
@@ -516,5 +513,5 @@ class TestSessionChaos:
             outcome = session.submit(
                 SweepJob(specs_to_payloads(select_scenarios(SLICE)), collect_records=True)
             )
-        assert outcome.status == "Error"
+        assert not outcome.ok
         assert len(outcome.records) < len(SLICE)

@@ -10,6 +10,7 @@ minimal replayable counterexamples.
 """
 
 import json
+import re
 
 import pytest
 
@@ -291,6 +292,22 @@ class TestFuzzCLI:
     def test_extension_base_resolves_by_registry_keys(self, capsys):
         assert run_cli("fuzz", "--budget", "4", "--quiet", "--base", "quad+splitbrain+stalled") == 0
         assert "4 candidates" in capsys.readouterr().out
+
+    def test_round_lines_print_unless_quiet(self, capsys):
+        # The campaign's per-round lines go to stdout ahead of its summary;
+        # --quiet drops exactly those lines.
+        assert run_cli("fuzz", "--budget", "4") == 0
+        loud = capsys.readouterr().out.splitlines()
+        assert run_cli("fuzz", "--budget", "4", "--quiet") == 0
+        quiet = capsys.readouterr().out.splitlines()
+        rounds = [line for line in loud if line.startswith("fuzz: ")]
+        assert rounds and rounds[-1].startswith("fuzz: 4/4 candidates, ")
+        assert all(
+            re.fullmatch(r"fuzz: \d+/4 candidates, \d+ sites, \d+ violating, pool \d+", line)
+            for line in rounds
+        )
+        assert [line for line in loud if line not in rounds] == quiet
+        assert quiet[0].startswith("fuzz seed=")
 
     def test_no_shrink_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

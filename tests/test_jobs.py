@@ -1,8 +1,7 @@
-"""The job/session layer: specs, lifecycle, session ownership, teardown.
+"""The job/session layer: specs, session ownership, teardown.
 
-Covers the contracts the architecture hangs on: the lifecycle state machine
-rejects illegal transitions; every job type survives pickling and rejects
-invalid fields at construction; one session runs sweep → analyze → fuzz on
+Covers the contracts the architecture hangs on: every job type survives
+pickling and rejects invalid fields at construction; one session runs sweep → analyze → fuzz on
 a single pool and store (and a warm second submit executes nothing); the
 ``run`` command writes exactly the bytes ``ExecutionSession.submit``
 produces; and teardown is exception-safe — the pool dies and the store
@@ -11,39 +10,39 @@ abandoned.
 """
 
 import dataclasses
+import json
+import logging
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import DEFAULT_SEED, execute_run
-from repro.experiments.aggregate import results_to_json, write_baseline
+from repro.experiments.aggregate import results_to_json, summary_status, write_baseline
 from repro.experiments.cli import main as cli_main
+from repro.experiments.cli.common import (
+    EXIT_CONFIG,
+    EXIT_EMPTY_SLICE,
+    EXIT_FAILURE,
+    EXIT_INTERRUPTED,
+    EXIT_OK,
+)
 from repro.jobs import (
     AnalyzeJob,
-    EVENT_LOG,
-    EVENT_PROGRESS,
-    EVENT_STATUS,
+    AnalyzeOutcome,
     ExecutionSession,
     FuzzJob,
-    JobLifecycle,
+    FuzzOutcome,
     JobSpecError,
-    JobStatusError,
     SessionClosedError,
-    STATUS_COMPLETE,
-    STATUS_ERROR,
-    STATUS_INITIALIZED,
-    STATUS_NO_SOLUTION,
-    STATUS_RUNNING,
     SweepJob,
-    exit_code_for,
+    SweepOutcome,
     payloads_to_specs,
     resolve_fuzz_bases,
     select_scenarios,
     specs_to_payloads,
-    summary_status,
 )
-from repro.jobs.status import EXIT_CONFIG
-from repro.resilience import FaultPlan, RetryPolicy
+from repro.resilience import FaultPlan
 from repro.store import RunStore
 from repro.store.store import StoreFlushError
 
@@ -52,52 +51,6 @@ SLICE = ["binary+silent+synchronous", "quad+silent+synchronous"]
 
 def slice_payloads():
     return specs_to_payloads(select_scenarios(SLICE))
-
-
-# ----------------------------------------------------------------------
-# Lifecycle state machine
-# ----------------------------------------------------------------------
-class TestLifecycle:
-    def test_happy_path(self):
-        lifecycle = JobLifecycle()
-        assert lifecycle.status == STATUS_INITIALIZED
-        assert not lifecycle.terminal
-        lifecycle.transition(STATUS_RUNNING)
-        lifecycle.transition(STATUS_COMPLETE)
-        assert lifecycle.terminal
-
-    @pytest.mark.parametrize("terminal", [STATUS_COMPLETE, STATUS_ERROR, STATUS_NO_SOLUTION])
-    def test_terminal_states_are_frozen(self, terminal):
-        lifecycle = JobLifecycle()
-        lifecycle.transition(STATUS_RUNNING)
-        lifecycle.transition(terminal)
-        for target in (STATUS_INITIALIZED, STATUS_RUNNING, STATUS_COMPLETE, STATUS_ERROR):
-            with pytest.raises(JobStatusError):
-                lifecycle.transition(target)
-
-    def test_cannot_complete_without_running(self):
-        with pytest.raises(JobStatusError):
-            JobLifecycle().transition(STATUS_COMPLETE)
-
-    def test_cannot_skip_to_no_solution(self):
-        with pytest.raises(JobStatusError):
-            JobLifecycle().transition(STATUS_NO_SOLUTION)
-
-    def test_unknown_status_rejected(self):
-        lifecycle = JobLifecycle()
-        with pytest.raises(JobStatusError):
-            lifecycle.transition("Paused")
-
-    def test_exit_codes(self):
-        assert exit_code_for(STATUS_COMPLETE) == 0
-        assert exit_code_for(STATUS_ERROR) == 1
-        assert exit_code_for(STATUS_NO_SOLUTION) == 3
-        with pytest.raises(JobStatusError):
-            exit_code_for(STATUS_RUNNING)
-
-    def test_summary_status_strings(self):
-        assert summary_status(True) == "ok"
-        assert summary_status(False) == "FAIL"
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +65,6 @@ class TestSpecRoundTrip:
                 specs_to_payloads(resolve_fuzz_bases(["binary+none+partition"])),
                 budget=9,
                 fuzz_seed=3,
-                shrink=False,
             ),
         ]
 
@@ -166,11 +118,8 @@ class TestSpecRoundTrip:
 class TestSessionReuse:
     def test_sweep_analyze_fuzz_share_resources(self, tmp_path):
         store_path = tmp_path / "runs.db"
-        events = []
         with ExecutionSession(parallel=2, store_path=store_path) as session:
-            sweep = session.submit(
-                SweepJob(slice_payloads(), seeds=(DEFAULT_SEED,)), on_event=events.append
-            )
+            sweep = session.submit(SweepJob(slice_payloads(), seeds=(DEFAULT_SEED,)))
             runner = session._runner
             store = session._store
             assert runner is not None and store is not None
@@ -183,20 +132,14 @@ class TestSessionReuse:
             assert session._runner is runner
             assert session._store is store
 
-        assert sweep.status == STATUS_COMPLETE
+        assert sweep.ok
         assert sweep.run_count == len(SLICE)
         assert not sweep.failures
         assert sweep.store_stats["stored"] == len(SLICE)
-        assert analyze.status == STATUS_COMPLETE
+        assert analyze.ok
         assert analyze.counts["total"] == len(analyze.verdicts)
-        assert fuzz.status == STATUS_COMPLETE
+        assert fuzz.ok
         assert fuzz.report.candidates == 6
-
-        statuses = [e.status for e in events if e.kind == EVENT_STATUS]
-        assert statuses == [STATUS_INITIALIZED, STATUS_RUNNING, STATUS_COMPLETE]
-        progress = [e for e in events if e.kind == EVENT_PROGRESS]
-        assert [e.completed for e in progress] == [1, 2]
-        assert all(e.total == len(SLICE) for e in progress)
 
     def test_warm_second_submit_executes_nothing(self, tmp_path):
         store_path = tmp_path / "runs.db"
@@ -216,7 +159,7 @@ class TestSessionReuse:
             assert session.store is None
             assert not session.has_store
             outcome = session.submit(SweepJob(slice_payloads()))
-        assert outcome.status == STATUS_COMPLETE
+        assert outcome.ok
         assert outcome.store_stats is None
 
     def test_store_requiring_jobs_fail_without_store(self, tmp_path, capsys):
@@ -234,7 +177,7 @@ class TestSessionReuse:
         assert not absent.exists()
 
     def test_report_no_solution_on_empty_store(self, tmp_path, capsys):
-        # An empty store answers No Solution to both read-only queries, and
+        # An empty store is an empty slice for both read-only queries, and
         # reading it writes nothing into it (no telemetry snapshot).
         empty, baseline = tmp_path / "empty.db", tmp_path / "baseline.json"
         RunStore(empty).close()
@@ -242,10 +185,9 @@ class TestSessionReuse:
             "run", "--scenario", SLICE[0], "--seeds", "1", "--quiet", "--write-baseline", str(baseline),
         ]) == 0
         capsys.readouterr()
-        no_solution = exit_code_for(STATUS_NO_SOLUTION)
-        assert cli_main(["report", "--store", str(empty)]) == no_solution
+        assert cli_main(["report", "--store", str(empty)]) == EXIT_EMPTY_SLICE
         assert "no stored records" in capsys.readouterr().err
-        assert cli_main(["compare", "--store", str(empty), "--against", str(baseline)]) == no_solution
+        assert cli_main(["compare", "--store", str(empty), "--against", str(baseline)]) == EXIT_EMPTY_SLICE
         assert "has no records" in capsys.readouterr().err
         with RunStore(empty) as store:
             assert store.count(any_code=True) == 0
@@ -277,21 +219,98 @@ class TestSessionReuse:
         assert cli_baseline.read_bytes() == api_baseline.read_bytes()
 
     def test_unknown_job_type_is_spec_error(self):
-        events = []
         with ExecutionSession() as session:
             with pytest.raises(JobSpecError, match="not a known job type"):
-                session.submit(object(), on_event=events.append)
-        assert [e.status for e in events] == [STATUS_INITIALIZED, STATUS_ERROR]
+                session.submit(object())
+            # Refused before any resource is touched.
+            assert session._runner is None
 
-    def test_fuzz_log_events_stream(self, tmp_path):
-        events = []
+    def test_fuzz_progress_lines_reach_log(self, tmp_path):
+        lines = []
         with ExecutionSession(store_path=tmp_path / "fuzz.db") as session:
             session.submit(
                 FuzzJob(specs_to_payloads(resolve_fuzz_bases(["binary+none+partition"])), budget=6),
-                on_event=events.append,
+                log=lines.append,
             )
-        logs = [e.message for e in events if e.kind == EVENT_LOG]
-        assert logs, "fuzz progress lines should surface as log events"
+        assert lines and lines[-1].startswith("fuzz: 6/6 candidates, ")
+
+
+# ----------------------------------------------------------------------
+# Outcomes: `ok` is the job's own verdict, and the CLI's exit code follows it
+# ----------------------------------------------------------------------
+class TestOutcomes:
+    @pytest.mark.parametrize(
+        "failures, quarantined, ok",
+        [([], [], True), (["failed run"], [], False), ([], ["poison record"], False)],
+    )
+    def test_sweep_ok_means_no_failed_or_quarantined_run(self, failures, quarantined, ok):
+        outcome = SweepOutcome(
+            run_count=1, scenario_count=1, seed_count=1, summaries={},
+            failures=failures, quarantined=quarantined,
+        )
+        assert outcome.ok is ok
+
+    @pytest.mark.parametrize(
+        "cross_check, error, ok",
+        [
+            (None, None, True),
+            (SimpleNamespace(divergences=[]), None, True),
+            (SimpleNamespace(divergences=["divergence"]), None, False),
+            (None, "unreadable reference", False),
+        ],
+        ids=["no-cross-check", "consistent", "divergent", "unreadable"],
+    )
+    def test_analyze_ok_means_a_clean_cross_check(self, cross_check, error, ok):
+        outcome = AnalyzeOutcome(
+            verdicts=[], cached=0, classified=0, counts={},
+            cross_check=cross_check, cross_check_error=error,
+        )
+        assert outcome.ok is ok
+
+    def test_fuzz_ok_even_when_the_campaign_finds_violations(self):
+        assert FuzzOutcome(report=SimpleNamespace(violating=3)).ok
+
+    def test_exit_codes_are_the_cli_contract(self):
+        # CI gates read these numbers; 130 is the shell's 128 + SIGINT.
+        assert (EXIT_OK, EXIT_FAILURE, EXIT_CONFIG, EXIT_EMPTY_SLICE, EXIT_INTERRUPTED) == (
+            0, 1, 2, 3, 130,
+        )
+
+    def test_summary_status_strings(self):
+        assert summary_status(True) == "ok"
+        assert summary_status(False) == "FAIL"
+
+    def test_run_exits_failure_when_a_run_is_quarantined(self, monkeypatch, capsys):
+        # A sweep that is not ok fails the run command even without a
+        # baseline: the quarantined run renders as a FAIL row.
+        monkeypatch.setenv("REPRO_FAULT_PLAN", FaultPlan(poison=(1,)).to_json())
+        argv = ["run", "--scenario", *SLICE, "--parallel", "2", "--max-retries", "0"]
+        assert cli_main(argv) == EXIT_FAILURE
+        assert "[FAIL]" in capsys.readouterr().out
+
+    def test_failed_analyze_persists_an_error_snapshot(self, tmp_path):
+        reference = tmp_path / "reference.json"
+        reference.write_text("not json")
+        with ExecutionSession(store_path=tmp_path / "runs.db") as session:
+            outcome = session.submit(
+                AnalyzeJob(families=("named",), cross_check_reference=str(reference))
+            )
+        assert not outcome.ok and outcome.cross_check_error is not None
+        with RunStore(tmp_path / "runs.db") as store:
+            assert store.get_telemetry(label="analyze").snapshot["status"] == "Error"
+
+    def test_supervision_lines_go_to_log_and_not_to_logging(self, caplog):
+        # The runner's supervision notes belong to the job: they reach the
+        # caller's log, and without one they are dropped, not logged.
+        job = SweepJob(slice_payloads())
+        lines = []
+        with ExecutionSession(parallel=2, fault_plan=FaultPlan(worker_crash=(1,))) as session:
+            assert session.submit(job, log=lines.append).ok
+        assert any(line.startswith("supervisor: ") for line in lines)
+        with caplog.at_level(logging.WARNING):
+            with ExecutionSession(parallel=2, fault_plan=FaultPlan(worker_crash=(1,))) as session:
+                assert session.submit(job).ok
+        assert caplog.records == []
 
 
 # ----------------------------------------------------------------------
@@ -309,21 +328,37 @@ class TestTeardown:
         session.close()  # idempotent
 
     def test_mid_job_exception_still_tears_down(self, tmp_path, monkeypatch):
-        from repro.jobs import executor as executor_module
-
         def explode(*args, **kwargs):
             raise RuntimeError("kernel died")
 
-        monkeypatch.setitem(executor_module._HANDLERS, SweepJob.kind, explode)
-        events = []
-        session = ExecutionSession(store_path=tmp_path / "runs.db")
+        monkeypatch.setattr(ExecutionSession, "_sweep", explode)
+        trace = tmp_path / "trace.jsonl"
+        session = ExecutionSession(store_path=tmp_path / "runs.db", trace_path=trace)
         with pytest.raises(RuntimeError, match="kernel died"):
             with session:
-                session.submit(SweepJob(slice_payloads()), on_event=events.append)
+                session.submit(SweepJob(slice_payloads()))
         assert session.closed
         assert session._runner is None and session._store is None
-        # The event stream still records how the job ended.
-        assert [e.status for e in events] == [STATUS_INITIALIZED, STATUS_RUNNING, STATUS_ERROR]
+        # The job's span records how the job ended.
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        ends = [r for r in records if r["record"] == "span-end" and r["name"] == "job.sweep"]
+        assert [r.get("error") for r in ends] == ["RuntimeError"]
+
+    def test_mid_job_exception_salvages_buffered_records(self, tmp_path, monkeypatch):
+        # A job that dies after buffering records flushes them on the way
+        # out, before the session closes, and re-raises the original error.
+        def put_then_explode(session, job, log):
+            for spec in payloads_to_specs(job.scenario_payloads):
+                session.store.put(spec, execute_run(spec, DEFAULT_SEED))
+            raise RuntimeError("kernel died")
+
+        monkeypatch.setattr(ExecutionSession, "_sweep", put_then_explode)
+        with ExecutionSession(store_path=tmp_path / "runs.db") as session:
+            with pytest.raises(RuntimeError, match="kernel died"):
+                session.submit(SweepJob(slice_payloads()))
+            assert session.store.pending_count == 0
+            with RunStore(tmp_path / "runs.db") as reader:
+                assert sum(1 for _ in reader.iter_records()) == len(SLICE)
 
     def test_session_survives_job_error_until_closed(self, tmp_path):
         # A failing job must not poison the session: the next submit reuses
@@ -332,7 +367,7 @@ class TestTeardown:
             with pytest.raises(JobSpecError):
                 session.submit(AnalyzeJob(families=("named",), cross_check_reference="absent.json"))
             outcome = session.submit(SweepJob(slice_payloads()))
-        assert outcome.status == STATUS_COMPLETE
+        assert outcome.ok
 
     def test_abandoned_generator_then_close(self, tmp_path):
         # Abandon a streaming sweep mid-flight; closing the session must
@@ -350,10 +385,8 @@ class TestTeardown:
         # caller: close() retries under the store's policy and returns.
         session = ExecutionSession(
             store_path=tmp_path / "runs.db",
-            store_options={
-                "retry_policy": RetryPolicy(max_attempts=3, backoff_base=0.0),
-                "fault_plan": FaultPlan(flush_errors=(1,)),
-            },
+            max_retries=2,
+            fault_plan=FaultPlan(flush_errors=(1,)),
         )
         store = session.store
         for spec in select_scenarios(SLICE):  # buffered: close() does the only flush
@@ -374,10 +407,7 @@ class TestTeardown:
         import contextlib
         import sqlite3
 
-        session = ExecutionSession(
-            store_path=tmp_path / "runs.db",
-            store_options={"retry_policy": RetryPolicy(max_attempts=2, backoff_base=0.0)},
-        )
+        session = ExecutionSession(store_path=tmp_path / "runs.db", max_retries=1)
         store = session.store
         for spec in select_scenarios(SLICE):
             store.put(spec, execute_run(spec, DEFAULT_SEED))

@@ -13,9 +13,10 @@ innocent batch-mates.
 import pytest
 
 from repro.experiments.cli import main as cli_main
+from repro.experiments.cli.common import EXIT_CONFIG
 from repro.experiments.runner import POISON_ERROR_PREFIX, Runner
 from repro.experiments.scenario import find_scenarios
-from repro.jobs import EXIT_CONFIG, ExecutionSession, SweepJob
+from repro.jobs import ExecutionSession, SweepJob
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.store import RunStore
 

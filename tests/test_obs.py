@@ -17,10 +17,11 @@ from repro.experiments.aggregate import results_to_json
 from repro.experiments.cli import main
 from repro.experiments.runner import Runner
 from repro.jobs import (
-    EVENT_STATUS,
+    AnalyzeJob,
     ExecutionSession,
-    JobEvent,
+    FuzzJob,
     SweepJob,
+    resolve_fuzz_bases,
     select_scenarios,
     specs_to_payloads,
 )
@@ -61,12 +62,12 @@ def clean_registry():
     METRICS.reset()
 
 
-def run_sweep(store_path=None, trace_path=None, parallel=None, on_event=None):
+def run_sweep(store_path=None, trace_path=None, parallel=None):
     job = SweepJob(scenario_payloads=slice_payloads(), seeds=(1, 2), collect_records=True)
     with ExecutionSession(
         parallel=parallel, store_path=store_path, trace_path=trace_path
     ) as session:
-        return session.submit(job, on_event=on_event)
+        return session.submit(job)
 
 
 class TestDispatchCounters:
@@ -325,6 +326,35 @@ class TestTelemetryNeutrality:
                 assert record["record"] == RECORD_EVENT
         assert open_spans == []
         assert {"job.sweep", "phase.execute"} <= {r["name"] for r in records}
+        # One progress event per run, counting up to the sweep's size, all
+        # inside the job's span.
+        runs = len(serial.records)
+        progress = [i for i, r in enumerate(records) if r["name"] == "sweep.progress"]
+        assert [records[i]["completed"] for i in progress] == list(range(1, runs + 1))
+        assert {records[i]["total"] for i in progress} == {runs}
+        job_span = [i for i, r in enumerate(records) if r["name"] == "job.sweep"]
+        assert len(job_span) == 2 and job_span[0] < progress[0] and progress[-1] < job_span[1]
+
+    def test_traced_analyze_has_one_progress_event_per_verdict(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        with ExecutionSession(trace_path=trace) as session:
+            outcome = session.submit(AnalyzeJob(families=("named",)))
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        progress = [r for r in records if r["name"] == "analyze.progress"]
+        assert [r["message"] for r in progress] == [v.label for v in outcome.verdicts]
+        assert [r["completed"] for r in progress] == list(range(1, len(outcome.verdicts) + 1))
+        assert {r["total"] for r in progress} == {len(outcome.verdicts)}
+        assert {r["parent"] for r in progress} == {"phase.classify"}
+
+    def test_traced_fuzz_records_every_log_line(self, tmp_path):
+        trace, lines = tmp_path / "t.jsonl", []
+        job = FuzzJob(specs_to_payloads(resolve_fuzz_bases(["binary+none+partition"])), budget=6)
+        with ExecutionSession(trace_path=trace) as session:
+            session.submit(job, log=lines.append)
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        logged = [r for r in records if r["name"] == "fuzz.log"]
+        assert lines and [r["message"] for r in logged] == lines
+        assert {r["parent"] for r in logged} == {"phase.campaign"}
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +397,7 @@ class TestTelemetryTable:
         assert counters["runner.tasks.dispatched"] == 4
         assert counters["store.stored"] == 4
         assert record.snapshot["job_counters"]["job.sweep.submitted"] == 1
+        assert record.snapshot["job_counters"]["runner.tasks.dispatched"] == 4
         assert record.snapshot["status"] == "Complete"
         assert isinstance(record.snapshot["supervision"], dict)
         assert record.snapshot["store"]["stored"] == 4
@@ -380,51 +411,6 @@ class TestTelemetryTable:
         with RunStore(path) as store:
             assert store.count_telemetry() == 0
             assert store.put_telemetry("sweep", {"ok": True}) is not None
-
-
-# ----------------------------------------------------------------------
-# JobEvent sequence + metrics payload
-# ----------------------------------------------------------------------
-class TestJobEventSequence:
-    def collect(self, **kwargs):
-        events = []
-        run_sweep(on_event=events.append, **kwargs)
-        return events
-
-    def test_sequence_is_monotonic_from_zero(self):
-        events = self.collect()
-        assert [event.sequence for event in events] == list(range(len(events)))
-
-    def test_sequence_is_monotonic_under_parallel_sweeps(self):
-        events = self.collect(parallel=2)
-        assert [event.sequence for event in events] == list(range(len(events)))
-
-    def test_each_job_restarts_its_sequence(self, tmp_path):
-        job = SweepJob(scenario_payloads=slice_payloads(), seeds=(1,))
-        with ExecutionSession(store_path=tmp_path / "runs.db") as session:
-            first, second = [], []
-            session.submit(job, on_event=first.append)
-            session.submit(job, on_event=second.append)
-        assert first[0].sequence == 0 and second[0].sequence == 0
-        assert [e.sequence for e in second] == list(range(len(second)))
-
-    def test_terminal_status_event_carries_metrics_delta(self):
-        events = self.collect()
-        terminal = [e for e in events if e.kind == EVENT_STATUS][-1]
-        assert terminal.status == "Complete"
-        assert terminal.metrics["job.sweep.submitted"] == 1
-        assert terminal.metrics["runner.tasks.dispatched"] == 4
-        non_terminal = [e for e in events if e.kind == EVENT_STATUS][0]
-        assert non_terminal.metrics is None
-
-    def test_to_dict_round_trips_sequence_and_metrics(self):
-        event = JobEvent(
-            job="sweep", kind=EVENT_STATUS, status="Complete", sequence=7, metrics={"a": 1}
-        )
-        payload = event.to_dict()
-        assert payload["sequence"] == 7 and payload["metrics"] == {"a": 1}
-        assert JobEvent(**payload) == event
-        json.dumps(payload)  # stays JSON-ready
 
 
 # ----------------------------------------------------------------------
