@@ -193,7 +193,7 @@ class PropertyTask:
     def build_property(self) -> ValidityProperty:
         """Materialise the validity property the task names."""
         system = self.system()
-        domain = list(self.domain)
+        domain = self.domain
         if self.family == "named":
             properties = standard_properties(system, output_domain=domain)
             try:
@@ -454,7 +454,7 @@ def classify_task(
     """
     system = task.system()
     method = classification_method(task, budget)
-    domain = list(task.domain)
+    domain = task.domain
 
     if method == "enumeration":
         prop = task.build_property()
@@ -598,12 +598,13 @@ def dedupe_tasks(tasks: Iterable[PropertyTask]) -> List[PropertyTask]:
     seen: Dict[str, PropertyTask] = {}
     ordered: List[PropertyTask] = []
     for task in tasks:
-        existing = seen.get(task.label)
+        label = task.label
+        existing = seen.get(label)
         if existing is None:
-            seen[task.label] = task
+            seen[label] = task
             ordered.append(task)
         elif existing != task:
-            raise AnalysisError(f"two distinct tasks share the label {task.label!r}")
+            raise AnalysisError(f"two distinct tasks share the label {label!r}")
     return ordered
 
 
@@ -655,7 +656,8 @@ def run_analysis(
     Without a ``runner`` the tasks are classified in this process by a
     serial :class:`~repro.experiments.runner.Runner` (which owns no pool, so
     there is nothing to tear down); callers with a pool pass their own
-    runner, as the job executor does.  ``on_verdict(index, verdict)`` is
+    runner, as :meth:`~repro.jobs.session.ExecutionSession.submit` does for
+    an analysis job.  ``on_verdict(index, verdict)`` is
     called in task order as each verdict becomes available — the
     progress-event hook.
 

@@ -93,6 +93,8 @@ class _RankValidity(ValidityProperty):
     """
 
     anonymous = True
+    # The last tuple domain read, as ``(domain, [(key, value)], {id(value): key})``.
+    _last_domain: Tuple = (None, None, None)
 
     @abstractmethod
     def _ranks(self, count: int) -> Optional[Tuple[int, int]]:
@@ -114,6 +116,12 @@ class _RankValidity(ValidityProperty):
             return None
         return keys[ranks[0]], keys[ranks[1]]
 
+    def __getstate__(self) -> dict:
+        # The slot's ids mean nothing in another interpreter.
+        state = dict(self.__dict__)
+        state.pop("_last_domain", None)
+        return state
+
     def is_admissible(self, config: InputConfiguration, value: Value) -> bool:
         key = canonical_key(value)
         bounds = self._bounds(config, {id(value): key})
@@ -122,9 +130,17 @@ class _RankValidity(ValidityProperty):
     def admissible_values(
         self, config: InputConfiguration, output_domain: Optional[Sequence[Value]] = None
     ) -> FrozenSet[Value]:
-        # Proposals are usually the domain's own objects, so each is keyed once.
-        keyed = [(canonical_key(value), value) for value in self._finite_domain(output_domain)]
-        bounds = self._bounds(config, {id(value): key for key, value in keyed})
+        domain = self._finite_domain(output_domain)
+        last, keyed, known = self._last_domain
+        if last is not domain:
+            # Proposals are usually the domain's own objects, so each is keyed once.
+            keyed = [(canonical_key(value), value) for value in domain]
+            known = {id(value): key for key, value in keyed}
+            # Only a tuple is remembered, and held strongly so that neither its
+            # id nor its values' ids are reused: a list may change under the same id.
+            if type(domain) is tuple:
+                self._last_domain = (domain, keyed, known)
+        bounds = self._bounds(config, known)
         if bounds is None:
             return frozenset(value for _, value in keyed)
         low, high = bounds

@@ -12,9 +12,14 @@ implements that decision procedure and materialises the resulting ``Lambda``
 as an explicit table, which the Universal protocol can then execute.  The
 procedure is a reduction over the shared
 :class:`~repro.core.space.ConfigurationSpace`, which holds every similarity
-neighbourhood ``sim(c)`` as a bitmask over ``I``: with ``val`` evaluated once
-per configuration into one mask per output value, a value lies in the
-intersection for ``c`` iff ``sim(c) & ~mask == 0``.
+neighbourhood ``sim(c)`` as a bitmask over ``I``: with ``val`` evaluated into
+one mask per output value (:func:`~repro.core.space.evaluate_property`), a
+value lies in the intersection for ``c`` iff ``sim(c) & ~mask == 0``, and
+``c`` fails iff no value does.  For an anonymous property every member of a
+minimal proposal multiset has the same intersection, so one neighbourhood
+per multiset is checked; any other property has each of ``I_{n-t}`` checked.
+The decision builds no table: the intersections and ``Lambda`` are read off
+the same masks on first read of the result's fields.
 
 Examples
 --------
@@ -69,6 +74,10 @@ class SimilarityConditionResult:
         counterexample: A minimal configuration whose intersection is empty,
             when the condition fails.
         minimal_configurations_checked: Number of ``I_{n-t}`` configurations examined.
+
+    A result of :func:`check_similarity_condition` leaves the two tables
+    unset and keeps the evaluated property instead: both are built from its
+    masks on first read, so deciding ``C_S`` costs nothing for them.
     """
 
     holds: bool
@@ -76,6 +85,34 @@ class SimilarityConditionResult:
     admissible_intersections: Dict[InputConfiguration, FrozenSet[Value]] = field(default_factory=dict)
     counterexample: Optional[InputConfiguration] = None
     minimal_configurations_checked: int = 0
+
+    def __getattr__(self, name: str):
+        # Reached only for a missing attribute: a table not built yet.
+        if name in ("lambda_table", "admissible_intersections") and "_evaluated" in self.__dict__:
+            self._build_tables()
+            return self.__dict__[name]
+        raise AttributeError(name)
+
+    def __getstate__(self) -> dict:
+        # A pickle carries the tables, not the space they are read from.
+        if "_evaluated" in self.__dict__:
+            self._build_tables()
+        return self.__dict__
+
+    def _build_tables(self) -> None:
+        """Both tables from the kept masks, in the order of ``I_{n-t}``."""
+        evaluated = self.__dict__.pop("_evaluated")
+        space = evaluated.space
+        # V_O in canonical order once, each value with the configurations that
+        # exclude it: an intersection is then read off in order, and Lambda is
+        # its first value.
+        excluding = [(value, ~evaluated.masks[value]) for value in canonical_sorted(evaluated.masks)]
+        self.admissible_intersections, self.lambda_table = {}, {}
+        for config, neighbourhood in zip(space.minimal_configurations, space.neighbourhoods):
+            admitted = [value for value, excluded in excluding if not neighbourhood & excluded]
+            self.admissible_intersections[config] = frozenset(admitted)
+            if self.holds:
+                self.lambda_table[config] = admitted[0]
 
     def lambda_function(self) -> LambdaFunction:
         """Return the ``Lambda`` realised by this result as a callable.
@@ -122,26 +159,33 @@ def check_similarity_condition(
         A :class:`SimilarityConditionResult`.  When ``holds`` is ``True`` the
         ``lambda_table`` maps every configuration of ``I_{n-t}`` to an
         admissible-for-all-similar value (the canonical minimum of the
-        intersection, so that the function is deterministic).
+        intersection, so that the function is deterministic).  The
+        counterexample is the last failing configuration of ``I_{n-t}``.
     """
     if evaluated is None:
         evaluated = evaluate_property(prop, system, input_domain, output_domain)
     space = evaluated.space
-    result = SimilarityConditionResult(
-        holds=True, minimal_configurations_checked=space.minimal_count
+    neighbourhoods = space.neighbourhoods
+    excluding = [~mask for mask in evaluated.masks.values()]
+    # An anonymous property has one intersection per minimal multiset: a
+    # process renaming maps one member's neighbourhood onto another's and
+    # keeps every multiset.  So one member decides for its group.
+    groups = space.minimal_multisets if prop.anonymous else (
+        (index, index) for index in range(space.minimal_count)
     )
-    # V_O in canonical order once, each value with the configurations that
-    # exclude it: an intersection is then read off in order, and Lambda is
-    # its first value.
-    excluding = [(value, ~evaluated.masks[value]) for value in canonical_sorted(evaluated.masks)]
-    for config, neighbourhood in zip(space.minimal_configurations, space.neighbourhoods):
-        admitted = [value for value, excluded in excluding if not neighbourhood & excluded]
-        result.admissible_intersections[config] = frozenset(admitted)
-        if not admitted:
-            result.holds = False
-            result.counterexample = config
-        elif result.holds:
-            result.lambda_table[config] = admitted[0]
-    if not result.holds:
-        result.lambda_table = {}
+    failing = -1
+    for first, last in groups:
+        neighbourhood = neighbourhoods[first]
+        for excluded in excluding:
+            if not neighbourhood & excluded:
+                break
+        else:
+            failing = max(failing, last)
+    result = SimilarityConditionResult(
+        holds=failing < 0,
+        counterexample=space.configurations[failing] if failing >= 0 else None,
+        minimal_configurations_checked=space.minimal_count,
+    )
+    del result.lambda_table, result.admissible_intersections
+    result._evaluated = evaluated
     return result

@@ -27,7 +27,9 @@ once per proposal multiset for an anonymous property (one whose ``val(c)``
 reads only how many processes propose each value; every named property of
 the paper is one), once per configuration for any other.  "``v`` is
 admissible throughout a region of ``I``" is then one AND: triviality asks it
-of the whole space, the similarity condition of each neighbourhood.
+of the whole space, the similarity condition of a neighbourhood — of one per
+minimal multiset (:attr:`ConfigurationSpace.minimal_multisets`) for an
+anonymous property, of each for any other.
 
 >>> from repro.core.system import SystemConfig
 >>> space = configuration_space(SystemConfig(3, 1), [0, 1])
@@ -39,6 +41,8 @@ of the whole space, the similarity condition of each neighbourhood.
 '0b11001100110001'
 >>> len(space.multisets)
 7
+>>> space.minimal_multisets  # {0, 0}, {0, 1} and {1, 1}
+((0, 8), (1, 10), (3, 11))
 """
 
 from __future__ import annotations
@@ -67,6 +71,9 @@ class ConfigurationSpace:
         neighbourhoods: ``sim(c)`` as a mask, for each minimal configuration.
         multisets: ``I`` grouped by proposal multiset, as ``(first
             configuration, mask of the group)`` pairs in enumeration order.
+        minimal_multisets: ``I_{n-t}`` grouped the same way, as ``(first
+            index, last index)`` pairs into ``configurations``, in
+            enumeration order.
     """
 
     system: SystemConfig
@@ -74,6 +81,7 @@ class ConfigurationSpace:
     configurations: Tuple[InputConfiguration, ...]
     neighbourhoods: Tuple[int, ...]
     multisets: Tuple[Tuple[InputConfiguration, int], ...]
+    minimal_multisets: Tuple[Tuple[int, int], ...]
     _containing: Dict[int, int]
     _proposing: Dict[Tuple[int, Value], int]
 
@@ -113,8 +121,14 @@ def configuration_space(system: SystemConfig, input_domain: Sequence[Value]) -> 
     """The shared :class:`ConfigurationSpace` of ``system`` over ``input_domain``.
 
     Built on first use and memoised (bounded) on the content of its two
-    arguments, so it holds no state of any property or caller.
+    arguments, so it holds no state of any property or caller.  In front of
+    that memo, the last tuple domain read is remembered by identity: a caller
+    that hands over the same tuple again (every task of a family does) skips
+    keying the domain.
     """
+    last_system, last_domain, last_space = _last_space
+    if input_domain is last_domain and system == last_system:
+        return last_space
     if not input_domain:
         raise ValueError("input domain must be non-empty")
     keyed = sorted(
@@ -123,9 +137,17 @@ def configuration_space(system: SystemConfig, input_domain: Sequence[Value]) -> 
     # One canonical key per value both orders the domain and keys the memo:
     # equal values of different types (1, True, 1.0) hash alike but print
     # differently, and their keys keep such domains in separate entries.
-    return _build_space(
+    space = _build_space(
         system, tuple(value for _, value in keyed), tuple(key for key, _ in keyed)
     )
+    # Only a tuple is remembered, and held strongly so that its id is not
+    # reused: a list may change under the same id.
+    if type(input_domain) is tuple:
+        _last_space[:] = system, input_domain, space
+    return space
+
+
+_last_space: list = [None, None, None]
 
 
 @functools.lru_cache(maxsize=16)
@@ -138,6 +160,7 @@ def _build_space(
         (process, value): 0 for process in system.processes for value in domain
     }
     position = {value: index for index, value in enumerate(domain)}
+    # Per multiset: [first configuration, mask, first index, last index].
     multisets: Dict[Tuple[int, ...], List] = {}
     for index, config in enumerate(configurations):
         bit = 1 << index
@@ -146,23 +169,31 @@ def _build_space(
             containing[pair.process] |= bit
             proposing[pair.process, pair.proposal] |= bit
             counts[position[pair.proposal]] += 1
-        multisets.setdefault(tuple(counts), [config, 0])[1] |= bit
+        group = multisets.setdefault(tuple(counts), [config, 0, index, index])
+        group[1] |= bit
+        group[3] = index
+    minimal = [config for config in configurations if config.size == system.quorum]
     return ConfigurationSpace(
         system=system,
         domain=domain,
         configurations=configurations,
-        neighbourhoods=tuple(
-            _neighbourhood(config, containing, proposing)
-            for config in configurations
-            if config.size == system.quorum
+        neighbourhoods=tuple(_neighbourhood(config, containing, proposing) for config in minimal),
+        multisets=tuple((config, mask) for config, mask, _, _ in multisets.values()),
+        # I lists the minimal configurations first, and a multiset fixes the size.
+        minimal_multisets=tuple(
+            (first, last) for _, _, first, last in multisets.values() if first < len(minimal)
         ),
-        multisets=tuple((config, mask) for config, mask in multisets.values()),
         _containing=containing,
         _proposing=proposing,
     )
 
 
-configuration_space.cache_clear = _build_space.cache_clear  # type: ignore[attr-defined]
+def _cache_clear() -> None:
+    _last_space[:] = None, None, None
+    _build_space.cache_clear()
+
+
+configuration_space.cache_clear = _cache_clear  # type: ignore[attr-defined]
 configuration_space.cache_info = _build_space.cache_info  # type: ignore[attr-defined]
 
 

@@ -10,8 +10,9 @@ finite ``always_admissible`` procedure.
 This module provides the exact decision procedure over finite domains and
 the ``always_admissible`` witness extraction.  The procedure is a reduction
 over the property's :class:`~repro.core.space.AdmissibilityTable`: ``val`` is
-evaluated once per configuration of ``I`` into one bitmask per output value,
-and a value is always admissible iff its mask is all ones.
+evaluated over ``I`` (once per proposal multiset for an anonymous property)
+into one bitmask per output value, and a value is always admissible iff its
+mask is all ones.
 
 Examples
 --------

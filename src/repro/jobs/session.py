@@ -212,11 +212,6 @@ class ExecutionSession:
         return self._closed
 
     @property
-    def has_store(self) -> bool:
-        """Whether this session is backed by a persistent store."""
-        return self.store_path is not None
-
-    @property
     def runner(self) -> Runner:
         """The session's runner (created on first access, then reused)."""
         self._check_open()

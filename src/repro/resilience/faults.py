@@ -89,10 +89,6 @@ class FaultPlan:
             except (TypeError, ValueError) as exc:
                 raise FaultInjectionError(f"fault plan field {name!r} must hold integers: {exc}") from None
 
-    @property
-    def injects_worker_faults(self) -> bool:
-        return bool(self.worker_crash or self.worker_hang or self.poison)
-
     def worker_fault(self, task_number: int, attempt: int) -> Optional[str]:
         """The fault (if any) for dispatching ``task_number`` on ``attempt`` (1-based)."""
         if task_number in self.poison:

@@ -116,9 +116,6 @@ class Process:
             raise ValueError(f"module path {module.path} already registered on process {self.pid}")
         self._modules[module.path] = module
 
-    def module_at(self, path: Tuple[str, ...]) -> Optional["ProtocolModule"]:
-        return self._modules.get(path)
-
     def deliver_message(self, sender: int, envelope: Envelope) -> None:
         """Route an incoming message to the addressed module (harness callback).
 

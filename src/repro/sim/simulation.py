@@ -158,10 +158,6 @@ class Simulation:
             view = self._correct_view = frozenset(self._correct)
         return view
 
-    @property
-    def faulty_processes(self) -> Set[int]:
-        return set(range(self.system.n)) - self._correct
-
     # ------------------------------------------------------------------
     # Event scheduling
     # ------------------------------------------------------------------

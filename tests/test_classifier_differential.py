@@ -20,6 +20,7 @@ import inspect
 import json
 import os
 import pathlib
+import pickle
 import pkgutil
 import random
 import subprocess
@@ -41,7 +42,8 @@ from repro.analysis.pipeline import (
     named_tasks,
     sampled_tasks,
 )
-from repro.core import validity
+from repro.core import properties, validity
+from repro.core import space as space_module
 from repro.core.input_config import (
     InputConfiguration,
     count_input_configurations,
@@ -51,8 +53,10 @@ from repro.core.properties import (
     ConstantValidity,
     IntervalValidity,
     MedianValidity,
+    StrongValidity,
     standard_properties,
 )
+from repro.core.ordering import canonical_key
 from repro.core.similarity_condition import check_similarity_condition
 from repro.core.solvability import classify, enumerated_property
 from repro.core.space import configuration_space, evaluate_property
@@ -231,6 +235,73 @@ class TestPurityUnderTheMemo:
         assert repr(booleans.configurations[0]) == "InputConfiguration[(P0, False)]"
         assert configuration_space(system, (1, 0, 1)) is integers
 
+    def test_the_same_tuple_is_served_from_one_slot(self, monkeypatch):
+        system, domain = SystemConfig(3, 1), (0, 1)
+        space = configuration_space(system, domain)
+        keyed = []
+
+        def counting_key(value):
+            keyed.append(value)
+            return canonical_key(value)
+
+        monkeypatch.setattr(space_module, "canonical_key", counting_key)
+        assert configuration_space(system, domain) is space
+        assert configuration_space(SystemConfig(3, 1), domain) is space
+        assert keyed == []
+        # A list is keyed on every call, and never takes the slot: it may
+        # change under the same id.
+        listed = list(domain)
+        assert configuration_space(system, listed) is space
+        assert configuration_space(system, listed) is space
+        assert len(keyed) == 4
+        listed.append(2)
+        assert configuration_space(system, listed).domain == (0, 1, 2)
+        assert configuration_space(SystemConfig(4, 1), domain) is not space
+        assert configuration_space(system, domain) is space
+        assert len(keyed) == 11
+        # Clearing the memo empties the slot too.
+        configuration_space.cache_clear()
+        rebuilt = configuration_space(system, domain)
+        assert rebuilt is not space and rebuilt.configurations == space.configurations
+
+
+class TestTablesOnRead:
+    """Deciding C_S builds no table; reading one builds both, equal to the oracle's."""
+
+    PROPERTIES = [
+        PropertyTask(family="named", key="strong", n=4, t=1, domain=(0, 1)),
+        # A sampled table that satisfies C_S without being trivial.
+        PropertyTask(family="sampled", key="sampled", n=2, t=1, domain=(0, 1), index=14),
+    ]
+
+    @pytest.mark.parametrize("task", PROPERTIES, ids=lambda task: task.label)
+    def test_lambda_read_after_classification_is_the_oracles(self, task):
+        prop, system, domain = task.build_property(), task.system(), task.domain
+        classification = classify(prop, system, domain, domain)
+        similarity = classification.similarity
+        assert not classification.trivial and similarity.holds
+        assert "lambda_table" not in vars(similarity)
+        assert "admissible_intersections" not in vars(similarity)
+        expected = reference.check_similarity_condition(prop, system, domain, domain)
+        assert list(similarity.lambda_table.items()) == list(expected.lambda_table.items())
+        assert len(similarity.lambda_table) == similarity.minimal_configurations_checked
+        assert list(similarity.admissible_intersections.items()) == list(
+            expected.admissible_intersections.items()
+        )
+        assert similarity == expected
+        assert similarity.lambda_function()(next(iter(expected.lambda_table))) == next(
+            iter(expected.lambda_table.values())
+        )
+
+    def test_a_missing_attribute_is_still_missing(self):
+        similarity = check_similarity_condition(StrongValidity(), SystemConfig(4, 1), (0, 1))
+        with pytest.raises(AttributeError):
+            similarity.lambda_tables
+        # A pickle carries both tables and leaves the space behind.
+        clone = pickle.loads(pickle.dumps(similarity))
+        assert "lambda_table" in vars(similarity) and "_evaluated" not in vars(clone)
+        assert clone == similarity and len(clone.lambda_table) == 32
+
 
 # ----------------------------------------------------------------------
 # The anonymity contract: val(c) evaluated once per proposal multiset
@@ -313,6 +384,13 @@ class TestAnonymousProperties:
             assert not union & mask
             union |= mask
         assert union == space.everything
+        # The minimal groups, as (first, last) indices into I.
+        assert space.minimal_multisets == tuple(
+            ((mask & -mask).bit_length() - 1, mask.bit_length() - 1)
+            for first, mask in space.multisets
+            if first.size == system.quorum
+        )
+        assert all(last < space.minimal_count for _, last in space.minimal_multisets)
 
     @pytest.mark.parametrize("system, domain", SPACES, ids=SPACE_IDS)
     def test_every_declared_class_keeps_the_contract(self, system, domain):
@@ -337,6 +415,43 @@ class TestAnonymousProperties:
         violations = anonymity_violations(self.ProcessZeroValidity(), system, domain)
         # Both checks fire: a group with unequal val(c), and the wrong masks.
         assert violations[:-1] and violations[-1] == "masks"
+
+
+class TestGroupedSimilarityDecision:
+    """C_S decided per minimal multiset equals the decision per configuration.
+
+    Both spaces lie beyond the oracle's budget.  The same ``val`` wrapped as a
+    table is not anonymous, so it takes the per-configuration path.
+    """
+
+    SPACES = [(SystemConfig(5, 1), (0, 1, 2)), (SystemConfig(7, 2), (0, 1))]
+
+    @pytest.mark.parametrize("system, domain", SPACES, ids=["n5-t1-d3", "n7-t2-d2"])
+    def test_every_contract_property_equals_its_table(self, system, domain):
+        assert enumeration_cost(system, len(domain)) > ORACLE_BUDGET
+        space = configuration_space(system, domain)
+        outcomes = set()
+        for prop in contract_properties(system, domain):
+            table = TableValidity(
+                {config: prop.admissible_values(config, domain) for config in space.configurations},
+                domain,
+                name=prop.name,
+            )
+            assert prop.anonymous and not table.anonymous
+            grouped = check_similarity_condition(prop, system, domain)
+            per_configuration = check_similarity_condition(table, system, domain)
+            assert grouped.holds == per_configuration.holds, prop
+            assert grouped.counterexample == per_configuration.counterexample, prop
+            assert grouped.minimal_configurations_checked == space.minimal_count
+            assert per_configuration.minimal_configurations_checked == space.minimal_count
+            assert list(grouped.admissible_intersections.items()) == list(
+                per_configuration.admissible_intersections.items()
+            ), prop
+            assert list(grouped.lambda_table.items()) == list(
+                per_configuration.lambda_table.items()
+            ), prop
+            outcomes.add(grouped.holds)
+        assert outcomes == {True, False}
 
 
 class TestTableDomainMemo:
@@ -373,6 +488,39 @@ class TestTableDomainMemo:
         assert prop.admissible_values(config, fixed) == prop.admissible_values(config, fixed) == {1}
         assert prop._last_domain[0] is fixed
 
+    def test_a_rank_property_keys_a_tuple_domain_once(self, monkeypatch):
+        system, domain = SystemConfig(4, 1), (0, 1, 2)
+        configurations = configuration_space(system, domain).configurations
+        prop = MedianValidity(radius=0, output_domain=domain)
+        expected = [
+            frozenset(value for value in domain if prop.is_admissible(config, value))
+            for config in configurations
+        ]
+        keyed = []
+
+        def counting_key(value):
+            keyed.append(value)
+            return canonical_key(value)
+
+        monkeypatch.setattr(properties, "canonical_key", counting_key)
+        assert [prop.admissible_values(config, domain) for config in configurations] == expected
+        # Every proposal is one of the domain's own objects.
+        assert keyed == list(domain)
+        # The property's own domain is that very tuple.
+        assert prop.output_domain is domain
+        assert [prop.admissible_values(config) for config in configurations] == expected
+        assert keyed == list(domain)
+        # A list is keyed on every call, and never takes the slot.
+        listed = list(domain)
+        assert prop.admissible_values(configurations[0], listed) == expected[0]
+        assert prop.admissible_values(configurations[0], listed) == expected[0]
+        assert len(keyed) == 3 * len(domain)
+        assert prop._last_domain[0] is domain
+        # The slot's ids mean nothing in another interpreter: it is not pickled.
+        clone = pickle.loads(pickle.dumps(prop))
+        assert "_last_domain" not in vars(clone)
+        assert [clone.admissible_values(config) for config in configurations] == expected
+
 
 # ----------------------------------------------------------------------
 # The counted metric: what one analyze_cold unit evaluates and constructs
@@ -381,13 +529,14 @@ _COUNTING_SCRIPT = """
 import collections, importlib, inspect, json, pkgutil, sys
 import repro.core
 from repro.analysis import pipeline
-from repro.core import ordering
+from repro.core import ordering, similarity_condition
 from repro.core.input_config import InputConfiguration, ProcessProposal
 
 counted = {
     ordering.canonical_key.__code__: "canonical_key",
     ordering.canonical_sorted.__code__: "canonical_sorted",
     ProcessProposal.__hash__.__code__: "process_proposal_hash",
+    InputConfiguration.__hash__.__code__: "configuration_hash",
     InputConfiguration.__init__.__code__: "configurations",
 }
 # val(c) is admissible_values on whichever class of repro.core defines it.
@@ -397,11 +546,38 @@ for module in pkgutil.walk_packages(repro.core.__path__, "repro.core."):
         if "admissible_values" in vars(owner):
             counted[vars(owner)["admissible_values"].__code__] = "admissible_values"
 
+def line_of(function, text):
+    lines, start = inspect.getsourcelines(function)
+    [offset] = [offset for offset, line in enumerate(lines) if line.strip() == text]
+    return function.__code__, start + offset
+
+# Statements counted each time they run: one C_S decision (a neighbourhood
+# checked), and one intersection or Lambda entry built.
+counted_lines = dict([
+    (line_of(similarity_condition.check_similarity_condition,
+             "neighbourhood = neighbourhoods[first]"), "similarity_decisions"),
+    (line_of(similarity_condition.SimilarityConditionResult._build_tables,
+             "self.admissible_intersections[config] = frozenset(admitted)"), "intersections"),
+    (line_of(similarity_condition.SimilarityConditionResult._build_tables,
+             "self.lambda_table[config] = admitted[0]"), "lambda_entries"),
+])
+traced_codes = {code for code, _ in counted_lines}
+
 counts = collections.Counter()
 
 def profile(frame, event, arg):
     if event == "call" and frame.f_code in counted:
         counts[counted[frame.f_code]] += 1
+
+def trace_lines(frame, event, arg):
+    if event == "line":
+        name = counted_lines.get((frame.f_code, frame.f_lineno))
+        if name is not None:
+            counts[name] += 1
+    return trace_lines
+
+def trace(frame, event, arg):
+    return trace_lines if frame.f_code in traced_codes else None
 
 tasks = (
     pipeline.named_tasks([pipeline.DEFAULT_NAMED_SYSTEMS[index] for index in (0, 1, 3)])
@@ -411,18 +587,33 @@ tasks = (
 passes = []
 for _ in range(2):
     counts.clear()
+    sys.settrace(trace)
     sys.setprofile(profile)
     verdicts = [pipeline.classify_task(task) for task in tasks]
     sys.setprofile(None)
+    sys.settrace(None)
     passes.append(dict(counts))
+# The tables are built when read, and then by the same counted statements.
+task = tasks[8]
+similarity = pipeline.classify(
+    task.build_property(), task.system(), task.domain, task.domain
+).similarity
+counts.clear()
+sys.settrace(trace)
+entries = [len(similarity.lambda_table), len(similarity.admissible_intersections)]
+sys.settrace(None)
 print(json.dumps({
     "tasks": len(tasks),
     "configurations_checked": sum(verdict.configurations_checked for verdict in verdicts),
+    "minimal_configurations_checked": sum(
+        verdict.minimal_configurations_checked for verdict in verdicts
+    ),
     "admissible_values_owners": sorted(
         code.co_qualname for code, name in counted.items() if name == "admissible_values"
     ),
     "cold": passes[0],
     "warm": passes[1],
+    "read_after": [task.label, entries, dict(counts)],
 }))
 """
 
@@ -458,29 +649,53 @@ class TestAnalyzeColdCounts:
         # (27 multisets over the three systems: 216) and once per configuration
         # for each of the 40 table tasks (960); there is no pairwise similar()
         # in repro to call, and I is constructed once per system, then not at
-        # all.  A configuration hashes its pairs at most once, on first use, so
-        # the warm pass hashes none; a rank property keys each output value
-        # once per multiset (a proposal that is one of those values is not
-        # keyed again), and Lambda reads V_O sorted once per property.
+        # all.
         multisets = sum(
             len(configuration_space(system, (0, 1)).multisets) for system in systems[1:]
         )
         assert multisets == 27
+        # C_S is decided once per minimal multiset for a named task (3 + 4 + 5
+        # over the three systems) and once per minimal configuration for a
+        # table (4 at (2,1), 32 at (4,1)): 704 of the 1,600 neighbourhoods.
+        # Deciding builds no intersection and no Lambda entry.
+        minimal_multisets = sum(
+            len(configuration_space(system, (0, 1)).minimal_multisets) for system in systems[1:]
+        )
+        assert minimal_multisets == 12
+        assert first["minimal_configurations_checked"] == 1_600
+        decisions = 8 * minimal_multisets + 24 * 4 + 16 * 32
+        # canonical_key (warm): each table sorts its domain (40 x 2), each rank
+        # property keys its domain once (9 x 2), the trivial tasks' witness and
+        # always-admissible values are sorted (15 + 15), and configuration_space
+        # keys a domain only when the tuple or system changes (5 x 2); cold
+        # adds the four spaces' enumeration (4 x 2).  canonical_sorted: 40
+        # tables, 12 witnesses, 64 verdicts, and 4 enumerations cold.  Every
+        # configuration hash is a table's: built (960), copied (960) and read
+        # (960); a configuration hashes its pairs at most once, on first use,
+        # so the warm pass hashes none.
         assert first["cold"] == {
             "admissible_values": 8 * multisets + 960,
             "configurations": distinct_spaces,
-            "canonical_key": 616,
-            "canonical_sorted": 184,
-            "process_proposal_hash": 516,
+            "similarity_decisions": decisions,
+            "canonical_key": 146,
+            "canonical_sorted": 120,
+            "configuration_hash": 2_880,
+            "process_proposal_hash": 172,
         }
         assert first["warm"] == {
             "admissible_values": 1_176,
-            "canonical_key": 608,
-            "canonical_sorted": 180,
+            "similarity_decisions": decisions,
+            "canonical_key": 138,
+            "canonical_sorted": 116,
+            "configuration_hash": 2_880,
         }
-        assert "process_proposal_hash" not in first["warm"]
+        assert decisions == 704
         assert first["warm"]["canonical_key"] <= 3_440
         assert first["warm"]["canonical_sorted"] <= 208
         assert first["cold"]["process_proposal_hash"] <= pairs
+        # Read after classification, the tables are built once, in full.
+        assert first["read_after"] == [
+            "named:strong:n4:t1:d0-1", [32, 32], {"intersections": 32, "lambda_entries": 32}
+        ]
         assert distinct_spaces <= 400
         assert DEFAULT_NAMED_SYSTEMS[3] == (5, 1, (0, 1))

@@ -157,7 +157,6 @@ class TestSessionReuse:
     def test_storeless_session_has_no_store(self):
         with ExecutionSession() as session:
             assert session.store is None
-            assert not session.has_store
             outcome = session.submit(SweepJob(slice_payloads()))
         assert outcome.ok
         assert outcome.store_stats is None
