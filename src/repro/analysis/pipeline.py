@@ -25,23 +25,17 @@ and 5), and the ``Omega(t^2)`` message lower bound for anything non-trivial
   property must show agreement + validity in the recorded summaries, and an
   unsolvable property must have no passing protocol.
 
-Two classification methods, one verdict
----------------------------------------
+One exact classification
+------------------------
 
-Over small finite domains the exact decision procedures
+Every verdict comes from the exact decision procedures
 (:func:`~repro.core.triviality.check_triviality`,
-:func:`~repro.core.similarity_condition.check_similarity_condition`) settle
-every question by enumeration.  Their cost grows with
-``|I_{n-t}| * |I|`` (see :func:`enumeration_cost`), so for the larger
-systems the sweep matrix uses (``n=7, t=2`` and ``n=10, t=3`` presets) the
-pipeline switches to the *closed-form oracle* for the named standard
-properties — the same per-property arguments that justify the closed-form
-``Lambda`` functions of :mod:`repro.core.lambda_functions` (e.g. Strong
-Validity satisfies ``C_S`` iff ``n > 3t``; Correct-Proposal Validity iff
-``n > (|V_I| + 1) t``, the Fitzi-Garay bound).  Wherever both methods are
-affordable the test-suite pins them to identical verdicts, so the closed
-form is an *extrapolation of a cross-validated rule*, not a separate
-theory.
+:func:`~repro.core.similarity_condition.check_similarity_condition`).  A
+named property is anonymous, so it is decided over its proposal multisets
+(:func:`~repro.core.space.multiset_space`) at any ``n`` and ``t``, the
+sweep matrix's ``n=7, t=2`` and ``n=10, t=3`` presets included.  A table
+property (enumerated or sampled) is decided over every configuration of
+``I``, which costs about ``|I_{n-t}| * |I|`` (:func:`enumeration_cost`).
 
 Examples
 --------
@@ -96,14 +90,10 @@ ANALYSIS_FORMAT_VERSION = 1
 """Version of the verdict record / verdict baseline JSON shape."""
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
-"""Upper bound on ``enumeration_cost`` for the exact decision procedures.
+"""Upper bound on ``enumeration_cost`` for a table task (enumerated or sampled).
 
-Tasks above the budget fall back to the closed-form oracle (named standard
-properties with ``n > 3t`` only).  The constant is part of the analysis
-source, so changing it changes
-:func:`~repro.store.fingerprint.analysis_code_fingerprint` and invalidates
-every cached verdict — the budget can never silently relabel a stored
-record's method.
+Such a task is refused above it, before its table is built.  A named task is
+decided over proposal multisets and has no bound.
 """
 
 _NAMED_KEYS: Tuple[str, ...] = (
@@ -131,7 +121,7 @@ DEFAULT_NAMED_SYSTEMS: Tuple[Tuple[int, int, Tuple[int, ...]], ...] = (
 
 
 class AnalysisError(RuntimeError):
-    """A property task that no available classification method can decide."""
+    """A property task the classifier cannot decide: unknown, out of range or over budget."""
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +235,8 @@ class AnalysisVerdict:
         family, key, n, t, domain, index: The task identity (see
             :class:`PropertyTask`).
         property_name: Display name of the materialised property.
-        method: ``"enumeration"`` (exact decision procedures) or
-            ``"closed-form"`` (per-property oracle for large systems).
+        method: Always ``"enumeration"``: every verdict comes from the
+            exact decision procedures (kept for the record format).
         trivial: Whether an always-admissible value exists (Theorem 2).
         witness: Canonical always-admissible value when trivial.
         always_admissible: Every always-admissible value (canonical order).
@@ -259,9 +249,9 @@ class AnalysisVerdict:
             algorithm for a non-trivial property has executions exceeding
             this many messages.
         message_bound: Human-readable message-complexity consequence.
-        configurations_checked: ``|I|`` enumerated (0 under closed form).
-        minimal_configurations_checked: ``|I_{n-t}|`` enumerated (0 under
-            closed form).
+        configurations_checked: ``|I|``, the input configurations decided.
+        minimal_configurations_checked: ``|I_{n-t}|``, the minimal
+            configurations decided.
     """
 
     family: str
@@ -327,10 +317,10 @@ class AnalysisVerdict:
 
 
 # ----------------------------------------------------------------------
-# Classification: enumeration where affordable, closed form beyond
+# Classification
 # ----------------------------------------------------------------------
 def enumeration_cost(system: SystemConfig, domain_size: int) -> int:
-    """Upper bound on similarity-enumeration work: ``|I_{n-t}| * |I|``.
+    """Upper bound on deciding a property over every configuration: ``|I_{n-t}| * |I|``.
 
     The triviality check is linear in ``|I|``; the similarity-condition
     check intersects the admissible sets over the similarity neighbourhood
@@ -339,13 +329,6 @@ def enumeration_cost(system: SystemConfig, domain_size: int) -> int:
     """
     minimal = math.comb(system.n, system.quorum) * domain_size**system.quorum
     return minimal * count_input_configurations(system, domain_size)
-
-
-def classification_method(task: PropertyTask, budget: int = DEFAULT_ENUMERATION_BUDGET) -> str:
-    """Pick the cheapest sound method for a task: enumeration within budget, else closed form."""
-    if enumeration_cost(task.system(), len(task.domain)) <= budget:
-        return "enumeration"
-    return "closed-form"
 
 
 def _task_label(family: str, key: str, n: int, t: int, domain: Tuple[Value, ...], index: int) -> str:
@@ -382,68 +365,7 @@ def _canonical_value(value: Any) -> str:
     return repr(value)
 
 
-def _closed_form_facts(task: PropertyTask) -> Tuple[bool, Tuple[Value, ...], bool, str]:
-    """The closed-form oracle: ``(trivial, always_admissible, cs_holds, cs_note)``.
-
-    Only defined for the named standard properties with ``n > 3t`` — the
-    regime where the closed-form ``Lambda`` constructions of
-    :mod:`repro.core.lambda_functions` are proved correct.  Each rule is the
-    per-property argument from that module, cross-validated against the
-    exact enumeration wherever both are affordable
-    (``tests/test_analysis_pipeline.py``).
-    """
-    system = task.system()
-    if task.family != "named":
-        raise AnalysisError(
-            f"task {task.label} exceeds the enumeration budget and only named standard "
-            "properties have a closed-form oracle"
-        )
-    if not system.tolerates_byzantine_faults():
-        raise AnalysisError(
-            f"task {task.label} exceeds the enumeration budget and the closed-form oracle "
-            "requires n > 3t (shrink the system or raise the budget)"
-        )
-    ordered = canonical_sorted(set(task.domain))
-    d = len(ordered)
-    key = task.key
-    if key == "constant":
-        # ConstantValidity admits exactly its constant (the first domain value).
-        constant = task.domain[0]
-        return True, (constant,), True, "trivial properties satisfy C_S vacuously"
-    if key == "free" or d == 1:
-        # Free Validity admits everything; any property over a singleton
-        # domain admits the single value everywhere (val(c) is non-empty).
-        return True, tuple(ordered), True, "trivial properties satisfy C_S vacuously"
-    # Every other named property is non-trivial once |domain| >= 2: the
-    # unanimous configurations for two distinct values already admit
-    # disjoint singletons, emptying the always-admissible intersection.
-    if key in ("strong", "weak", "median", "interval", "convex-hull"):
-        # The closed-form Lambda for these exists for every n > 3t (see the
-        # respective constructions and proofs in repro.core.lambda_functions;
-        # "median" is MedianValidity(radius=2t) and "interval" is
-        # IntervalValidity(k=t+1, radius=t), for which k <= n - 2t follows
-        # from n > 3t).
-        return False, (), True, f"closed-form Lambda exists for {key!r} when n > 3t"
-    if key == "correct-proposal":
-        # Fitzi-Garay: some value is guaranteed to appear >= t + 1 times in
-        # every decided vector of n - t proposals iff n - t > |V_I| * t.
-        holds = system.n > (d + 1) * system.t
-        note = (
-            f"n > (|V_I| + 1)t = {(d + 1) * system.t} guarantees a (t+1)-frequent value in "
-            "every vector"
-            if holds
-            else f"n <= (|V_I| + 1)t = {(d + 1) * system.t}: a vector can spread proposals so "
-            "that no value appears t + 1 times (Fitzi-Garay bound)"
-        )
-        return False, (), holds, note
-    raise AnalysisError(
-        f"named property {key!r} has no closed-form oracle; known: {sorted(_NAMED_KEYS)}"
-    )
-
-
-def classify_task(
-    task: PropertyTask, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> AnalysisVerdict:
+def classify_task(task: PropertyTask) -> AnalysisVerdict:
     """Classify one property task into an :class:`AnalysisVerdict` (pure function).
 
     Applies the paper's characterization: trivial properties are solvable
@@ -451,71 +373,29 @@ def classify_task(
     ``n <= 3t`` (Theorem 1) and solvable iff ``C_S`` holds when ``n > 3t``
     (Theorems 3 and 5).  Non-trivial properties additionally carry the
     Theorem 4 quadratic message bound.
+
+    Raises:
+        AnalysisError: for a table task over budget
+            (:data:`DEFAULT_ENUMERATION_BUDGET`), or one the task names no
+            property for.
     """
     system = task.system()
-    method = classification_method(task, budget)
     domain = task.domain
-
-    if method == "enumeration":
-        prop = task.build_property()
-        classification = classify(prop, system, domain, domain)
-        triviality = classification.triviality
-        similarity = classification.similarity
-        always = tuple(
-            _canonical_value(value) for value in canonical_sorted(triviality.always_admissible)
+    if task.family != "named" and (
+        enumeration_cost(system, len(domain)) > DEFAULT_ENUMERATION_BUDGET
+    ):
+        raise AnalysisError(
+            f"task {task.label} exceeds the enumeration budget: a table property is decided "
+            "over every input configuration"
         )
-        verdict_fields = dict(
-            property_name=prop.name,
-            trivial=classification.trivial,
-            witness=_canonical_value(triviality.witness) if classification.trivial else None,
-            always_admissible=always,
-            satisfies_similarity_condition=classification.satisfies_similarity_condition,
-            similarity_counterexample=(
-                repr(similarity.counterexample) if similarity.counterexample is not None else None
-            ),
-            solvable=classification.solvable,
-            reason=classification.reason,
-            configurations_checked=triviality.configurations_checked,
-            minimal_configurations_checked=similarity.minimal_configurations_checked,
-        )
-    else:
-        trivial, always_values, cs_holds, cs_note = _closed_form_facts(task)
-        always = tuple(_canonical_value(value) for value in canonical_sorted(always_values))
-        if trivial:
-            solvable = True
-            reason = (
-                f"trivial: value {always[0]} is admissible for every input configuration, "
-                "so every process can decide it immediately (Theorem 2; closed form)"
-            )
-        elif cs_holds:
-            solvable = True
-            reason = (
-                "non-trivial, n > 3t, and the similarity condition holds — "
-                f"{cs_note} — hence solvable by the Universal algorithm (Theorem 5; closed form)"
-            )
-        else:
-            solvable = False
-            reason = (
-                f"the similarity condition fails: {cs_note}; hence unsolvable "
-                "(Theorem 3; closed form)"
-            )
-        verdict_fields = dict(
-            property_name=_named_property_name(task),
-            trivial=trivial,
-            witness=always[0] if trivial else None,
-            always_admissible=always,
-            satisfies_similarity_condition=cs_holds,
-            similarity_counterexample=None,
-            solvable=solvable,
-            reason=reason,
-            configurations_checked=0,
-            minimal_configurations_checked=0,
-        )
-
+    prop = task.build_property()
+    classification = classify(prop, system, domain, domain)
+    triviality = classification.triviality
+    similarity = classification.similarity
     threshold = dolev_reischuk_threshold(system)
-    if verdict_fields["trivial"]:
+    if classification.trivial:
         message_bound = "O(1): decide the always-admissible value without communication"
-    elif verdict_fields["solvable"]:
+    elif classification.solvable:
         message_bound = (
             f"Omega(t^2) messages (Theorem 4: > {threshold}); O(n^2) via Universal (Theorem 5)"
         )
@@ -524,20 +404,28 @@ def classify_task(
     return AnalysisVerdict(
         family=task.family,
         key=task.key,
+        property_name=prop.name,
         n=task.n,
         t=task.t,
         domain=task.domain,
         index=task.index,
-        method=method,
+        method="enumeration",
+        trivial=classification.trivial,
+        witness=_canonical_value(triviality.witness) if classification.trivial else None,
+        always_admissible=tuple(
+            _canonical_value(value) for value in canonical_sorted(triviality.always_admissible)
+        ),
+        satisfies_similarity_condition=classification.satisfies_similarity_condition,
+        similarity_counterexample=(
+            repr(similarity.counterexample) if similarity.counterexample is not None else None
+        ),
+        solvable=classification.solvable,
+        reason=classification.reason,
         quadratic_threshold=threshold,
         message_bound=message_bound,
-        **verdict_fields,
+        configurations_checked=triviality.configurations_checked,
+        minimal_configurations_checked=similarity.minimal_configurations_checked,
     )
-
-
-def _named_property_name(task: PropertyTask) -> str:
-    """Display name of a named property without materialising its table."""
-    return standard_properties(task.system(), output_domain=list(task.domain))[task.key].name
 
 
 # ----------------------------------------------------------------------

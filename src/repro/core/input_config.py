@@ -191,7 +191,8 @@ def enumerate_input_configurations(
 def count_input_configurations(system: SystemConfig, domain_size: int) -> int:
     """Closed-form count of ``|I|`` for a domain of the given size.
 
-    Used by tests to check that enumeration is exhaustive and duplicate-free.
+    The multiset space's ``|I|``, and the tests' check that enumeration is
+    exhaustive and duplicate-free.
     """
     import math
 

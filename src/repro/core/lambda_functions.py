@@ -1,11 +1,12 @@
 """Closed-form ``Lambda`` functions for the standard validity properties.
 
-The generic construction in :mod:`repro.core.similarity_condition` builds a
-``Lambda`` table by exhaustive enumeration, which only works over small
-finite domains.  Protocol executions, however, run over arbitrary value
-domains (integers, strings, transaction batches, ...), so the Universal
-algorithm needs *closed-form* ``Lambda`` functions.  This module derives
-them for the named properties:
+The generic construction in :mod:`repro.core.similarity_condition` decides
+``C_S`` exactly over any finite domain (for a named property, over proposal
+multisets at any ``n`` and ``t``) and builds ``Lambda`` as a table over
+``I_{n-t}``.  Protocol executions, however, run over unbounded value domains
+(integers, strings, transaction batches, ...), which no table can list, so
+the Universal algorithm needs *closed-form* ``Lambda`` functions there.  This
+module derives them for the named properties:
 
 * Strong Validity: any value proposed by at least ``n - 2t`` processes of the
   decided vector must be chosen (such a value is unique when ``n > 3t``);

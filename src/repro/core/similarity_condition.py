@@ -10,14 +10,11 @@ sufficient when ``n > 3t``.
 Over finite domains the condition is decidable by enumeration; this module
 implements that decision procedure and materialises the resulting ``Lambda``
 as an explicit table, which the Universal protocol can then execute.  The
-procedure is a reduction over the shared
-:class:`~repro.core.space.ConfigurationSpace`, which holds every similarity
-neighbourhood ``sim(c)`` as a bitmask over ``I``: with ``val`` evaluated into
-one mask per output value (:func:`~repro.core.space.evaluate_property`), a
-value lies in the intersection for ``c`` iff ``sim(c) & ~mask == 0``, and
-``c`` fails iff no value does.  For an anonymous property every member of a
-minimal proposal multiset has the same intersection, so one neighbourhood
-per multiset is checked; any other property has each of ``I_{n-t}`` checked.
+procedure is a reduction over the space
+:func:`~repro.core.space.evaluate_property` picks for the property, which
+holds each minimal cell's similarity neighbourhood as a bitmask: with
+``val`` evaluated into one mask per output value, a value lies in a cell's
+intersection iff ``sim & ~mask == 0``, and the cell fails iff no value does.
 The decision builds no table: the intersections and ``Lambda`` are read off
 the same masks on first read of the result's fields.
 
@@ -103,16 +100,20 @@ class SimilarityConditionResult:
         """Both tables from the kept masks, in the order of ``I_{n-t}``."""
         evaluated = self.__dict__.pop("_evaluated")
         space = evaluated.space
-        # V_O in canonical order once, each value with the configurations that
-        # exclude it: an intersection is then read off in order, and Lambda is
+        # V_O in canonical order once, each value with the cells that exclude
+        # it: a cell's intersection is then read off in order, and Lambda is
         # its first value.
         excluding = [(value, ~evaluated.masks[value]) for value in canonical_sorted(evaluated.masks)]
+        admitted = [
+            [value for value, excluded in excluding if not neighbourhood & excluded]
+            for neighbourhood in space.neighbourhoods
+        ]
+        intersections = [frozenset(values) for values in admitted]
         self.admissible_intersections, self.lambda_table = {}, {}
-        for config, neighbourhood in zip(space.minimal_configurations, space.neighbourhoods):
-            admitted = [value for value, excluded in excluding if not neighbourhood & excluded]
-            self.admissible_intersections[config] = frozenset(admitted)
+        for config, cell in space.minimal_members():
+            self.admissible_intersections[config] = intersections[cell]
             if self.holds:
-                self.lambda_table[config] = admitted[0]
+                self.lambda_table[config] = admitted[cell][0]
 
     def lambda_function(self) -> LambdaFunction:
         """Return the ``Lambda`` realised by this result as a callable.
@@ -165,22 +166,13 @@ def check_similarity_condition(
     if evaluated is None:
         evaluated = evaluate_property(prop, system, input_domain, output_domain)
     space = evaluated.space
-    neighbourhoods = space.neighbourhoods
     excluding = [~mask for mask in evaluated.masks.values()]
-    # An anonymous property has one intersection per minimal multiset: a
-    # process renaming maps one member's neighbourhood onto another's and
-    # keeps every multiset.  So one member decides for its group.
-    groups = space.minimal_multisets if prop.anonymous else (
-        (index, index) for index in range(space.minimal_count)
-    )
+    # A cell fails when its neighbourhood meets every value's exclusion; the
+    # last failing minimal cell's member is I_{n-t}'s last failing configuration.
     failing = -1
-    for first, last in groups:
-        neighbourhood = neighbourhoods[first]
-        for excluded in excluding:
-            if not neighbourhood & excluded:
-                break
-        else:
-            failing = max(failing, last)
+    for cell, neighbourhood in enumerate(space.neighbourhoods):
+        if all(map(neighbourhood.__and__, excluding)):
+            failing = cell
     result = SimilarityConditionResult(
         holds=failing < 0,
         counterexample=space.configurations[failing] if failing >= 0 else None,

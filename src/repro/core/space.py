@@ -1,35 +1,37 @@
-"""The configuration space of one system, as data (Sections 3.3-3.4).
+"""The spaces a property is decided over, as data (Sections 3.3-3.4).
 
-Every decision procedure of the theory layer quantifies over the same three
-objects: the set ``I`` of input configurations of a system over a finite
-proposal domain, its slice ``I_{n-t}`` of minimal configurations, and the
-similarity neighbourhood ``sim(c)`` of each minimal configuration.  None of
-them depends on the validity property being judged, so they are built once
-per ``(n, t, domain)`` and shared: :func:`configuration_space` returns an
-immutable :class:`ConfigurationSpace` holding ``I`` as a tuple and every
-``sim(c)`` as a Python-int bitmask over indices into that tuple.
+Every decision procedure of the theory layer quantifies over the set ``I`` of
+input configurations of a system over a finite proposal domain, its slice
+``I_{n-t}`` of minimal configurations, and the similarity neighbourhood
+``sim(c)`` of each minimal configuration.  None of them depends on the
+property judged, so a space is built once per ``(n, t, domain)`` and shared.
+It splits ``I`` into *cells*, minimal cells first, and holds each minimal
+cell's neighbourhood as a Python-int bitmask over the cells:
 
-The similarity relation of Section 3.4 (``c ~ c'`` iff the two share a
-process and agree on every shared process) has no pairwise implementation
-here: the neighbourhoods are built structurally, and the pairwise definition
-lives in ``tests/reference_classifier.py`` as the oracle they are checked
-against.  With ``B[p][v]`` the mask of configurations in which process ``p``
-proposes ``v`` and ``P[p]`` the mask of configurations containing ``p``,
-
-    ``sim(c) = (OR_p B[p][c[p]]) & ~(OR_p (P[p] & ~B[p][c[p]]))``
-
-over the processes ``p`` of ``c``: some shared process agrees, and no shared
-process disagrees — ``O(n)`` big-integer operations per configuration.
+* in a :class:`ConfigurationSpace` (:func:`configuration_space`) each
+  configuration of ``I`` is a cell.  The similarity relation of Section 3.4
+  (``c ~ c'`` iff the two share a process and agree on every shared one) is
+  built structurally: with ``B[p][v]`` the mask of configurations in which
+  process ``p`` proposes ``v`` and ``P[p]`` the mask of those containing ``p``,
+  ``sim(c) = (OR_p B[p][c[p]]) & ~(OR_p (P[p] & ~B[p][c[p]]))`` over the
+  processes ``p`` of ``c``.  The pairwise definition lives in
+  ``tests/reference_classifier.py``, the oracle these masks are checked against;
+* in a :class:`MultisetSpace` (:func:`multiset_space`) each proposal multiset
+  of size ``n - t .. n`` is a cell.  A configuration similar to a minimal
+  ``c`` keeps a non-empty part of ``c``'s pairs and adds at most ``t`` pairs
+  of the processes outside ``c``, so multiset ``X`` lies in the
+  neighbourhood of minimal multiset ``M`` iff ``|X ∩ M| >= 1`` and
+  ``|X| - |X ∩ M| <= t``.
 
 A property enters only through :func:`evaluate_property`, which evaluates
-``val(c)`` into an :class:`AdmissibilityTable` (one mask per output value):
-once per proposal multiset for an anonymous property (one whose ``val(c)``
-reads only how many processes propose each value; every named property of
-the paper is one), once per configuration for any other.  "``v`` is
-admissible throughout a region of ``I``" is then one AND: triviality asks it
-of the whole space, the similarity condition of a neighbourhood — of one per
-minimal multiset (:attr:`ConfigurationSpace.minimal_multisets`) for an
-anonymous property, of each for any other.
+``val`` once per cell into an :class:`AdmissibilityTable` (one mask per
+output value); "``v`` is admissible throughout a region" is then one AND.  An
+anonymous property (its ``val(c)`` reads only how many processes propose each
+value, as every named property's does) gets the multiset space: a renaming
+of processes maps one member's neighbourhood onto another's and keeps every
+multiset.  This is symmetry reduction (Ip and Dill, FMSD 1996): at
+``n = 31, t = 10`` over two values, 297 cells stand for about ``3.3 * 10^14``
+configurations.
 
 >>> from repro.core.system import SystemConfig
 >>> space = configuration_space(SystemConfig(3, 1), [0, 1])
@@ -39,19 +41,30 @@ anonymous property, of each for any other.
 [InputConfiguration[(P0, 0), (P1, 0)], InputConfiguration[(P0, 0), (P2, 0)]]
 >>> bin(space.neighbourhoods[0])
 '0b11001100110001'
->>> len(space.multisets)
-7
->>> space.minimal_multisets  # {0, 0}, {0, 1} and {1, 1}
-((0, 8), (1, 10), (3, 11))
+>>> cells = multiset_space(SystemConfig(3, 1), [0, 1])
+>>> (cells.configuration_count, cells.minimal_count, len(cells.configurations))
+(20, 12, 7)
+>>> cells.configurations[1]  # {0, 1}: its last configuration in I
+InputConfiguration[(P1, 1), (P2, 0)]
+>>> bin(cells.neighbourhoods[0])  # {0, 0}, {0, 1}, {0, 0, 0} and {0, 0, 1}
+'0b11011'
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, Optional, Sequence, Tuple, Union
 
-from .input_config import InputConfiguration, Value, enumerate_input_configurations
+from .input_config import (
+    InputConfiguration,
+    ProcessProposal,
+    Value,
+    count_input_configurations,
+    enumerate_input_configurations,
+)
 from .ordering import canonical_key
 from .system import SystemConfig
 from .validity import ValidityProperty
@@ -69,21 +82,19 @@ class ConfigurationSpace:
             which puts the minimal configurations first; bit ``i`` of every
             mask stands for ``configurations[i]``.
         neighbourhoods: ``sim(c)`` as a mask, for each minimal configuration.
-        multisets: ``I`` grouped by proposal multiset, as ``(first
-            configuration, mask of the group)`` pairs in enumeration order.
-        minimal_multisets: ``I_{n-t}`` grouped the same way, as ``(first
-            index, last index)`` pairs into ``configurations``, in
-            enumeration order.
     """
 
     system: SystemConfig
     domain: Tuple[Value, ...]
     configurations: Tuple[InputConfiguration, ...]
     neighbourhoods: Tuple[int, ...]
-    multisets: Tuple[Tuple[InputConfiguration, int], ...]
-    minimal_multisets: Tuple[Tuple[int, int], ...]
     _containing: Dict[int, int]
     _proposing: Dict[Tuple[int, Value], int]
+
+    @property
+    def configuration_count(self) -> int:
+        """``|I|``."""
+        return len(self.configurations)
 
     @property
     def minimal_count(self) -> int:
@@ -99,6 +110,10 @@ class ConfigurationSpace:
     def everything(self) -> int:
         """The mask of all of ``I``."""
         return (1 << len(self.configurations)) - 1
+
+    def minimal_members(self) -> Iterator[Tuple[InputConfiguration, int]]:
+        """Each configuration of ``I_{n-t}`` in enumeration order, with its cell (its own index)."""
+        return zip(self.minimal_configurations, range(self.minimal_count))
 
     def neighbourhood(self, config: InputConfiguration) -> int:
         """The mask of ``sim(config)`` for any configuration, minimal or not."""
@@ -117,6 +132,59 @@ class ConfigurationSpace:
         return self.select(self.neighbourhood(config))
 
 
+@dataclass(frozen=True, eq=False)
+class MultisetSpace:
+    """The proposal multisets of one system over one domain, as cells of ``I``.
+
+    Attributes:
+        system: The system parameters (``n``, ``t``).
+        domain: The proposal domain ``V_I`` in canonical order.
+        configurations: One member per multiset, bit ``i`` of every mask
+            standing for ``configurations[i]``: the multiset's last
+            configuration in ``I``, processes ``n - k .. n - 1`` proposing
+            its ``k`` values in descending domain order.  Minimal multisets
+            come first, and each size's are ordered by these value tuples,
+            so the last failing minimal cell's member is the last failing
+            configuration of ``I_{n-t}``.
+        neighbourhoods: For each minimal multiset, the mask of the
+            multisets of ``sim(c)`` for any ``c`` with that multiset.
+    """
+
+    system: SystemConfig
+    domain: Tuple[Value, ...]
+    configurations: Tuple[InputConfiguration, ...]
+    neighbourhoods: Tuple[int, ...]
+    # A minimal multiset's descending domain positions -> its cell.
+    _cells: Dict[Tuple[int, ...], int]
+
+    @property
+    def configuration_count(self) -> int:
+        """``|I|``, counted in closed form."""
+        return count_input_configurations(self.system, len(self.domain))
+
+    @property
+    def minimal_count(self) -> int:
+        """``|I_{n-t}|``, counted in closed form."""
+        quorum = self.system.quorum
+        return math.comb(self.system.n, quorum) * len(self.domain) ** quorum
+
+    @property
+    def everything(self) -> int:
+        """The mask of every multiset."""
+        return (1 << len(self.configurations)) - 1
+
+    def minimal_members(self) -> Iterator[Tuple[InputConfiguration, int]]:
+        """Each configuration of ``I_{n-t}`` in enumeration order, with its multiset's cell."""
+        position = {value: index for index, value in enumerate(self.domain)}
+        members = enumerate_input_configurations(self.system, self.domain)
+        for config in itertools.islice(members, self.minimal_count):
+            key = sorted((position[value] for value in config.proposals()), reverse=True)
+            yield config, self._cells[tuple(key)]
+
+
+Space = Union[ConfigurationSpace, MultisetSpace]
+
+
 def configuration_space(system: SystemConfig, input_domain: Sequence[Value]) -> ConfigurationSpace:
     """The shared :class:`ConfigurationSpace` of ``system`` over ``input_domain``.
 
@@ -126,7 +194,23 @@ def configuration_space(system: SystemConfig, input_domain: Sequence[Value]) -> 
     that hands over the same tuple again (every task of a family does) skips
     keying the domain.
     """
-    last_system, last_domain, last_space = _last_space
+    return _shared(_build_space, system, input_domain)
+
+
+def multiset_space(system: SystemConfig, input_domain: Sequence[Value]) -> MultisetSpace:
+    """The shared :class:`MultisetSpace` of ``system`` over ``input_domain``.
+
+    Memoised exactly as :func:`configuration_space` is, with a slot of its own.
+    """
+    return _shared(_build_multiset_space, system, input_domain)
+
+
+# Per builder, the last tuple domain read, as ``(system, domain, space)``.
+_last_spaces: Dict[Callable, tuple] = {}
+
+
+def _shared(build: Callable, system: SystemConfig, input_domain: Sequence[Value]) -> Space:
+    last_system, last_domain, last_space = _last_spaces.get(build, (None, None, None))
     if input_domain is last_domain and system == last_system:
         return last_space
     if not input_domain:
@@ -137,17 +221,12 @@ def configuration_space(system: SystemConfig, input_domain: Sequence[Value]) -> 
     # One canonical key per value both orders the domain and keys the memo:
     # equal values of different types (1, True, 1.0) hash alike but print
     # differently, and their keys keep such domains in separate entries.
-    space = _build_space(
-        system, tuple(value for _, value in keyed), tuple(key for key, _ in keyed)
-    )
+    space = build(system, tuple(value for _, value in keyed), tuple(key for key, _ in keyed))
     # Only a tuple is remembered, and held strongly so that its id is not
     # reused: a list may change under the same id.
     if type(input_domain) is tuple:
-        _last_space[:] = system, input_domain, space
+        _last_spaces[build] = system, input_domain, space
     return space
-
-
-_last_space: list = [None, None, None]
 
 
 @functools.lru_cache(maxsize=16)
@@ -159,42 +238,71 @@ def _build_space(
     proposing: Dict[Tuple[int, Value], int] = {
         (process, value): 0 for process in system.processes for value in domain
     }
-    position = {value: index for index, value in enumerate(domain)}
-    # Per multiset: [first configuration, mask, first index, last index].
-    multisets: Dict[Tuple[int, ...], List] = {}
     for index, config in enumerate(configurations):
         bit = 1 << index
-        counts = [0] * len(domain)
         for pair in config.pairs:
             containing[pair.process] |= bit
             proposing[pair.process, pair.proposal] |= bit
-            counts[position[pair.proposal]] += 1
-        group = multisets.setdefault(tuple(counts), [config, 0, index, index])
-        group[1] |= bit
-        group[3] = index
     minimal = [config for config in configurations if config.size == system.quorum]
     return ConfigurationSpace(
         system=system,
         domain=domain,
         configurations=configurations,
         neighbourhoods=tuple(_neighbourhood(config, containing, proposing) for config in minimal),
-        multisets=tuple((config, mask) for config, mask, _, _ in multisets.values()),
-        # I lists the minimal configurations first, and a multiset fixes the size.
-        minimal_multisets=tuple(
-            (first, last) for _, _, first, last in multisets.values() if first < len(minimal)
-        ),
         _containing=containing,
         _proposing=proposing,
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _build_multiset_space(
+    system: SystemConfig, domain: Tuple[Value, ...], _identity: Tuple[Tuple[str, str, str], ...]
+) -> MultisetSpace:
+    # A multiset as its values' domain positions in descending order.
+    keys = [
+        key
+        for size in system.valid_configuration_sizes()
+        for key in sorted(
+            tuple(reversed(ascending))
+            for ascending in itertools.combinations_with_replacement(range(len(domain)), size)
+        )
+    ]
+    counts = [[key.count(position) for position in range(len(domain))] for key in keys]
+    minimal = [key for key in keys if len(key) == system.quorum]
+    neighbourhoods = []
+    for anchor in counts[: len(minimal)]:
+        mask = 0
+        for index, (key, count) in enumerate(zip(keys, counts)):
+            shared = sum(map(min, anchor, count))
+            if shared and len(key) - shared <= system.t:
+                mask |= 1 << index
+        neighbourhoods.append(mask)
+    n = system.n
+    return MultisetSpace(
+        system=system,
+        domain=domain,
+        configurations=tuple(
+            InputConfiguration(
+                ProcessProposal(process, domain[position])
+                for process, position in zip(range(n - len(key), n), key)
+            )
+            for key in keys
+        ),
+        neighbourhoods=tuple(neighbourhoods),
+        _cells={key: cell for cell, key in enumerate(minimal)},
+    )
+
+
 def _cache_clear() -> None:
-    _last_space[:] = None, None, None
+    _last_spaces.clear()
     _build_space.cache_clear()
+    _build_multiset_space.cache_clear()
 
 
 configuration_space.cache_clear = _cache_clear  # type: ignore[attr-defined]
+multiset_space.cache_clear = _cache_clear  # type: ignore[attr-defined]
 configuration_space.cache_info = _build_space.cache_info  # type: ignore[attr-defined]
+multiset_space.cache_info = _build_multiset_space.cache_info  # type: ignore[attr-defined]
 
 
 def _neighbourhood(
@@ -213,19 +321,19 @@ def _neighbourhood(
 
 @dataclass(frozen=True, eq=False)
 class AdmissibilityTable:
-    """One property's ``val`` over a whole space: a mask of configurations per output value.
+    """One property's ``val`` over a whole space: a mask of cells per output value.
 
     Attributes:
-        space: The configuration space the masks index into.
+        space: The space the masks index into.
         masks: For each value of the finite output domain (in the domain's
-            order), the mask of configurations for which it is admissible.
+            order), the mask of cells for which it is admissible.
     """
 
-    space: ConfigurationSpace
+    space: Space
     masks: Dict[Value, int]
 
     def admitted_throughout(self, region: int) -> FrozenSet[Value]:
-        """The output values admissible for *every* configuration in ``region``."""
+        """The output values admissible for *every* cell in ``region``."""
         return frozenset(value for value, mask in self.masks.items() if not region & ~mask)
 
 
@@ -235,24 +343,20 @@ def evaluate_property(
     input_domain: Sequence[Value],
     output_domain: Optional[Sequence[Value]] = None,
 ) -> AdmissibilityTable:
-    """Evaluate ``val(c)`` over all of ``I``.
+    """Evaluate ``val`` once per cell of the property's space.
 
-    An anonymous property is evaluated once per proposal multiset, on the
-    first configuration of each, and any other once per configuration.
-    ``output_domain`` defaults to the property's own domain, or to
-    ``input_domain`` when it has none.
+    An anonymous property is evaluated over :func:`multiset_space`, any
+    other over :func:`configuration_space`.  ``output_domain`` defaults to
+    the property's own domain, or to ``input_domain`` when it has none.
     """
     domain = output_domain if output_domain is not None else prop.output_domain
     # One tuple for the whole evaluation: a table property remembers its set by identity.
     domain = tuple(domain if domain is not None else input_domain)
-    space = configuration_space(system, input_domain)
+    space = (multiset_space if prop.anonymous else configuration_space)(system, input_domain)
     masks: Dict[Value, int] = dict.fromkeys(domain, 0)
-    groups = space.multisets if prop.anonymous else (
-        (config, 1 << index) for index, config in enumerate(space.configurations)
-    )
-    for config, group in groups:
+    for index, config in enumerate(space.configurations):
         admissible = prop.admissible_values(config, domain)
         for value in masks:
             if value in admissible:
-                masks[value] |= group
+                masks[value] |= 1 << index
     return AdmissibilityTable(space=space, masks=masks)

@@ -10,9 +10,10 @@ finite ``always_admissible`` procedure.
 This module provides the exact decision procedure over finite domains and
 the ``always_admissible`` witness extraction.  The procedure is a reduction
 over the property's :class:`~repro.core.space.AdmissibilityTable`: ``val`` is
-evaluated over ``I`` (once per proposal multiset for an anonymous property)
-into one bitmask per output value, and a value is always admissible iff its
-mask is all ones.
+evaluated once per cell of the space
+:func:`~repro.core.space.evaluate_property` picks for the property into one
+bitmask per output value, and a value is always admissible iff its mask is
+all ones.
 
 Examples
 --------
@@ -55,7 +56,7 @@ class TrivialityResult:
         witness: A deterministic representative of ``always_admissible`` (the
             value the paper's Theorem 2 ``always_admissible`` procedure would
             return), or ``None``.
-        configurations_checked: Number of input configurations enumerated.
+        configurations_checked: ``|I|``, the number of input configurations decided.
     """
 
     trivial: bool
@@ -97,5 +98,5 @@ def check_triviality(
         trivial=bool(always),
         always_admissible=always,
         witness=witness,
-        configurations_checked=len(space.configurations),
+        configurations_checked=space.configuration_count,
     )

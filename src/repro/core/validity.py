@@ -36,8 +36,9 @@ class ValidityProperty(ABC):
         anonymous: ``True`` iff ``val(c)`` depends only on the multiset of
             ``c``'s proposals (and so on its size), not on which process
             proposed what; :func:`~repro.core.space.evaluate_property` then
-            evaluates it once per proposal multiset instead of once per
-            configuration.  A subclass that reads process identities must
+            decides it over proposal multisets
+            (:func:`~repro.core.space.multiset_space`) instead of
+            configurations.  A subclass that reads process identities must
             leave it ``False``.
     """
 

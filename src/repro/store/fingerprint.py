@@ -68,7 +68,7 @@ _REPRO_ROOT = pathlib.Path(__file__).resolve().parent.parent  # src/repro
 ANALYSIS_PACKAGES: Tuple[str, ...] = ("core", "analysis")
 """``repro`` sub-packages whose source participates in the *analysis* code
 fingerprint: the exact decision procedures live in ``core`` and the batch
-classifier (plus the closed-form oracles it dispatches to) in ``analysis``.
+classifier in ``analysis``.
 An :class:`~repro.analysis.pipeline.AnalysisVerdict` is a pure function of
 ``(property task, analysis code)`` only — no simulator, no protocol stacks —
 so cached verdicts survive edits to ``sim``/``consensus``/``coding`` that
@@ -247,7 +247,7 @@ def analysis_code_fingerprint() -> str:
 
     Covers the :data:`ANALYSIS_PACKAGES` module trees (``repro.core`` for the
     formalism and decision procedures, ``repro.analysis`` for the batch
-    pipeline and closed-form oracles).  Cached verdicts in a
+    pipeline).  Cached verdicts in a
     :class:`~repro.store.store.RunStore` become invisible the moment any of
     that source changes, exactly like run records under
     :func:`code_fingerprint`.

@@ -51,26 +51,17 @@ class TestResilienceBoundary:
         assert above["strong"].solvable and not above["strong"].trivial
 
     def test_t2_boundary_spot_checks(self):
-        # Full enumeration over all eight properties at (7, 2) takes minutes,
-        # so at t = 2 the boundary side is spot-checked exactly and the
-        # above-boundary side goes through the pipeline's closed-form oracle
-        # (cross-validated against enumeration in tests/test_analysis_pipeline.py).
-        from repro.core.properties import ConstantValidity, StrongValidity
-        from repro.core.solvability import classify
-
-        system = SystemConfig(6, 2)
-        strong = classify(StrongValidity(), system, [0, 1])
-        assert not strong.solvable and not strong.trivial
-        constant = classify(ConstantValidity(0, output_domain=[0, 1]), system, [0, 1])
-        assert constant.solvable and constant.trivial
-
-        from repro.analysis.pipeline import PropertyTask, classify_task
-
-        above = classify_task(
-            PropertyTask(family="named", key="strong", n=7, t=2, domain=(0, 1)), budget=0
-        )
-        assert above.method == "closed-form"
-        assert above.solvable and not above.trivial
+        # All eight named properties on both sides of n = 3t at t = 2, decided
+        # exactly: over two values every one of them is solvable at (7, 2).
+        at_boundary = classify_standard_properties(SystemConfig(6, 2), [0, 1])
+        above = classify_standard_properties(SystemConfig(7, 2), [0, 1])
+        assert len(at_boundary) == len(above) == 8
+        for key, classification in at_boundary.items():
+            assert classification.solvable == classification.trivial, key
+            assert classification.trivial == (key in ("constant", "free")), key
+        for key, classification in above.items():
+            assert classification.solvable, key
+            assert classification.trivial == (key in ("constant", "free")), key
 
     def test_partition_attack_only_succeeds_at_the_boundary(self):
         broken = run_partitioning_attack(t=1, seed=3)

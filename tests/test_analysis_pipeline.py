@@ -1,13 +1,14 @@
 """The analyze pipeline: deterministic verdicts, store caching, cross-checks."""
 
 import json
+import math
 
 import pytest
 
 from repro.analysis.pipeline import (
+    DEFAULT_ENUMERATION_BUDGET,
     AnalysisError,
     PropertyTask,
-    classification_method,
     classify_task,
     cross_check_matrix,
     cross_check_tasks,
@@ -23,6 +24,7 @@ from repro.analysis.pipeline import (
     verdicts_to_json,
     verdicts_to_payload,
 )
+from repro.core.input_config import count_input_configurations
 from repro.core.system import SystemConfig
 from repro.experiments.cli import main
 from repro.experiments.runner import Runner
@@ -78,22 +80,39 @@ class TestClassifyTask:
             assert rebuilt == verdict
             assert rebuilt.canonical_json() == verdict.canonical_json()
 
-    def test_closed_form_oracle_matches_enumeration(self):
-        # Wherever both methods are affordable they must agree on every
-        # discrete fact — the justification for trusting the closed form on
-        # the large matrix systems.
-        for n, t, domain in ((4, 1, (0, 1)), (4, 1, (0, 1, 2)), (5, 1, (0, 1))):
-            for key in ("strong", "weak", "correct-proposal", "median", "interval",
-                        "convex-hull", "constant", "free"):
-                task = PropertyTask(family="named", key=key, n=n, t=t, domain=domain)
-                enumerated = classify_task(task)
-                closed = classify_task(task, budget=0)
-                assert enumerated.method == "enumeration"
-                assert closed.method == "closed-form"
-                for field in ("trivial", "satisfies_similarity_condition", "solvable",
-                              "witness", "always_admissible"):
-                    assert getattr(enumerated, field) == getattr(closed, field), (
-                        task.label, field)
+    # Beyond the default family's systems, every named verdict is still exact.
+    LARGE_SYSTEMS = (
+        (7, 2, (0, 1, 2)),
+        (10, 3, (0, 1, 2)),
+        (13, 4, (0, 1, 2)),
+        (16, 5, (0, 1)),
+        (31, 10, (0, 1)),
+    )
+
+    @pytest.mark.parametrize(
+        "n, t, domain", LARGE_SYSTEMS, ids=[f"n{n}-t{t}-d{len(d)}" for n, t, d in LARGE_SYSTEMS]
+    )
+    def test_named_rules_hold_exactly_on_large_systems(self, n, t, domain):
+        system = SystemConfig(n, t)
+        for task in named_tasks(systems=((n, t, domain),)):
+            verdict = classify_task(task)
+            assert verdict.method == "enumeration"
+            assert verdict.configurations_checked == count_input_configurations(system, len(domain))
+            minimal = math.comb(n, n - t) * len(domain) ** (n - t)
+            assert verdict.minimal_configurations_checked == minimal
+            if task.key in ("constant", "free"):
+                assert verdict.trivial and verdict.solvable, task.label
+                continue
+            assert not verdict.trivial, task.label
+            assert verdict.quadratic_threshold == math.ceil(t / 2) ** 2
+            if task.key == "correct-proposal":
+                # Fitzi-Garay: a (t+1)-frequent value in every vector iff n > (|V| + 1) t.
+                holds = n > (len(domain) + 1) * t
+            else:
+                holds = True
+            assert verdict.satisfies_similarity_condition == verdict.solvable == holds, task.label
+            assert ("Omega(t^2)" in verdict.message_bound) == holds
+            assert (verdict.similarity_counterexample is None) == holds
 
     def test_fitzi_garay_bound_flips_correct_proposal_within_the_family(self):
         solvable = classify_task(
@@ -104,29 +123,26 @@ class TestClassifyTask:
         )
         assert solvable.solvable and not unsolvable.solvable
 
-    def test_quadratic_threshold_rides_along(self):
-        verdict = classify_task(
-            PropertyTask(family="named", key="strong", n=10, t=3, domain=(0, 1, 2))
-        )
-        assert verdict.method == "closed-form"
-        assert verdict.quadratic_threshold == 4
-        assert "Omega(t^2)" in verdict.message_bound
-
-    def test_over_budget_non_named_task_raises(self):
-        task = PropertyTask(family="sampled", key="sampled", n=4, t=1, domain=(0, 1))
+    def test_over_budget_non_named_task_raises(self, monkeypatch):
+        task = PropertyTask(family="sampled", key="sampled", n=7, t=2, domain=(0, 1, 2))
+        # Refused before its table is built.
+        monkeypatch.setattr(PropertyTask, "build_property", lambda task: pytest.fail("built"))
         with pytest.raises(AnalysisError):
-            classify_task(task, budget=0)
+            classify_task(task)
 
-    def test_over_budget_named_task_without_byzantine_resilience_raises(self):
-        task = PropertyTask(family="named", key="strong", n=3, t=1, domain=(0, 1))
-        with pytest.raises(AnalysisError):
-            classify_task(task, budget=0)
+    def test_without_byzantine_resilience_a_named_property_is_solvable_iff_trivial(self):
+        # Theorem 1, decided exactly at (9, 3) ternary, where the table
+        # enumeration would cost far over the budget.
+        assert enumeration_cost(SystemConfig(9, 3), 3) > DEFAULT_ENUMERATION_BUDGET
+        verdicts = [classify_task(task) for task in named_tasks(systems=((9, 3, (0, 1, 2)),))]
+        assert len(verdicts) == 8
+        for verdict in verdicts:
+            assert verdict.solvable == verdict.trivial, verdict.label
+        assert {verdict.key for verdict in verdicts if verdict.trivial} == {"constant", "free"}
 
     def test_enumeration_cost_is_monotone_in_system_and_domain(self):
         assert enumeration_cost(SystemConfig(4, 1), 2) < enumeration_cost(SystemConfig(4, 1), 3)
         assert enumeration_cost(SystemConfig(4, 1), 2) < enumeration_cost(SystemConfig(7, 2), 2)
-        large = PropertyTask(family="named", key="strong", n=10, t=3, domain=(0, 1, 2))
-        assert classification_method(large) == "closed-form"
 
 
 class TestRunAnalysisDeterminism:

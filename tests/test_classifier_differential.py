@@ -1,22 +1,25 @@
 """Differential tests: the bitmask classifier against the brute-force oracle.
 
 :mod:`repro.core.triviality` and :mod:`repro.core.similarity_condition` are
-reductions over the shared :class:`~repro.core.space.ConfigurationSpace`
-(``I`` enumerated once per system, every ``sim(c)`` a bitmask, ``val(c)``
-evaluated once per proposal multiset for an anonymous property and once per
-configuration otherwise).  The procedures they replaced are retained
+reductions over a shared space, built once per system with every ``sim`` a
+bitmask: the :class:`~repro.core.space.MultisetSpace` of proposal multisets
+for an anonymous property, the :class:`~repro.core.space.ConfigurationSpace`
+of all of ``I`` for any other.  The procedures they replaced are retained
 beside this file as ``reference_classifier.py``, and this suite pins the
 production path to them: every neighbourhood mask against the pairwise
 ``similar()`` filter, every result object field by field (dict iteration
 order included) for the named properties and for seeded and
 hypothesis-drawn table properties, the enumeration unranking against the
 ``itertools.product`` walk, and the purity of the classifier under the
-per-system memo.
+per-system memo.  Beyond the oracle's reach, the multiset space is pinned to
+the configuration space: each anonymous property against the same ``val``
+as a table, exhaustively over two small families.
 """
 
 import collections
 import importlib
 import inspect
+import itertools
 import json
 import os
 import pathlib
@@ -59,7 +62,7 @@ from repro.core.properties import (
 from repro.core.ordering import canonical_key
 from repro.core.similarity_condition import check_similarity_condition
 from repro.core.solvability import classify, enumerated_property
-from repro.core.space import configuration_space, evaluate_property
+from repro.core.space import configuration_space, evaluate_property, multiset_space
 from repro.core.system import SystemConfig
 from repro.core.triviality import check_triviality
 from repro.core.validity import TableValidity, ValidityProperty, non_empty_subsets
@@ -326,31 +329,29 @@ def contract_properties(system, domain):
     ]
 
 
+def multiset(config):
+    return frozenset(collections.Counter(config.proposals()).items())
+
+
 def anonymity_violations(prop, system, domain):
     """Where ``prop`` breaks the contract its ``anonymous = True`` claims.
 
-    Two checks: ``val(c)`` is equal throughout every multiset group, and the
-    grouped evaluation yields the masks of a per-configuration one.
+    Two checks over the configurations of ``I``: ``val(c)`` is equal for all
+    configurations with one proposal multiset, and it is what the masks of
+    the multiset space give ``c``'s cell.
     """
-    space = configuration_space(system, domain)
-    violations = []
-    for first, mask in space.multisets:
-        expected = prop.admissible_values(first, domain)
-        violations.extend(
-            config for config in space.select(mask)
-            if prop.admissible_values(config, domain) != expected
-        )
-    per_configuration = {
-        value: sum(
-            1 << index
-            for index, config in enumerate(space.configurations)
-            if value in prop.admissible_values(config, domain)
-        )
-        for value in domain
-    }
-    if evaluate_property(prop, system, domain).masks != per_configuration:
-        violations.append("masks")
-    return violations
+    configurations = configuration_space(system, domain).configurations
+    evaluated = evaluate_property(prop, system, domain)
+    cells = {multiset(member): cell for cell, member in enumerate(evaluated.space.configurations)}
+    first_seen, violations, masks_differ = {}, [], False
+    for config in configurations:
+        admissible = prop.admissible_values(config, domain)
+        if first_seen.setdefault(multiset(config), admissible) != admissible:
+            violations.append(config)
+        bit = 1 << cells[multiset(config)]
+        read = {value for value, mask in evaluated.masks.items() if mask & bit}
+        masks_differ |= admissible != read
+    return violations + ["masks"] * masks_differ
 
 
 class TestAnonymousProperties:
@@ -373,24 +374,27 @@ class TestAnonymousProperties:
     @pytest.mark.parametrize("system, domain", SPACES, ids=SPACE_IDS)
     def test_multisets_partition_the_space(self, system, domain):
         space = configuration_space(system, domain)
-        seen, union = set(), 0
-        for first, mask in space.multisets:
-            members = list(space.select(mask))
-            assert members[0] is first
-            multiset = collections.Counter(first.proposals())
-            assert all(collections.Counter(config.proposals()) == multiset for config in members)
-            assert frozenset(multiset.items()) not in seen
-            seen.add(frozenset(multiset.items()))
-            assert not union & mask
-            union |= mask
-        assert union == space.everything
-        # The minimal groups, as (first, last) indices into I.
-        assert space.minimal_multisets == tuple(
-            ((mask & -mask).bit_length() - 1, mask.bit_length() - 1)
-            for first, mask in space.multisets
-            if first.size == system.quorum
-        )
-        assert all(last < space.minimal_count for _, last in space.minimal_multisets)
+        cells = multiset_space(system, domain)
+        members = [multiset(member) for member in cells.configurations]
+        # Each multiset of size n - t .. n is exactly one cell, and its member
+        # is the multiset's last configuration of I.
+        last = {multiset(config): config for config in space.configurations}
+        assert len(members) == len(set(members)) == len(last)
+        assert list(cells.configurations) == [last[member] for member in members]
+        assert cells.configuration_count == len(space.configurations)
+        assert cells.minimal_count == space.minimal_count
+        assert cells.everything == (1 << len(members)) - 1
+        # sim(c) for every minimal c, the structural oracle of the
+        # neighbourhood rule: its multisets are those of c's cell.
+        listed = list(cells.minimal_members())
+        assert [config for config, _ in listed] == list(space.minimal_configurations)
+        for config, cell in listed:
+            assert members[cell] == multiset(config)
+            similar = {multiset(candidate) for candidate in space.similar_to(config)}
+            neighbourhood = cells.neighbourhoods[cell]
+            assert similar == {
+                member for index, member in enumerate(members) if neighbourhood >> index & 1
+            }
 
     @pytest.mark.parametrize("system, domain", SPACES, ids=SPACE_IDS)
     def test_every_declared_class_keeps_the_contract(self, system, domain):
@@ -421,7 +425,7 @@ class TestGroupedSimilarityDecision:
     """C_S decided per minimal multiset equals the decision per configuration.
 
     Both spaces lie beyond the oracle's budget.  The same ``val`` wrapped as a
-    table is not anonymous, so it takes the per-configuration path.
+    table is not anonymous, so it is decided over the configuration space.
     """
 
     SPACES = [(SystemConfig(5, 1), (0, 1, 2)), (SystemConfig(7, 2), (0, 1))]
@@ -452,6 +456,58 @@ class TestGroupedSimilarityDecision:
             ), prop
             outcomes.add(grouped.holds)
         assert outcomes == {True, False}
+
+
+class CountValidity(ValidityProperty):
+    """A binary ``val`` given as a table over (number of 1s, size): anonymous by construction."""
+
+    anonymous = True
+    name = "count-validity"
+    output_domain = (0, 1)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def is_admissible(self, config, value):
+        return value in self.rows[config.proposals().count(1), config.size]
+
+
+class TestExhaustiveAnonymousFamilies:
+    """Every anonymous binary property of a small system, over both spaces.
+
+    Each is classified through the multiset space and again as a table with
+    the same ``val``, which is decided over the configuration space.
+    """
+
+    @pytest.mark.parametrize(
+        "system, tally",
+        [
+            (SystemConfig(3, 1), (2_187, 255, 281, 0)),
+            (SystemConfig(4, 1), (19_683, 1_023, 1_219, 196)),
+        ],
+        ids=["n3-t1", "n4-t1"],
+    )
+    def test_every_property_is_classified_alike(self, system, tally):
+        domain = (0, 1)
+        configurations = configuration_space(system, domain).configurations
+        sizes = system.valid_configuration_sizes()
+        shapes = [(ones, size) for size in sizes for ones in range(size + 1)]
+        shape_of = [(config.proposals().count(1), config.size) for config in configurations]
+        counted = dict.fromkeys(("properties", "trivial", "c_s", "solvable_non_trivial"), 0)
+        for choice in itertools.product(non_empty_subsets(domain), repeat=len(shapes)):
+            rows = dict(zip(shapes, choice))
+            grouped = classify(CountValidity(rows), system, domain)
+            table = TableValidity(dict(zip(configurations, map(rows.get, shape_of))), domain)
+            expected = classify(table, system, domain)
+            assert grouped.trivial == expected.trivial, rows
+            assert grouped.triviality.always_admissible == expected.triviality.always_admissible
+            assert grouped.satisfies_similarity_condition == expected.satisfies_similarity_condition
+            assert grouped.similarity.counterexample == expected.similarity.counterexample, rows
+            counted["properties"] += 1
+            counted["trivial"] += grouped.trivial
+            counted["c_s"] += grouped.satisfies_similarity_condition
+            counted["solvable_non_trivial"] += grouped.solvable and not grouped.trivial
+        assert tuple(counted.values()) == tally
 
 
 class TestTableDomainMemo:
@@ -551,15 +607,15 @@ def line_of(function, text):
     [offset] = [offset for offset, line in enumerate(lines) if line.strip() == text]
     return function.__code__, start + offset
 
-# Statements counted each time they run: one C_S decision (a neighbourhood
-# checked), and one intersection or Lambda entry built.
+# Statements counted each time they run: one C_S decision (a minimal cell's
+# neighbourhood checked), and one intersection or Lambda entry built.
 counted_lines = dict([
     (line_of(similarity_condition.check_similarity_condition,
-             "neighbourhood = neighbourhoods[first]"), "similarity_decisions"),
+             "if all(map(neighbourhood.__and__, excluding)):"), "similarity_decisions"),
     (line_of(similarity_condition.SimilarityConditionResult._build_tables,
-             "self.admissible_intersections[config] = frozenset(admitted)"), "intersections"),
+             "self.admissible_intersections[config] = intersections[cell]"), "intersections"),
     (line_of(similarity_condition.SimilarityConditionResult._build_tables,
-             "self.lambda_table[config] = admitted[0]"), "lambda_entries"),
+             "self.lambda_table[config] = admitted[cell][0]"), "lambda_entries"),
 ])
 traced_codes = {code for code, _ in counted_lines}
 
@@ -641,44 +697,44 @@ class TestAnalyzeColdCounts:
             "_RankValidity.admissible_values",
         ]
         systems = [SystemConfig(n, t) for n, t in ((2, 1), (3, 1), (4, 1), (5, 1))]
-        distinct_spaces = sum(count_input_configurations(system, 2) for system in systems)
         pairs = sum(
             config.size for system in systems for config in enumerate_input_configurations(system, (0, 1))
         )
         # val(c) once per proposal multiset for each of the 24 named tasks
         # (27 multisets over the three systems: 216) and once per configuration
         # for each of the 40 table tasks (960); there is no pairwise similar()
-        # in repro to call, and I is constructed once per system, then not at
-        # all.
-        multisets = sum(
-            len(configuration_space(system, (0, 1)).multisets) for system in systems[1:]
-        )
-        assert multisets == 27
+        # in repro to call.
+        multisets = [multiset_space(system, (0, 1)) for system in systems[1:]]
+        assert sum(len(space.configurations) for space in multisets) == 27
+        # Constructed cold: the tables' configuration spaces, (2,1) and (4,1),
+        # and one member per multiset of the named tasks' three multiset
+        # spaces; warm, none.
+        constructed = sum(
+            count_input_configurations(system, 2) for system in (systems[0], systems[2])
+        ) + 27
         # C_S is decided once per minimal multiset for a named task (3 + 4 + 5
         # over the three systems) and once per minimal configuration for a
         # table (4 at (2,1), 32 at (4,1)): 704 of the 1,600 neighbourhoods.
         # Deciding builds no intersection and no Lambda entry.
-        minimal_multisets = sum(
-            len(configuration_space(system, (0, 1)).minimal_multisets) for system in systems[1:]
-        )
+        minimal_multisets = sum(len(space.neighbourhoods) for space in multisets)
         assert minimal_multisets == 12
         assert first["minimal_configurations_checked"] == 1_600
         decisions = 8 * minimal_multisets + 24 * 4 + 16 * 32
         # canonical_key (warm): each table sorts its domain (40 x 2), each rank
         # property keys its domain once (9 x 2), the trivial tasks' witness and
-        # always-admissible values are sorted (15 + 15), and configuration_space
-        # keys a domain only when the tuple or system changes (5 x 2); cold
-        # adds the four spaces' enumeration (4 x 2).  canonical_sorted: 40
-        # tables, 12 witnesses, 64 verdicts, and 4 enumerations cold.  Every
+        # always-admissible values are sorted (15 + 15), and each space keys a
+        # domain only when the tuple or system changes (5 x 2); cold adds the
+        # two configuration spaces' enumeration (2 x 2).  canonical_sorted: 40
+        # tables, 12 witnesses, 64 verdicts, and 2 enumerations cold.  Every
         # configuration hash is a table's: built (960), copied (960) and read
         # (960); a configuration hashes its pairs at most once, on first use,
         # so the warm pass hashes none.
         assert first["cold"] == {
-            "admissible_values": 8 * multisets + 960,
-            "configurations": distinct_spaces,
+            "admissible_values": 8 * 27 + 960,
+            "configurations": constructed,
             "similarity_decisions": decisions,
-            "canonical_key": 146,
-            "canonical_sorted": 120,
+            "canonical_key": 142,
+            "canonical_sorted": 118,
             "configuration_hash": 2_880,
             "process_proposal_hash": 172,
         }
@@ -697,5 +753,5 @@ class TestAnalyzeColdCounts:
         assert first["read_after"] == [
             "named:strong:n4:t1:d0-1", [32, 32], {"intersections": 32, "lambda_entries": 32}
         ]
-        assert distinct_spaces <= 400
+        assert constructed == 83
         assert DEFAULT_NAMED_SYSTEMS[3] == (5, 1, (0, 1))
